@@ -29,7 +29,6 @@ from .dynamics import (
     PropagatorSet,
     TimeGrid,
     heisenberg,
-    propagator,
     propagator_from_hamiltonian,
 )
 from .histories import (

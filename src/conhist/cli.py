@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -161,6 +162,17 @@ def _tolerances(args) -> dict:
     if args.tol_rel is not None:
         kw["eps_rel"] = args.tol_rel
     return kw
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tol-abs``/``--tol-rel``: a finite, non-negative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
 
 
 # -- commands -------------------------------------------------------------------
@@ -422,9 +434,9 @@ def _add_source_flags(sub: argparse.ArgumentParser, scenario_only: bool = False)
         "--format", choices=("text", "json", "csv"), default="text",
         help="report format (default text)",
     )
-    sub.add_argument("--tol-rel", type=float, default=None, metavar="EPS",
+    sub.add_argument("--tol-rel", type=_tolerance, default=None, metavar="EPS",
                      help="relative consistency threshold")
-    sub.add_argument("--tol-abs", type=float, default=None, metavar="EPS",
+    sub.add_argument("--tol-abs", type=_tolerance, default=None, metavar="EPS",
                      help="absolute consistency threshold")
 
 

@@ -3,8 +3,9 @@
 A :class:`PropagatorSet` stores one unitary per consecutive pair of grid
 times; arbitrary two-time propagators are composed on demand and obey the
 groupoid laws ``T(j,j) = I``, ``T(i,j) T(j,k) = T(i,k)`` and
-``T(j,k)^dag = T(k,j)``.  Composition is cached internally but the cache is
-semantically invisible.  hbar = 1 throughout; the models are unit-free.
+``T(j,k)^dag = T(k,j)``.  The cumulative propagators ``T(j, 0)`` are built
+once at construction, so a set is immutable and safe to share between
+threads.  hbar = 1 throughout; the models are unit-free.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class PropagatorSet:
     grid: TimeGrid
     steps: tuple[Operator, ...]
     space_dim: int | None = None
-    _cumulative: list = field(default_factory=list, repr=False, compare=False)
+    _cumulative: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -113,6 +114,12 @@ class PropagatorSet:
                 raise ValueError(f"step {j} is not unitary: defect {defect:.3e}")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "space_dim", dims.pop())
+        acc = np.eye(self.space_dim, dtype=np.complex128)
+        cumulative = [acc]
+        for u in steps:
+            acc = u.mat @ acc
+            cumulative.append(acc)
+        object.__setattr__(self, "_cumulative", tuple(cumulative))
 
     @classmethod
     def trivial(cls, grid: TimeGrid, dim: int) -> "PropagatorSet":
@@ -122,20 +129,6 @@ class PropagatorSet:
     def dim(self) -> int:
         return self.space_dim
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.dim for _ in self.grid.values)
-
-    def _cum(self, j: int) -> np.ndarray:
-        """Matrix of T(j <- 0), built lazily."""
-        if not self._cumulative:
-            acc = np.eye(self.dim, dtype=np.complex128)
-            self._cumulative.append(acc)
-            for u in self.steps:
-                acc = u.mat @ acc
-                self._cumulative.append(acc)
-        return self._cumulative[j]
-
     def propagator(self, j: int, k: int) -> Operator:
         """``T(j, k)`` mapping the space at time k to the space at time j."""
         n = len(self.grid)
@@ -144,10 +137,14 @@ class PropagatorSet:
         if j == k:
             return Operator.identity(self.dim)
         if k == 0:
-            return Operator(self._cum(j))
-        return Operator(self._cum(j) @ self._cum(k).conj().T)
+            return Operator(self._cumulative[j])
+        if j == 0:
+            return Operator(self._cumulative[k].conj().T)
+        return Operator(self._cumulative[j] @ self._cumulative[k].conj().T)
 
     def heisenberg_matrix(self, mat: np.ndarray, j: int, reference: int = 0) -> np.ndarray:
+        if j == reference:
+            return mat
         t_rj = self.propagator(reference, j).mat
         return t_rj @ mat @ t_rj.conj().T
 
@@ -158,11 +155,6 @@ class PropagatorSet:
         if self is other:
             return True
         return all(a.allclose(b, tol) for a, b in zip(self.steps, other.steps))
-
-
-def propagator(ps: PropagatorSet, j: int, k: int) -> Operator:
-    """Module-level alias for :meth:`PropagatorSet.propagator`."""
-    return ps.propagator(j, k)
 
 
 def heisenberg(p: Projector, ps: PropagatorSet, j: int, reference: int = 0) -> Operator:

@@ -284,15 +284,6 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.mat, b.mat))
 
 
-def tensor_product_many(ops: Sequence[Operator]) -> Operator:
-    if not ops:
-        raise ValueError("need at least one factor")
-    out = ops[0]
-    for op in ops[1:]:
-        out = tensor_product(out, op)
-    return out
-
-
 def tensor_ket(a: Ket, b: Ket) -> Ket:
     return Ket(np.kron(a.amps, b.amps))
 

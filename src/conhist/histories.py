@@ -4,21 +4,24 @@ A history is a sequence of projectors, one per grid time, drawn from a fixed
 decomposition of the identity at each time; a family is the sample space of
 all such sequences, optionally conditioned on an initial pure state or
 density operator.  Each history gets a chain operator (the time-ordered
-product of its Heisenberg projectors), whose pairwise inner products form
-the decoherence functional.  Vanishing off-diagonal entries make the family
-consistent, i.e. a valid sample space for probabilities; the single
-framework rule is enforced at the API boundary by refusing to assign
-probabilities to inconsistent families.
+product of its projectors and the propagators between them), whose
+pairwise inner products form the decoherence functional.  Vanishing
+off-diagonal entries make the family consistent, i.e. a valid sample space
+for probabilities; the single framework rule is enforced at the API boundary
+by refusing to assign probabilities to inconsistent families.
 
 The history Hilbert space (the formal tensor product over times) is never
 materialized: histories are label tuples, and the Boolean event algebra is
 represented by subsets of those labels.  All computations factor through
-chain operators on the reference space.
+the chains of one breadth-first Schrodinger-picture pass (see ``_analyze``);
+no analysis is cached, so a family is analysed afresh on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -47,10 +50,6 @@ EPS_REL = 1e-10
 
 # Histories below this probability are excluded from the support.
 EPS_SUPPORT = 1e-12
-
-# Chain-operator prefixes below this norm are exact zeros for all practical
-# purposes (far below any representable physical amplitude) and are pruned.
-_PRUNE_NORM = 1e-140
 
 # Refuse to enumerate absurdly large sample spaces.
 _MAX_HISTORIES = 250_000
@@ -285,127 +284,69 @@ class ChainOperator:
     op: Operator
 
 
-def _heisenberg_members(f: Family, ref: int) -> list[dict[str, np.ndarray]]:
-    """Per-slot map label -> Heisenberg projector matrix at the reference."""
-    out = []
-    for slot, dec in enumerate(f.decompositions):
-        j = f.time_indices[slot]
-        slot_map = {}
-        for label, proj in dec.members:
-            slot_map[label] = f.propagators.heisenberg_matrix(proj.mat, j, ref)
-        out.append(slot_map)
-    return out
-
-
-def _heisenberg_initial_ket(f: Family, ref: int) -> np.ndarray:
-    assert isinstance(f.initial, PureInitial)
-    j = f.time_indices[f.initial_slot]
-    t = f.propagators.propagator(ref, j).mat
-    return t @ f.initial.ket.amps
-
-
 @dataclass(frozen=True, eq=False)
 class _Analysis:
-    """Chain payloads and the decoherence functional for one family."""
+    """Surviving chains and the decoherence functional for one family."""
 
     alphas: tuple[tuple[str, ...], ...]
-    weights: np.ndarray          # clamped, >= 0, per alpha
-    raw_weights: np.ndarray      # before clamping
-    nonzero: tuple[int, ...]     # indices into alphas with surviving chains
-    gram: np.ndarray             # decoherence matrix among nonzero chains
-    total_weight: float
+    weights: np.ndarray  # per alpha; exactly 0 for pruned histories
+    nonzero: np.ndarray  # ascending indices into alphas of the surviving chains
+    gram: np.ndarray     # decoherence matrix among the surviving chains
+    floor: float         # chains whose norm fell to or below this were pruned
 
 
-_analysis_cache: dict[tuple[int, int], _Analysis] = {}
-_analysis_keepalive: dict[int, Family] = {}
+def _analyze(f: Family) -> _Analysis:
+    """One breadth-first Schrodinger-picture pass over the history tree.
 
-
-def _analyze(f: Family, ref: int = 0) -> _Analysis:
-    key = (id(f), ref)
-    hit = _analysis_cache.get(key)
-    if hit is not None and _analysis_keepalive.get(id(f)) is f:
-        return hit
-
-    members = _heisenberg_members(f, ref)
-    n_slots = len(f)
-    pure = isinstance(f.initial, PureInitial)
-    mixed = isinstance(f.initial, MixedInitial)
-
-    if pure:
-        seed = _heisenberg_initial_ket(f, ref)
-        anchor = f.initial_slot
-        if anchor == 0:
-            order = list(range(1, n_slots))
-        else:
-            order = list(range(n_slots - 2, -1, -1))
+    Every chain is a block of bra rows: ``<psi|`` for a pure state (seeded at
+    its anchor, walking away from it), ``sqrt(rho)`` for a density operator,
+    ``I`` without an initial state.  Each slot moves all blocks to its time
+    with one propagator product, then splits them with one product per
+    member.  A block whose Frobenius norm falls to the rounding floor
+    ``n_slots * d * eps * |seed|_F`` is pruned with its whole subtree.  The
+    Gram matrix is ``<K_a, K_b> = Tr(rho K_a^dag K_b)``, which is invariant
+    under the unitaries that relate the Schrodinger and Heisenberg forms.
+    """
+    ps, n_slots = f.propagators, len(f)
+    alphas = f.alphas()
+    backward = False
+    if isinstance(f.initial, PureInitial):
+        seed = f.initial.ket.amps.conj()[None, :]
+        backward = f.initial_slot == n_slots - 1 and n_slots > 1
+        order = range(n_slots - 2, -1, -1) if backward else range(1, n_slots)
     else:
-        anchor = None
-        order = list(range(n_slots))
-        if mixed:
-            rho = f.initial.rho
-            j = f.time_indices[f.initial_slot]
-            rho_h = f.propagators.heisenberg_matrix(rho.mat, j, ref)
-            evals, evecs = np.linalg.eigh(rho_h)
-            evals = np.clip(evals, 0.0, None)
-            sqrt_rho = (evecs * np.sqrt(evals)) @ evecs.conj().T
-            seed = sqrt_rho
+        order = range(n_slots)
+        if isinstance(f.initial, MixedInitial):
+            evals, evecs = np.linalg.eigh(f.initial.rho.mat)
+            seed = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
         else:
             seed = np.eye(f.dim, dtype=np.complex128)
+    floor = float(n_slots * f.dim * np.finfo(float).eps * np.linalg.norm(seed))
 
-    alphas = f.alphas()
-    payloads: list[np.ndarray | None] = [None] * len(alphas)
-
-    # Strides to map a path of slot choices to the enumeration index.
     sizes = [len(f.slot_labels(s)) for s in range(n_slots)]
-    strides = [1] * n_slots
-    for s in range(n_slots - 2, -1, -1):
-        strides[s] = strides[s + 1] * sizes[s + 1]
+    rows, index = seed, np.zeros(1, dtype=np.int64)
+    here = f.time_indices[f.initial_slot]
+    for slot in order:
+        j = f.time_indices[slot]
+        if j != here:
+            rows = rows @ ps.propagator(here, j).mat
+            here = j
+        members = f.decompositions[slot].members
+        split = np.stack([rows @ p.mat for _, p in members]).reshape(len(members) * len(index), -1)
+        index = (np.arange(len(members))[:, None] * math.prod(sizes[slot + 1:]) + index).ravel()
+        keep = np.linalg.norm(split, axis=1) > floor
+        rows, index = split[keep].reshape(-1, f.dim), index[keep]
 
-    def walk(depth: int, payload: np.ndarray, base: int):
-        if depth == len(order):
-            payloads[base] = payload
-            return
-        slot = order[depth]
-        labels = f.slot_labels(slot)
-        for pos, label in enumerate(labels):
-            mat = members[slot][label]
-            nxt = mat @ payload if payload.ndim == 1 else payload @ mat
-            idx = base + pos * strides[slot]
-            if np.linalg.norm(nxt) < _PRUNE_NORM:
-                continue  # exact zero for this whole subtree
-            walk(depth + 1, nxt, idx)
-
-    walk(0, seed, 0)
-
-    nonzero = tuple(i for i, p in enumerate(payloads) if p is not None)
-    if nonzero:
-        flat = np.stack([payloads[i].ravel() for i in nonzero])
-        gram = flat.conj() @ flat.T
-    else:
-        gram = np.zeros((0, 0), dtype=np.complex128)
-
-    raw = np.zeros(len(alphas))
-    for row, i in enumerate(nonzero):
-        raw[i] = gram[row, row].real
-    bad = raw < -EPS_ABS
-    if np.any(bad):
-        raise ValueError(f"negative weight {raw[bad].min():.3e}; numerical failure")
-    weights = np.clip(raw, 0.0, None)
-
-    analysis = _Analysis(
-        alphas=alphas,
-        weights=weights,
-        raw_weights=raw,
-        nonzero=nonzero,
-        gram=gram,
-        total_weight=float(weights.sum()),
-    )
-    if len(_analysis_cache) > 256:
-        _analysis_cache.clear()
-        _analysis_keepalive.clear()
-    _analysis_cache[key] = analysis
-    _analysis_keepalive[id(f)] = f
-    return analysis
+    ranked = np.argsort(index)
+    index, flat = index[ranked], rows.reshape(len(ranked), -1)[ranked]
+    if backward:
+        # the state sits after the projectors, so the bras are the chain kets'
+        # conjugates and the Gram entries swap
+        flat = flat.conj()
+    gram = flat @ flat.conj().T
+    weights = np.zeros(len(alphas))
+    weights[index] = gram.diagonal().real
+    return _Analysis(alphas, weights, index, gram, floor)
 
 
 def chain_operator(h: History | Sequence[str], f: Family, ref: int = 0) -> ChainOperator:
@@ -415,13 +356,14 @@ def chain_operator(h: History | Sequence[str], f: Family, ref: int = 0) -> Chain
     family raises.  The returned operator K satisfies
     ``K^dag = P_0 P_1 ... P_f`` (Heisenberg projectors in time order, with the
     initial-state projector included when the family has a pure initial).
+    Built independently of the engine's Schrodinger pass, it serves as the
+    cross-check oracle.
     """
     hist = f.resolve(h.slots if isinstance(h, History) else h)
-    members = _heisenberg_members(f, ref)
-    d = f.dim
-    adj = np.eye(d, dtype=np.complex128)
-    for slot, label in enumerate(hist.slots):
-        adj = adj @ members[slot][label]
+    adj = functools.reduce(np.matmul, (
+        f.propagators.heisenberg_matrix(f.decompositions[slot].projector(label).mat, j, ref)
+        for slot, (label, j) in enumerate(zip(hist.slots, f.time_indices))
+    ))
     return ChainOperator(hist, Operator(adj.conj().T))
 
 
@@ -449,7 +391,7 @@ def chain_operator_schrodinger(h: History | Sequence[str], f: Family) -> ChainOp
     return ChainOperator(hist, Operator(adj.conj().T))
 
 
-def weight(h: History | Sequence[str], f: Family, ref: int = 0) -> float:
+def weight(h: History | Sequence[str], f: Family) -> float:
     """Generalized Born weight ``<K, K>`` of one history.
 
     Uses the trace inner product, or its density-weighted form when the
@@ -459,7 +401,7 @@ def weight(h: History | Sequence[str], f: Family, ref: int = 0) -> float:
     initial condition.
     """
     hist = f.resolve(h.slots if isinstance(h, History) else h)
-    analysis = _analyze(f, ref)
+    analysis = _analyze(f)
     try:
         idx = analysis.alphas.index(hist.slots)
     except ValueError:
@@ -505,7 +447,6 @@ def consistency_check(
     eps_abs: float = EPS_ABS,
     eps_rel: float = EPS_REL,
     mode: str = "complex",
-    ref: int = 0,
 ) -> ConsistencyReport:
     """Evaluate all distinct chain-operator pairs for mutual orthogonality.
 
@@ -513,30 +454,48 @@ def consistency_check(
     ``eps_abs + eps_rel * sqrt(W_a W_b)``.  Histories of zero weight have
     vanishing chain operators and never violate.  ``mode="real"`` tests only
     the real part (the weaker variant some authors adopt); the default tests
-    the full condition.
+    the full condition.  Non-finite or negative tolerances raise
+    ``ValueError``: they would make every comparison meaningless.
     """
     if mode not in ("complex", "real"):
         raise ValueError(f"mode must be 'complex' or 'real', got {mode!r}")
-    analysis = _analyze(f, ref)
-    n = len(analysis.nonzero)
-    violations = []
+    for name, eps in (("eps_abs", eps_abs), ("eps_rel", eps_rel)):
+        if not (math.isfinite(eps) and eps >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {eps!r}")
+    return _report(_analyze(f), eps_abs, eps_rel, mode)
+
+
+def _report(analysis: _Analysis, eps_abs: float, eps_rel: float, mode: str) -> ConsistencyReport:
+    """The check over the upper triangle of the Gram matrix, one row at a time.
+
+    Surviving chains weigh more than the prune floor squared, so every
+    normalization below is positive.
+    """
+    gram = analysis.gram
+    w = gram.diagonal().real
+    found = []  # (rows, columns, overlaps) of the violating pairs of one Gram row
     max_norm = 0.0
-    for a in range(n):
-        wa = analysis.gram[a, a].real
-        for b in range(a + 1, n):
-            wb = analysis.gram[b, b].real
-            d = analysis.gram[a, b]
-            overlap = abs(d.real) if mode == "real" else abs(d)
-            if wa > 0.0 and wb > 0.0:
-                max_norm = max(max_norm, overlap / np.sqrt(wa * wb))
-            if overlap > eps_abs + eps_rel * np.sqrt(max(wa, 0.0) * max(wb, 0.0)):
-                ia, ib = analysis.nonzero[a], analysis.nonzero[b]
-                violations.append((analysis.alphas[ia], analysis.alphas[ib], float(overlap)))
-    violations.sort(key=lambda v: -v[2])
+    for a in range(len(w) - 1):
+        row = gram[a, a + 1:]
+        overlap = np.abs(row.real if mode == "real" else row)
+        scale = np.sqrt(w[a] * w[a + 1:])
+        max_norm = max(max_norm, float((overlap / scale).max()))
+        bad = np.flatnonzero(overlap > eps_abs + eps_rel * scale)
+        if bad.size:
+            found.append((np.full(bad.size, a), bad + a + 1, overlap[bad]))
+    violations = ()
+    if found:
+        names = [analysis.alphas[i] for i in analysis.nonzero]
+        first, second, overlaps = (np.concatenate(parts) for parts in zip(*found))
+        order = np.argsort(-overlaps, kind="stable")
+        violations = tuple(
+            (names[a], names[b], float(o))
+            for a, b, o in zip(first[order], second[order], overlaps[order])
+        )
     return ConsistencyReport(
         consistent=not violations,
-        violations=tuple(violations),
-        max_normalized_overlap=float(max_norm),
+        violations=violations,
+        max_normalized_overlap=max_norm,
         eps_abs=eps_abs,
         eps_rel=eps_rel,
         mode=mode,
@@ -579,28 +538,32 @@ class WeightTable:
         }
 
 
-def weight_table(f: Family, ref: int = 0) -> WeightTable:
+def weight_table(f: Family) -> WeightTable:
     """All weights, without enforcing consistency (internal/diagnostic use)."""
-    analysis = _analyze(f, ref)
+    return _table(_analyze(f))
+
+
+def _table(analysis: _Analysis) -> WeightTable:
     entries = tuple(
         (alpha, float(w)) for alpha, w in zip(analysis.alphas, analysis.weights)
     )
-    norm = analysis.total_weight
+    norm = float(analysis.weights.sum())
     if norm <= 0.0:
         raise ValueError("family has zero total weight; cannot normalize")
     return WeightTable(entries=entries, normalization=norm)
 
 
-def probabilities(f: Family, ref: int = 0) -> WeightTable:
+def probabilities(f: Family) -> WeightTable:
     """Probabilities over the family's sample space.
 
     Refuses inconsistent families: probabilities only make sense within a
     single consistent framework.
     """
-    report = consistency_check(f, ref=ref)
+    analysis = _analyze(f)
+    report = _report(analysis, EPS_ABS, EPS_REL, "complex")
     if not report.consistent:
         raise InconsistentFamilyError(report, f.name)
-    return weight_table(f, ref)
+    return _table(analysis)
 
 
 Predicate = Callable[[tuple[str, ...]], bool]
@@ -638,10 +601,9 @@ def conditional_probability(
     f: Family,
     target: Mapping[str, str | Iterable[str]] | Predicate,
     given: Mapping[str, str | Iterable[str]] | Predicate,
-    ref: int = 0,
 ) -> float:
     """``Pr(target | given)`` over a consistent family's sample space."""
-    table = probabilities(f, ref)
+    table = probabilities(f)
     tpred = slot_predicate(f, target)
     gpred = slot_predicate(f, given)
     p_given = 0.0
@@ -658,22 +620,20 @@ def conditional_probability(
     return p_both / p_given
 
 
-def support(f: Family, ref: int = 0) -> tuple[tuple[tuple[str, ...], float], ...]:
+def support(f: Family) -> tuple[tuple[tuple[str, ...], float], ...]:
     """Histories with probability above ``EPS_SUPPORT``, sorted descending."""
-    table = probabilities(f, ref)
+    table = probabilities(f)
     items = [(a, p) for a, p in table.items() if p > EPS_SUPPORT]
     items.sort(key=lambda ap: -ap[1])
     return tuple(items)
 
 
-def event_probability(
-    f: Family, subset: Iterable[Sequence[str]], ref: int = 0
-) -> float:
+def event_probability(f: Family, subset: Iterable[Sequence[str]]) -> float:
     """Probability of an event: a subset of the family's histories.
 
     Additive over disjoint subsets by construction.
     """
-    table = probabilities(f, ref)
+    table = probabilities(f)
     keys = set()
     for alpha in subset:
         hist = f.resolve(alpha)

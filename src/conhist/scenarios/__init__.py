@@ -10,7 +10,6 @@ from .base import (
     Scenario,
     basis_relabeling_maps,
     relabeling_weight_residual,
-    run_expectations,
     spacelike_local_event_pairs,
     transform_scenario,
     transformed_propagators,
@@ -50,7 +49,6 @@ __all__ = [
     "build_spin_half",
     "build_wavepacket",
     "relabeling_weight_residual",
-    "run_expectations",
     "spacelike_local_event_pairs",
     "transform_scenario",
     "transformed_propagators",

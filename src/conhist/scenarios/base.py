@@ -10,6 +10,7 @@ the public API and compare against the registered value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -108,8 +109,9 @@ class Scenario:
         return [e.run(self) for e in self.expected]
 
 
-def run_expectations(scn: Scenario) -> list[ExpectationResult]:
-    return scn.run_expected()
+def kron(*mats: np.ndarray) -> np.ndarray:
+    """Kronecker product of the factors, leftmost factor most significant."""
+    return functools.reduce(np.kron, mats)
 
 
 def basis_relabeling_maps(ps: PropagatorSet, seed: int = 7) -> CovarianceMap:

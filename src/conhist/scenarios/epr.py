@@ -34,14 +34,8 @@ from .base import (
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    kron,
 )
-
-
-def _kron(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def build_epr() -> Scenario:
@@ -59,21 +53,21 @@ def build_epr() -> Scenario:
     spins = {"z+": z_plus, "z-": z_minus, "x+": x_plus, "x-": x_minus}
     P: dict[str, Projector] = {}
     for lab, vec in spins.items():
-        P[lab + "a"] = Projector(Operator(_kron(proj(vec), i2, i3)))
-        P[lab + "b"] = Projector(Operator(_kron(i2, proj(vec), i3)))
+        P[lab + "a"] = Projector(Operator(kron(proj(vec), i2, i3)))
+        P[lab + "b"] = Projector(Operator(kron(i2, proj(vec), i3)))
     for lab, col in (("Z", 0), ("Z+", 1), ("Z-", 2)):
-        P[lab] = Projector(Operator(_kron(i2, i2, proj(app[:, col]))))
+        P[lab] = Projector(Operator(kron(i2, i2, proj(app[:, col]))))
 
     # Pair projectors: a-label followed by b-label, e.g. "z+z-".
     for la in ("z+", "z-"):
         for lb in ("z+", "z-", "x+", "x-"):
             P[la + lb] = Projector(Operator(P[la + "a"].mat @ P[lb + "b"].mat))
 
-    singlet = (_kron(z_plus, z_minus) - _kron(z_minus, z_plus)) / np.sqrt(2)
-    P["s0"] = Projector(Operator(_kron(proj(singlet), i3)))
-    psi0 = Ket(_kron(singlet, app[:, 0]), "Psi0")
+    singlet = (kron(z_plus, z_minus) - kron(z_minus, z_plus)) / np.sqrt(2)
+    P["s0"] = Projector(Operator(kron(proj(singlet), i3)))
+    psi0 = Ket(kron(singlet, app[:, 0]), "Psi0")
     psi2 = Ket(
-        (_kron(z_plus, z_minus, app[:, 1]) - _kron(z_minus, z_plus, app[:, 2]))
+        (kron(z_plus, z_minus, app[:, 1]) - kron(z_minus, z_plus, app[:, 2]))
         / np.sqrt(2),
         "Psi2",
     )
@@ -87,7 +81,7 @@ def build_epr() -> Scenario:
     P["s0Z"] = Projector(Operator(P["s0"].mat @ P["Z"].mat))
 
     cyc_plus = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.complex128)
-    measure = _kron(proj(z_plus), i2, cyc_plus) + _kron(proj(z_minus), i2, cyc_plus.T)
+    measure = kron(proj(z_plus), i2, cyc_plus) + kron(proj(z_minus), i2, cyc_plus.T)
 
     grid = TimeGrid((0, 1, 2, 3, 4, 5))
     ident = Operator(np.eye(12, dtype=np.complex128))

@@ -47,16 +47,10 @@ from .base import (
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    kron,
 )
 
 _SPLITTER = np.array([[1, -1], [1, 1]], dtype=np.complex128) / np.sqrt(2)
-
-
-def _kron(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def _build_plain() -> Scenario:
@@ -69,14 +63,14 @@ def _build_plain() -> Scenario:
     # Arm/outcome bases share coordinates; the labels encode which side of
     # the beam splitter a projector is read in.
     P = {
-        "c": Projector(Operator(_kron(proj(basis[:, 0]), i2))),
-        "d": Projector(Operator(_kron(proj(basis[:, 1]), i2))),
-        "e": Projector(Operator(_kron(proj(basis[:, 0]), i2))),
-        "f": Projector(Operator(_kron(proj(basis[:, 1]), i2))),
-        "cbar": Projector(Operator(_kron(i2, proj(basis[:, 0])))),
-        "dbar": Projector(Operator(_kron(i2, proj(basis[:, 1])))),
-        "ebar": Projector(Operator(_kron(i2, proj(basis[:, 0])))),
-        "fbar": Projector(Operator(_kron(i2, proj(basis[:, 1])))),
+        "c": Projector(Operator(kron(proj(basis[:, 0]), i2))),
+        "d": Projector(Operator(kron(proj(basis[:, 1]), i2))),
+        "e": Projector(Operator(kron(proj(basis[:, 0]), i2))),
+        "f": Projector(Operator(kron(proj(basis[:, 1]), i2))),
+        "cbar": Projector(Operator(kron(i2, proj(basis[:, 0])))),
+        "dbar": Projector(Operator(kron(i2, proj(basis[:, 1])))),
+        "ebar": Projector(Operator(kron(i2, proj(basis[:, 0])))),
+        "fbar": Projector(Operator(kron(i2, proj(basis[:, 1])))),
     }
 
     psi0 = Ket(np.array([1, 1, 1, 0], dtype=np.complex128) / np.sqrt(3), "psi0")
@@ -85,9 +79,9 @@ def _build_plain() -> Scenario:
     psi2 = Ket(np.array([-1, 1, 1, 3], dtype=np.complex128) / np.sqrt(12), "psi2")
 
     ident = Operator(np.eye(4, dtype=np.complex128))
-    bs_a = Operator(_kron(_SPLITTER, i2))
-    bs_b = Operator(_kron(i2, _SPLITTER))
-    bs_both = Operator(_kron(_SPLITTER, _SPLITTER))
+    bs_a = Operator(kron(_SPLITTER, i2))
+    bs_b = Operator(kron(i2, _SPLITTER))
+    bs_both = Operator(kron(_SPLITTER, _SPLITTER))
 
     ps_l = PropagatorSet(TimeGrid((0, 1, 2, 3, 4)), (ident, ident, bs_both, ident))
     ps_bfirst = PropagatorSet(TimeGrid((0, 1, 2, 3)), (bs_b, ident, bs_a))
@@ -276,16 +270,16 @@ def _build_with_detectors() -> Scenario:
     flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
     P = {
-        "E*": Projector(Operator(_kron(i2, i2, trig, i2))),
-        "E": Projector(Operator(_kron(i2, i2, ready, i2))),
-        "Ebar*": Projector(Operator(_kron(i2, i2, i2, trig))),
-        "Ebar": Projector(Operator(_kron(i2, i2, i2, ready))),
+        "E*": Projector(Operator(kron(i2, i2, trig, i2))),
+        "E": Projector(Operator(kron(i2, i2, ready, i2))),
+        "Ebar*": Projector(Operator(kron(i2, i2, i2, trig))),
+        "Ebar": Projector(Operator(kron(i2, i2, i2, ready))),
     }
     for key, mat in (
-        ("e", _kron(proj(basis[:, 0]), i2, i2, i2)),
-        ("f", _kron(proj(basis[:, 1]), i2, i2, i2)),
-        ("ebar", _kron(i2, proj(basis[:, 0]), i2, i2)),
-        ("fbar", _kron(i2, proj(basis[:, 1]), i2, i2)),
+        ("e", kron(proj(basis[:, 0]), i2, i2, i2)),
+        ("f", kron(proj(basis[:, 1]), i2, i2, i2)),
+        ("ebar", kron(i2, proj(basis[:, 0]), i2, i2)),
+        ("fbar", kron(i2, proj(basis[:, 1]), i2, i2)),
     ):
         P[key] = Projector(Operator(mat))
 
@@ -295,13 +289,13 @@ def _build_with_detectors() -> Scenario:
         "psi0",
     )
 
-    bs_both = Operator(_kron(_SPLITTER, _SPLITTER, i2, i2))
+    bs_both = Operator(kron(_SPLITTER, _SPLITTER, i2, i2))
     # Detection: flip detector E when a is in the e outcome arm, and
     # detector Ebar when b is in the ebar arm.
-    detect_e = _kron(proj(basis[:, 0]), i2, flip, i2) + _kron(
+    detect_e = kron(proj(basis[:, 0]), i2, flip, i2) + kron(
         proj(basis[:, 1]), i2, i2, i2
     )
-    detect_eb = _kron(i2, proj(basis[:, 0]), i2, flip) + _kron(
+    detect_eb = kron(i2, proj(basis[:, 0]), i2, flip) + kron(
         i2, proj(basis[:, 1]), i2, i2
     )
     detect = Operator(detect_eb @ detect_e)

@@ -37,17 +37,11 @@ from .base import (
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    kron,
 )
 
 # Apparatus basis order: ready, plus outcome, minus outcome.
 _X_READY, _X_PLUS, _X_MINUS = 0, 1, 2
-
-
-def _kron(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def build_spin_half() -> Scenario:
@@ -65,21 +59,21 @@ def build_spin_half() -> Scenario:
 
     # Spin projectors on the full space.
     P = {
-        "z+": Projector(Operator(_kron(proj(z_plus), i3))),
-        "z-": Projector(Operator(_kron(proj(z_minus), i3))),
-        "x+": Projector(Operator(_kron(proj(x_plus), i3))),
-        "x-": Projector(Operator(_kron(proj(x_minus), i3))),
-        "X": Projector(Operator(_kron(i2, proj(app[:, _X_READY])))),
-        "X+": Projector(Operator(_kron(i2, proj(app[:, _X_PLUS])))),
-        "X-": Projector(Operator(_kron(i2, proj(app[:, _X_MINUS])))),
+        "z+": Projector(Operator(kron(proj(z_plus), i3))),
+        "z-": Projector(Operator(kron(proj(z_minus), i3))),
+        "x+": Projector(Operator(kron(proj(x_plus), i3))),
+        "x-": Projector(Operator(kron(proj(x_minus), i3))),
+        "X": Projector(Operator(kron(i2, proj(app[:, _X_READY])))),
+        "X+": Projector(Operator(kron(i2, proj(app[:, _X_PLUS])))),
+        "X-": Projector(Operator(kron(i2, proj(app[:, _X_MINUS])))),
     }
     for spin in ("z+", "z-", "x+", "x-"):
         for out in ("X", "X+", "X-"):
             P[spin + out] = Projector(Operator(P[spin].mat @ P[out].mat))
 
-    psi0 = Ket(_kron(z_plus, app[:, _X_READY]), "z+X")
+    psi0 = Ket(kron(z_plus, app[:, _X_READY]), "z+X")
     s_mqs = Ket(
-        (_kron(x_plus, app[:, _X_PLUS]) + _kron(x_minus, app[:, _X_MINUS])) / np.sqrt(2),
+        (kron(x_plus, app[:, _X_PLUS]) + kron(x_minus, app[:, _X_MINUS])) / np.sqrt(2),
         "S",
     )
     P["S"] = s_mqs.projector()
@@ -87,7 +81,7 @@ def build_spin_half() -> Scenario:
     # Measurement unitary: apparatus 3-cycles conditioned on the x sector.
     cyc_plus = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.complex128)
     cyc_minus = cyc_plus.T
-    measure = _kron(proj(x_plus), cyc_plus) + _kron(proj(x_minus), cyc_minus)
+    measure = kron(proj(x_plus), cyc_plus) + kron(proj(x_minus), cyc_minus)
 
     grid = TimeGrid((0, 1, 2, 3, 4, 5))
     ident = Operator(np.eye(6, dtype=np.complex128))

@@ -19,6 +19,7 @@ from conhist.hilbert import DecompositionOfIdentity, Ket
 from conhist.histories import (
     Family,
     InconsistentFamilyError,
+    chain_operator,
     conditional_probability,
     consistency_check,
     event_probability,
@@ -258,11 +259,11 @@ def test_criterion_11_structural_properties():
                 if abs(bwd[tuple(reversed(alpha))] - w) > 1e-9:
                     reversal_ok = False
             last = len(fam.propagators.grid) - 1
-            for (a0, v0), (af, vf) in zip(
-                weight_table(fam, ref=0).entries, weight_table(fam, ref=last).entries
-            ):
-                if a0 != af or abs(v0 - vf) > 1e-9:
-                    ref_ok = False
+            for alpha, w in fwd.items():
+                for ref in (0, last):
+                    k = chain_operator(alpha, fam, ref=ref).op.mat
+                    if abs(np.linalg.norm(k) ** 2 - w) > 1e-9:
+                        ref_ok = False
 
     # famspec round trip on the exported corpus
     from conhist.scenarios.wavepacket import build_wavepacket, default_intervals

@@ -109,6 +109,17 @@ class TestCheck:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12", "tiny"])
+    def test_bad_tolerance_is_usage_error(self, capsys, flag, value):
+        # a NaN threshold would make every overlap comparison false
+        code, out, err = run(
+            capsys, "check", "--scenario", "hardy", "--family", "blocker", f"{flag}={value}"
+        )
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
 
 class TestProbs:
     def test_hardy_event_query(self, capsys):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,6 @@ from conhist.dynamics import (
     PropagatorSet,
     TimeGrid,
     heisenberg,
-    propagator,
     propagator_from_hamiltonian,
 )
 from conhist.hilbert import Ket, Operator, is_projector
@@ -84,15 +86,15 @@ class TestPropagatorComposition:
 
     def test_identity_on_equal_indices(self):
         for j in range(6):
-            assert np.array_equal(propagator(self.ps, j, j).mat, np.eye(3))
+            assert np.array_equal(self.ps.propagator(j, j).mat, np.eye(3))
 
     def test_forward_composition_definition(self):
         expect = self.steps[1].mat @ self.steps[0].mat
-        assert np.allclose(propagator(self.ps, 2, 0).mat, expect)
+        assert np.allclose(self.ps.propagator(2, 0).mat, expect)
 
     def test_reverse_is_adjoint(self):
-        fwd = propagator(self.ps, 2, 0)
-        back = propagator(self.ps, 0, 2)
+        fwd = self.ps.propagator(2, 0)
+        back = self.ps.propagator(0, 2)
         assert np.allclose(back.mat, fwd.mat.conj().T)
 
     def test_groupoid_laws_all_triples(self):
@@ -100,17 +102,50 @@ class TestPropagatorComposition:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = propagator(self.ps, i, j).mat @ propagator(self.ps, j, k).mat
-                    rhs = propagator(self.ps, i, k).mat
+                    lhs = self.ps.propagator(i, j).mat @ self.ps.propagator(j, k).mat
+                    rhs = self.ps.propagator(i, k).mat
                     assert np.linalg.norm(lhs - rhs) < 1e-10
 
     def test_index_range(self):
         with pytest.raises(IndexError):
-            propagator(self.ps, 0, 6)
+            self.ps.propagator(0, 6)
 
     def test_non_unitary_step_rejected(self):
         with pytest.raises(ValueError):
             PropagatorSet(TimeGrid((0, 1)), (Operator(np.diag([1.0, 2.0])),))
+
+    def test_fresh_set_is_safe_to_share_between_threads(self):
+        # four threads compose on a set nobody has touched yet
+        rng = np.random.default_rng(3)
+        grid = TimeGrid(tuple(range(8)))
+        steps = tuple(random_unitary(64, rng) for _ in range(7))
+        expect = PropagatorSet(grid, steps).propagator(7, 3).mat
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                ps = PropagatorSet(grid, steps)
+                start = threading.Barrier(4)
+                results, errors = [], []
+
+                def compose():
+                    start.wait()
+                    try:
+                        results.append(ps.propagator(7, 3).mat)
+                    except Exception as exc:  # noqa: BLE001 - any failure is the bug
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=compose) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert errors == []
+                assert len(results) == 4
+                assert all(np.array_equal(r, expect) for r in results)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestHeisenberg:

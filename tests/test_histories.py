@@ -13,6 +13,7 @@ from conhist.hilbert import (
 from conhist.histories import (
     Family,
     InconsistentFamilyError,
+    MixedInitial,
     UnknownLabelError,
     ZeroConditionProbabilityError,
     chain_operator,
@@ -26,6 +27,7 @@ from conhist.histories import (
     time_reverse,
     weight,
     weight_table,
+    _analyze,
 )
 
 Z_PLUS = Ket(np.array([1, 0]), "z+")
@@ -135,12 +137,14 @@ class TestWeights:
         assert table.total_weight() == pytest.approx(1.0, abs=1e-9)
 
     def test_reference_index_independence(self):
+        # the Heisenberg chain operators give the engine's weights on the
+        # first and on the last reference surface
         fam = random_family(11, dim=3, n_times=4)
         last = len(fam.propagators.grid) - 1
         for alpha in fam.alphas():
-            w0 = weight(alpha, fam, ref=0)
-            wf = weight(alpha, fam, ref=last)
-            assert w0 == pytest.approx(wf, abs=1e-12)
+            for ref in (0, last):
+                k = chain_operator(alpha, fam, ref=ref).op.mat
+                assert weight(alpha, fam) == pytest.approx(np.linalg.norm(k) ** 2, abs=1e-12)
 
     def test_mixed_initial_matches_pure_average(self):
         # rho = (|z+><z+| + |z-><z-|)/2 weights are the average of the pure runs
@@ -225,6 +229,77 @@ class TestDecoherenceMatrixOracle:
         assert weight_table(fam).total_weight() == pytest.approx(1.0, abs=1e-9)
 
 
+class TestEngineAgainstHeisenbergOracle:
+    """The engine's Schrodinger pass against ``chain_operator``, the Heisenberg
+    form built one history at a time, on random small families.  Steps and
+    bases are drawn either Haar-random or aligned with the computational
+    basis, so families with exactly vanishing chains come up as well."""
+
+    @staticmethod
+    def family(seed, dim, n_slots, kind):
+        rng = np.random.default_rng(seed)
+        eye = np.eye(dim, dtype=complex)
+
+        def unitary():
+            if rng.random() < 0.5:
+                return random_unitary(dim, rng)
+            return Operator(np.diag(np.exp(2j * np.pi * rng.random(dim))))
+
+        def decomposition():
+            if rng.random() < 0.5:
+                return random_orthobasis_dec(dim, rng)
+            return DecompositionOfIdentity.from_basis([Ket(c) for c in eye], list("abcd")[:dim])
+
+        grid = TimeGrid(tuple(range(n_slots + 1)))
+        ps = PropagatorSet(grid, tuple(unitary() for _ in range(n_slots)))
+        times = tuple(sorted(rng.choice(n_slots + 1, size=n_slots, replace=False).tolist()))
+        decs = [decomposition() for _ in range(n_slots)]
+        if kind == "mixed":
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m[:, 0] = 0.0  # rank-deficient, so sqrt(rho) has a kernel
+            rho = m @ m.conj().T
+            rho = DensityOperator(Operator(rho / np.trace(rho).real))
+            return Family(ps, times, tuple(decs), MixedInitial(rho), int(rng.integers(n_slots)))
+        if kind == "none":
+            return Family.general(ps, times, decs)
+        psi = eye[:, 0] if rng.random() < 0.5 else random_unitary(dim, rng).mat[:, 0]
+        fam = Family.pure(ps, times, Ket(psi, "psi0"), decs[1:])
+        return time_reverse(fam) if kind == "reversed" else fam
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(1, 4),
+        st.sampled_from(["pure", "reversed", "mixed", "none"]),
+    )
+    def test_weights_and_gram_match(self, seed, dim, n_slots, kind):
+        fam = self.family(seed, dim, n_slots, kind)
+        analysis = _analyze(fam)
+        # n_slots * d * eps * |seed|_F, with |sqrt(rho)|_F = 1 and |I|_F = sqrt(d)
+        seed_norm = np.sqrt(dim) if kind == "none" else 1.0
+        assert analysis.floor == pytest.approx(n_slots * dim * np.finfo(float).eps * seed_norm)
+        alphas = fam.alphas()
+        kept = set(analysis.nonzero.tolist())
+        last = len(fam.propagators.grid) - 1
+        for ref in (0, last):
+            chains = [chain_operator(a, fam, ref=ref).op.mat for a in alphas]
+            if isinstance(fam.initial, MixedInitial):
+                j = fam.time_indices[fam.initial_slot]
+                rho = fam.propagators.heisenberg_matrix(fam.initial.rho.mat, j, ref)
+                oracle = np.array(
+                    [[np.trace(rho @ ka.conj().T @ kb) for kb in chains] for ka in chains]
+                )
+            else:
+                oracle = np.array([[np.vdot(ka, kb) for kb in chains] for ka in chains])
+            for i in range(len(alphas)):
+                if i in kept:
+                    assert analysis.weights[i] == pytest.approx(oracle[i, i].real, abs=1e-12)
+                else:
+                    assert analysis.weights[i] == 0.0
+                    assert oracle[i, i].real <= analysis.floor**2
+            sub = oracle[np.ix_(analysis.nonzero, analysis.nonzero)]
+            assert np.abs(analysis.gram - sub).max(initial=0.0) <= 1e-12
+
+
 class TestConsistency:
     def test_two_time_families_always_consistent(self):
         for seed in range(5):
@@ -261,6 +336,33 @@ class TestConsistency:
         assert not full.consistent
         assert full.violations[0][2] == pytest.approx(0.25)
         assert real.consistent
+
+    def test_violations_in_enumeration_order(self):
+        # each pair reads (earlier, later) in enumeration order; the list runs
+        # by descending overlap, ties in pair order
+        fam = random_family(4, dim=3, n_times=4)
+        rank = {a: i for i, a in enumerate(fam.alphas())}
+        report = consistency_check(fam)
+        assert len(report.violations) > 1
+        keys = [(-o, rank[a], rank[b]) for a, b, o in report.violations]
+        assert all(ra < rb for _, ra, rb in keys)
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("kw", [
+        {"eps_abs": float("nan")}, {"eps_rel": float("nan")},
+        {"eps_abs": float("inf")}, {"eps_rel": float("inf")},
+        {"eps_abs": -1e-12}, {"eps_rel": -1e-10},
+    ])
+    def test_bad_tolerances_refused(self, kw):
+        ps = trivial_ps(4)
+        fam = Family.pure(ps, (0, 1, 2, 3), Z_PLUS, [X_DEC, X_DEC, X_DEC])
+        with pytest.raises(ValueError):
+            consistency_check(fam, **kw)
+
+    def test_zero_tolerances_accepted(self):
+        ps = trivial_ps(3)
+        fam = Family.pure(ps, (0, 1, 2), Z_PLUS, [Z_DEC, Z_DEC])
+        assert consistency_check(fam, eps_abs=0.0, eps_rel=0.0).consistent
 
     def test_zero_weight_histories_never_violate(self):
         ps = trivial_ps(3)

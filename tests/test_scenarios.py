@@ -4,6 +4,8 @@ import pytest
 from conhist.dynamics import TOL_UNITARY
 from conhist.hilbert import unitarity_defect
 from conhist.histories import (
+    EPS_REL,
+    chain_operator,
     consistency_check,
     probabilities,
     time_reverse,
@@ -81,15 +83,29 @@ def test_time_reversal_preserves_weights_and_verdicts(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_consistent_families_stay_consistent_without_absolute_slack(name):
+    # rounding residue is pruned, so no surviving chain pair of a consistent
+    # family overlaps beyond the relative threshold
+    scn = SCENARIOS[name]
+    for fam_name, fam in scn.families.items():
+        if not consistency_check(fam).consistent:
+            continue
+        report = consistency_check(fam, eps_abs=0.0)
+        assert report.consistent, fam_name
+        assert report.max_normalized_overlap <= EPS_REL, fam_name
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_reference_index_independence(name):
+    # the engine's weights match the Heisenberg chain operators on the first
+    # and on the last reference surface
     scn = SCENARIOS[name]
     for fam in scn.families.values():
         last = len(fam.propagators.grid) - 1
-        w0 = weight_table(fam, ref=0).entries
-        wf = weight_table(fam, ref=last).entries
-        for (a0, v0), (af, vf) in zip(w0, wf):
-            assert a0 == af
-            assert v0 == pytest.approx(vf, abs=1e-9)
+        for alpha, w in weight_table(fam).entries:
+            for ref in (0, last):
+                k = chain_operator(alpha, fam, ref=ref).op.mat
+                assert w == pytest.approx(np.linalg.norm(k) ** 2, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
