@@ -32,7 +32,6 @@ from .histories import (
     UnknownLabelError,
     ZeroConditionProbabilityError,
     consistency_check,
-    event_probability,
     histories_with_slots,
     slot_predicate,
     weight_table,
@@ -243,10 +242,10 @@ def cmd_probs(args) -> int:
     for spec in args.event or []:
         labels = [s.strip() for s in spec.split(",") if s.strip()]
         try:
-            subset = histories_with_slots(fam, labels)
-            prob = event_probability(fam, subset)
+            subset = set(histories_with_slots(fam, labels))
         except UnknownLabelError as exc:
             raise InputError(str(exc)) from None
+        prob = float(sum(p for a, p in table.items() if a in subset))
         events.append({"labels": labels, "probability": prob})
     if events:
         results["events"] = events

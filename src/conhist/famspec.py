@@ -19,8 +19,11 @@ name must be declared before use):
     matrix   := "[" complex { complex } "]"     -- row-major, dim^2 entries
 
 Complex literals are written `a+bi` with optional parts (`1`, `-0.5i`,
-`0.7071+0.7071i`, `i`); matrices are whitespace-separated.  There is no
-expression arithmetic: writers supply decimals.
+`0.7071+0.7071i`, `+i`, `-i`); matrices are whitespace-separated.  A literal
+uses only the characters `0-9 . e E i + -`, `i` is the imaginary unit, and
+its value must be finite.  A bare `i` scans as a name, so the imaginary unit
+alone is written `+i`.  There is no expression arithmetic: writers supply
+decimals.
 
 A family's `at` entries select a subset of its grid's times (ascending); the
 keyword `identity` puts the trivial one-member decomposition at that time.
@@ -35,8 +38,10 @@ Parsing is total: any input either yields a document or raises
 
 from __future__ import annotations
 
+import cmath
+import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,17 +58,23 @@ from .hilbert import (
 )
 from .histories import Family
 
-_KEYWORDS = frozenset(
-    "space ket unitary proj decomp times family in on dim span identity initial at steps".split()
+_DECLARATIONS = ("space", "ket", "unitary", "proj", "decomp", "times", "family")
+_KEYWORDS = frozenset(_DECLARATIONS) | frozenset(
+    "in on dim span identity initial at steps".split()
 )
 
 _MAX_DIM = 4096
 
-_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CONT = _NAME_START | frozenset("0123456789_+-*.")
-_NUM_START = frozenset("0123456789.+-")
-_NUM_CONT = frozenset("0123456789.eEi+-")
-_PUNCT = frozenset("[]{}(),=:")
+# The token classes, ASCII only (`\d`, `\s` and `\w` would also admit Unicode
+# digits, spaces and letters).  Upper-case groups yield tokens.
+_NAME_CHARS = "A-Za-z0-9_+*.-"  # after the leading letter
+_NAME = f"[A-Za-z][{_NAME_CHARS}]*"
+_NUM = "[0-9.+-][0-9.eEi+-]*"
+_TOKEN = re.compile(
+    rf"(?P<NAME>{_NAME})|(?P<NUM>{_NUM})|(?P<PUNCT>[\[\]{{}}(),=:])"
+    r"|(?P<newline>\n)|(?P<space>[ \t\r\f\v]+)|(?P<comment>#[^\n]*)|(?P<other>.)"
+)
+_LITERAL = re.compile("[0-9.eEi+-]+")
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,7 @@ class FamSpecError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME | NUM | PUNCT | EOF
     text: str
     line: int
@@ -95,82 +105,28 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CONT:
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _NUM_START:
-            j = i
-            while j < n and text[j] in _NUM_CONT:
-                j += 1
-            tokens.append(_Token("NUM", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise FamSpecError(
-            [ParseDiagnostic("error", f"unexpected character {ch!r}", line, col)]
-        )
-    tokens.append(_Token("EOF", "", line, col))
+            line_start = m.end()
+        elif kind == "other":
+            raise FamSpecError([ParseDiagnostic(
+                "error", f"unexpected character {m[0]!r}", line, m.start() - line_start + 1
+            )])
+        elif kind.isupper():
+            tokens.append(_Token(kind, m[0], line, m.start() - line_start + 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
 def parse_complex(text: str) -> complex:
     """Parse an `a+bi` literal; raises ValueError on malformed input."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty number")
-
-    def part(p: str) -> float:
-        if p in ("", "+"):
-            return 1.0
-        if p == "-":
-            return -1.0
-        return float(p)
-
-    if s.endswith("i"):
-        body = s[:-1]
-        # Split at the last +/- that is not leading and not an exponent sign.
-        split = -1
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-                break
-        if split == -1:
-            value = complex(0.0, part(body))
-        else:
-            re_part = body[:split]
-            im_part = body[split:]
-            value = complex(float(re_part), part(im_part))
-    else:
-        value = complex(float(s), 0.0)
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+    if not _LITERAL.fullmatch(text):
+        raise ValueError("a number uses only the characters 0-9 . e E i + -")
+    value = complex(text.replace("i", "j"))
+    if not cmath.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
 
@@ -295,6 +251,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # Families over the same grid, steps and space share one PropagatorSet.
+        self.propagator_sets: dict[tuple, PropagatorSet] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -309,10 +267,14 @@ class _Parser:
         tok = tok or self.peek()
         raise FamSpecError([ParseDiagnostic("error", message, tok.line, tok.column)])
 
+    def expected(self, what: str):
+        text = self.peek().text
+        self.error(f"expected {what}, got {text!r}" if text else f"expected {what}")
+
     def expect_name(self, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != "NAME":
-            self.error(f"expected {what}, got {tok.text!r}" if tok.text else f"expected {what}")
+            self.expected(what)
         if tok.text in _KEYWORDS:
             self.error(f"{tok.text!r} is a reserved keyword, not a valid {what}")
         return self.advance()
@@ -320,19 +282,19 @@ class _Parser:
     def expect_keyword(self, word: str) -> _Token:
         tok = self.peek()
         if tok.kind != "NAME" or tok.text != word:
-            self.error(f"expected {word!r}, got {tok.text!r}" if tok.text else f"expected {word!r}")
+            self.expected(repr(word))
         return self.advance()
 
     def expect_punct(self, ch: str) -> _Token:
         tok = self.peek()
         if tok.kind != "PUNCT" or tok.text != ch:
-            self.error(f"expected {ch!r}, got {tok.text!r}" if tok.text else f"expected {ch!r}")
+            self.expected(repr(ch))
         return self.advance()
 
     def expect_number(self, what: str = "number") -> tuple[complex, _Token]:
         tok = self.peek()
         if tok.kind != "NUM":
-            self.error(f"expected {what}, got {tok.text!r}" if tok.text else f"expected {what}")
+            self.expected(what)
         self.advance()
         try:
             return parse_complex(tok.text), tok
@@ -360,13 +322,22 @@ class _Parser:
         self.expect_punct("]")
         return tuple(values)
 
-    def parse_matrix(self) -> tuple[complex, ...]:
+    def parse_matrix(
+        self, space: SpaceDecl, name_tok: _Token
+    ) -> tuple[tuple[complex, ...], np.ndarray]:
+        """A dim x dim matrix literal: its entries and the array they fill."""
         self.expect_punct("[")
         values = []
         while self.peek().kind == "NUM":
             values.append(self.expect_number("matrix entry")[0])
         self.expect_punct("]")
-        return tuple(values)
+        if len(values) != space.dim * space.dim:
+            self.error(
+                f"matrix has {len(values)} entries, expected {space.dim * space.dim}",
+                name_tok,
+            )
+        mat = np.array(values, dtype=np.complex128).reshape(space.dim, space.dim)
+        return tuple(values), mat
 
     def parse_name_list(self, open_ch: str, close_ch: str, what: str) -> tuple[str, ...]:
         self.expect_punct(open_ch)
@@ -383,13 +354,8 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "EOF":
                 break
-            if tok.kind != "NAME" or tok.text not in (
-                "space", "ket", "unitary", "proj", "decomp", "times", "family",
-            ):
-                self.error(
-                    "expected a declaration keyword "
-                    "(space/ket/unitary/proj/decomp/times/family)"
-                )
+            if tok.kind != "NAME" or tok.text not in _DECLARATIONS:
+                self.error(f"expected a declaration keyword ({'/'.join(_DECLARATIONS)})")
             getattr(self, "parse_" + tok.text)(doc)
         return doc
 
@@ -443,13 +409,7 @@ class _Parser:
         space_tok = self.expect_name("space name")
         space = self._space_of(doc, space_tok.text, space_tok)
         self.expect_punct("=")
-        entries = self.parse_matrix()
-        if len(entries) != space.dim * space.dim:
-            self.error(
-                f"matrix has {len(entries)} entries, expected {space.dim * space.dim}",
-                name_tok,
-            )
-        mat = np.array(entries, dtype=np.complex128).reshape(space.dim, space.dim)
+        entries, mat = self.parse_matrix(space, name_tok)
         defect = unitarity_defect(Operator(mat))
         if defect >= 1e-9:
             self.error(
@@ -485,13 +445,7 @@ class _Parser:
                 self.error(f"cannot build projector {name_tok.text!r}: {exc}", name_tok)
             decl = ProjDecl(name_tok.text, space.name, names, None, kw.line, kw.column)
         else:
-            entries = self.parse_matrix()
-            if len(entries) != space.dim * space.dim:
-                self.error(
-                    f"matrix has {len(entries)} entries, expected {space.dim * space.dim}",
-                    name_tok,
-                )
-            mat = np.array(entries, dtype=np.complex128).reshape(space.dim, space.dim)
+            entries, mat = self.parse_matrix(space, name_tok)
             check = is_projector(Operator(mat))
             if not check:
                 self.error(
@@ -597,9 +551,7 @@ class _Parser:
         self.expect_keyword("steps")
         self.expect_punct("{")
         steps = []
-        while self.peek().kind == "NAME" and self.peek().text not in (
-            "space", "ket", "unitary", "proj", "decomp", "times", "family",
-        ):
+        while self.peek().kind == "NAME" and self.peek().text not in _DECLARATIONS:
             step_tok = self.advance()
             if step_tok.text not in doc.unitaries:
                 self.error(f"unitary {step_tok.text!r} is not declared", step_tok)
@@ -640,20 +592,18 @@ class _Parser:
 
         grid = TimeGrid(doc.times_decls[decl.times].values)
         key = (decl.times, decl.steps, space.name)
-        cache = getattr(doc, "_ps_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(doc, "_ps_cache", cache)
-        if key not in cache:
-            cache[key] = PropagatorSet(
+        if key not in self.propagator_sets:
+            self.propagator_sets[key] = PropagatorSet(
                 grid,
                 tuple(doc.unitaries[s] for s in decl.steps),
                 space_dim=space.dim,
             )
-        ps = cache[key]
+        ps = self.propagator_sets[key]
 
         indices = tuple(grid.index_of_value(at.time) for at in decl.ats)
-        if decl.initial is not None and decl.initial in doc.kets:
+        pure = decl.initial in doc.kets
+        rho = None
+        if pure:
             ket = doc.kets[decl.initial]
             if abs(ket.norm() - 1.0) >= 1e-9:
                 self.error(
@@ -666,37 +616,26 @@ class _Parser:
                     "(the {state, complement} decomposition is implied)",
                     name_tok,
                 )
-            decs = []
-            for at in decl.ats[1:]:
-                if at.decomp is None:
-                    decs.append(DecompositionOfIdentity.trivial(space.dim))
-                else:
-                    decs.append(doc.decompositions[at.decomp])
+        elif decl.initial is not None:
             try:
+                rho = DensityOperator.from_projector(doc.projectors[decl.initial])
+            except ValueError as exc:
+                self.error(
+                    f"initial {decl.initial!r} cannot serve as a density operator: {exc}",
+                    name_tok,
+                )
+        decs = [
+            DecompositionOfIdentity.trivial(space.dim) if at.decomp is None
+            else doc.decompositions[at.decomp]
+            for at in decl.ats[1 if pure else 0:]
+        ]
+        try:
+            if pure:
                 fam = Family.pure(ps, indices, ket, decs, name=decl.name)
-            except ValueError as exc:
-                self.error(f"invalid family {decl.name!r}: {exc}", name_tok)
-        else:
-            rho = None
-            if decl.initial is not None:
-                proj = doc.projectors[decl.initial]
-                try:
-                    rho = DensityOperator.from_projector(proj)
-                except ValueError as exc:
-                    self.error(
-                        f"initial {decl.initial!r} cannot serve as a density operator: {exc}",
-                        name_tok,
-                    )
-            decs = []
-            for at in decl.ats:
-                if at.decomp is None:
-                    decs.append(DecompositionOfIdentity.trivial(space.dim))
-                else:
-                    decs.append(doc.decompositions[at.decomp])
-            try:
+            else:
                 fam = Family.general(ps, indices, decs, rho=rho, name=decl.name)
-            except ValueError as exc:
-                self.error(f"invalid family {decl.name!r}: {exc}", name_tok)
+        except ValueError as exc:
+            self.error(f"invalid family {decl.name!r}: {exc}", name_tok)
         doc.families[decl.name] = fam
 
 
@@ -771,15 +710,9 @@ def serialize(doc: SpecDocument) -> str:
 
 
 def _sanitize(name: str, taken: set[str]) -> str:
-    out = []
-    for i, ch in enumerate(name):
-        if ch in _NAME_CONT and not (i == 0 and ch not in _NAME_START):
-            out.append(ch)
-        else:
-            out.append("p" if ch == "'" else "_")
-    cand = "".join(out) or "x"
-    if cand[0] not in _NAME_START:
-        cand = "x" + cand
+    cand = re.sub(f"[^{_NAME_CHARS}]", lambda m: "p" if m[0] == "'" else "_", name)
+    if not re.fullmatch(_NAME, cand):  # empty, or a leading non-letter
+        cand = "x_" + cand[1:] if cand else "x"
     base, k = cand, 2
     while cand in taken or cand in _KEYWORDS:
         cand = f"{base}.{k}"

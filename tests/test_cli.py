@@ -130,6 +130,21 @@ class TestProbs:
         assert code == 0
         assert "0.0833333333333333" in out
 
+    def test_event_query_under_custom_tolerances(self, capsys):
+        # blocker is inconsistent at the default tolerances but passes at
+        # --tol-abs 1; the event is summed over the table just printed.
+        code, out, _ = run(
+            capsys, "probs", "--scenario", "hardy", "--family", "blocker",
+            "--tol-abs", "1", "--event", "e", "--format", "json",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        rows = [r["probability"] for r in results["probabilities"] if "e" in r["history"]]
+        assert len(rows) >= 2
+        [event] = results["events"]
+        assert event["labels"] == ["e"]
+        assert event["probability"] == pytest.approx(sum(rows), rel=1e-12)
+
     def test_epr_f4_quarter_rows(self, capsys):
         code, out, _ = run(
             capsys, "probs", "--scenario", "epr", "--family", "F4", "--format", "json"

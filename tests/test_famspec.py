@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conhist.famspec import (
+    format_complex,
     parse,
     parse_complex,
     scenario_to_famspec,
@@ -129,6 +131,43 @@ class TestParse:
         assert doc is None
         assert "needs 2 steps" in diags[0].message
 
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            # end of input is one past the last character, comment or not
+            ("space q", "expected 'dim'", 1, 8),
+            ("space q dim # note", "expected dimension", 1, 19),
+            (
+                "space q dim 2\nunitary u on q = [\n  1 0\n  0 1\n]\n  @",
+                "unexpected character '@'",
+                6,
+                3,
+            ),
+            (
+                "space q dim 2\nunitary u on q = [\n  1 0\n  0 1e+\n]\n",
+                "malformed matrix entry '1e+'",
+                4,
+                5,
+            ),
+            ("space q dim \u0661", "unexpected character '\u0661'", 1, 13),
+        ],
+    )
+    def test_positioned_diagnostics(self, text, message, line, column):
+        doc, diags = try_parse(text)
+        assert doc is None
+        [d] = diags
+        assert d.message.startswith(message)
+        assert (d.line, d.column) == (line, column)
+
+    def test_families_share_propagators_and_document_holds_only_its_fields(self):
+        text = MINIMAL + (
+            "family again times tg initial up {\n  at 0: identity\n  at 2: xbasis\n"
+            "} steps { idq idq }\n"
+        )
+        doc = parse(text)
+        assert doc.family("split").propagators is doc.family("again").propagators
+        assert set(vars(doc)) == {f.name for f in dataclasses.fields(doc)}
+
     def test_single_time_family(self):
         text = (
             "space q dim 2\n"
@@ -161,10 +200,18 @@ class TestComplexLiterals:
     def test_values(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["", "1.2.3", "1+", "e5", "1e", "--3"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1.2.3", "1+", "e5", "1e", "--3", "1j", "1_0", "nan", "inf", "(1)", "1 + 2i"],
+    )
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+    def test_format_round_trip(self, z):
+        assert parse_complex(format_complex(z)) == z
 
 
 class TestSerialize:
