@@ -17,6 +17,8 @@ name must be declared before use):
                 "{" { "at" REAL ":" (NAME | "identity") } "}"
                 "steps" "{" { NAME } "}"
     matrix   := "[" complex { complex } "]"     -- row-major, dim^2 entries
+              | "sparse" "[" [ entry { "," entry } ] "]"
+    entry    := INT INT ":" complex             -- row, column, value
 
 Complex literals are written `a+bi` with optional parts (`1`, `-0.5i`,
 `0.7071+0.7071i`, `+i`, `-i`); matrices are whitespace-separated.  A literal
@@ -24,6 +26,14 @@ uses only the characters `0-9 . e E i + -`, `i` is the imaginary unit, and
 its value must be finite.  A bare `i` scans as a name, so the imaginary unit
 alone is written `+i`.  There is no expression arithmetic: writers supply
 decimals.
+
+A sparse matrix lists only the entries it sets, as `row column: value` with
+0-based indices, in strictly increasing row-major order (so no entry can
+repeat); every other entry is zero and `sparse []` is the zero matrix.
+Both forms build the same dim x dim array.  `serialize` writes a matrix
+with nnz nonzero entries sparse when `4 * nnz <= dim * dim` and dense
+otherwise: a rule of dim and nnz alone, so a parse/serialize pass never
+changes the form.  `sparse`, like `span`, is a reserved word.
 
 A family's `at` entries select a subset of its grid's times (ascending); the
 keyword `identity` puts the trivial one-member decomposition at that time.
@@ -60,7 +70,7 @@ from .histories import Family
 
 _DECLARATIONS = ("space", "ket", "unitary", "proj", "decomp", "times", "family")
 _KEYWORDS = frozenset(_DECLARATIONS) | frozenset(
-    "in on dim span identity initial at steps".split()
+    "in on dim span sparse identity initial at steps".split()
 )
 
 _MAX_DIM = 4096
@@ -170,7 +180,7 @@ class KetDecl:
 class UnitaryDecl:
     name: str
     space: str
-    entries: tuple[complex, ...]
+    entries: np.ndarray  # read-only, row-major, dim * dim complex
     line: int
     column: int
 
@@ -180,7 +190,7 @@ class ProjDecl:
     name: str
     space: str
     span: tuple[str, ...] | None
-    entries: tuple[complex, ...] | None
+    entries: np.ndarray | None  # as in UnitaryDecl
     line: int
     column: int
 
@@ -322,22 +332,55 @@ class _Parser:
         self.expect_punct("]")
         return tuple(values)
 
-    def parse_matrix(
-        self, space: SpaceDecl, name_tok: _Token
-    ) -> tuple[tuple[complex, ...], np.ndarray]:
-        """A dim x dim matrix literal: its entries and the array they fill."""
+    def parse_matrix(self, space: SpaceDecl, name_tok: _Token) -> np.ndarray:
+        """A dense or sparse matrix literal as a read-only row-major array."""
+        if self.peek().kind == "NAME" and self.peek().text == "sparse":
+            self.advance()
+            entries = self.parse_sparse(space.dim)
+        else:
+            n = space.dim * space.dim
+            self.expect_punct("[")
+            values = []
+            while self.peek().kind == "NUM":
+                values.append(self.expect_number("matrix entry")[0])
+            self.expect_punct("]")
+            if len(values) != n:
+                self.error(f"matrix has {len(values)} entries, expected {n}", name_tok)
+            entries = np.array(values, dtype=np.complex128)
+        entries.flags.writeable = False
+        return entries
+
+    def parse_sparse(self, dim: int) -> np.ndarray:
         self.expect_punct("[")
-        values = []
-        while self.peek().kind == "NUM":
-            values.append(self.expect_number("matrix entry")[0])
+        indices: list[int] = []
+        values: list[complex] = []
+        if self.peek().text != "]":
+            while True:
+                i, i_tok = self.expect_int("row index")
+                if not 0 <= i < dim:
+                    self.error(f"row index {i} is out of range 0..{dim - 1}", i_tok)
+                j, j_tok = self.expect_int("column index")
+                if not 0 <= j < dim:
+                    self.error(f"column index {j} is out of range 0..{dim - 1}", j_tok)
+                k = i * dim + j
+                if indices and k <= indices[-1]:
+                    if k == indices[-1]:
+                        self.error(f"duplicate sparse entry ({i}, {j})", i_tok)
+                    self.error(
+                        f"sparse entry ({i}, {j}) follows {divmod(indices[-1], dim)}: "
+                        "entries must be in strictly increasing row-major order",
+                        i_tok,
+                    )
+                self.expect_punct(":")
+                indices.append(k)
+                values.append(self.expect_number("matrix entry")[0])
+                if self.peek().text != ",":
+                    break
+                self.advance()
         self.expect_punct("]")
-        if len(values) != space.dim * space.dim:
-            self.error(
-                f"matrix has {len(values)} entries, expected {space.dim * space.dim}",
-                name_tok,
-            )
-        mat = np.array(values, dtype=np.complex128).reshape(space.dim, space.dim)
-        return tuple(values), mat
+        entries = np.zeros(dim * dim, dtype=np.complex128)
+        entries[indices] = values
+        return entries
 
     def parse_name_list(self, open_ch: str, close_ch: str, what: str) -> tuple[str, ...]:
         self.expect_punct(open_ch)
@@ -409,9 +452,10 @@ class _Parser:
         space_tok = self.expect_name("space name")
         space = self._space_of(doc, space_tok.text, space_tok)
         self.expect_punct("=")
-        entries, mat = self.parse_matrix(space, name_tok)
-        defect = unitarity_defect(Operator(mat))
-        if defect >= 1e-9:
+        entries = self.parse_matrix(space, name_tok)
+        op = Operator(entries.reshape(space.dim, space.dim))
+        defect = unitarity_defect(op)
+        if not defect < 1e-9:  # also refuses NaN, from entries whose products overflow
             self.error(
                 f"matrix for {name_tok.text!r} is non-unitary: defect {defect:.3e} "
                 "(threshold 1e-09)",
@@ -419,7 +463,7 @@ class _Parser:
             )
         decl = UnitaryDecl(name_tok.text, space.name, entries, kw.line, kw.column)
         doc.unitary_decls[decl.name] = decl
-        doc.unitaries[decl.name] = Operator(mat)
+        doc.unitaries[decl.name] = op
 
     def parse_proj(self, doc: SpecDocument):
         kw = self.advance()
@@ -445,8 +489,9 @@ class _Parser:
                 self.error(f"cannot build projector {name_tok.text!r}: {exc}", name_tok)
             decl = ProjDecl(name_tok.text, space.name, names, None, kw.line, kw.column)
         else:
-            entries, mat = self.parse_matrix(space, name_tok)
-            check = is_projector(Operator(mat))
+            entries = self.parse_matrix(space, name_tok)
+            op = Operator(entries.reshape(space.dim, space.dim))
+            check = is_projector(op)
             if not check:
                 self.error(
                     f"matrix for {name_tok.text!r} is not a projector: hermiticity "
@@ -454,7 +499,10 @@ class _Parser:
                     f"{check.idempotency_defect:.3e} (threshold 1e-09)",
                     name_tok,
                 )
-            proj = Projector(Operator(mat))
+            try:
+                proj = Projector(op)
+            except ValueError as exc:  # a trace off an integer by more than the tolerance
+                self.error(f"invalid projector {name_tok.text!r}: {exc}", name_tok)
             decl = ProjDecl(name_tok.text, space.name, None, entries, kw.line, kw.column)
         doc.proj_decls[decl.name] = decl
         doc.projectors[decl.name] = proj
@@ -496,8 +544,6 @@ class _Parser:
         self.expect_punct("]")
         if any(b <= a for a, b in zip(values, values[1:])):
             self.error("times must be strictly increasing", name_tok)
-        if any(not np.isfinite(v) for v in values):
-            self.error("times must be finite", name_tok)
         doc.times_decls[name_tok.text] = TimesDecl(
             name_tok.text, tuple(values), kw.line, kw.column
         )
@@ -659,11 +705,20 @@ def try_parse(text: str) -> tuple[SpecDocument | None, tuple[ParseDiagnostic, ..
 # -- serialization ---------------------------------------------------------------
 
 
-def _format_matrix(entries: Sequence[complex], dim: int, indent: str = "  ") -> str:
-    rows = []
-    for r in range(dim):
-        row = entries[r * dim:(r + 1) * dim]
-        rows.append(indent + " ".join(format_complex(z) for z in row))
+def _format_matrix(entries: np.ndarray, dim: int) -> str:
+    """A row-major ``dim * dim`` array as a literal: sparse when at most a
+    quarter of its entries are nonzero, dense otherwise."""
+    nonzero = np.flatnonzero(entries)
+    if 4 * len(nonzero) <= dim * dim:
+        if not len(nonzero):
+            return "sparse []"
+        lines = (
+            f"  {k // dim} {k % dim}: {format_complex(z)}"
+            for k, z in zip(nonzero.tolist(), entries[nonzero].tolist())
+        )
+        return "sparse [\n" + ",\n".join(lines) + "\n]"
+    values = [format_complex(z) for z in entries.tolist()]
+    rows = ("  " + " ".join(values[r * dim:(r + 1) * dim]) for r in range(dim))
     return "[\n" + "\n".join(rows) + "\n]"
 
 
@@ -759,9 +814,8 @@ def scenario_to_famspec(scn) -> str:
         snames = []
         for j, step in enumerate(ps.steps):
             sname = _sanitize(f"{gname}.step{j}", taken)
-            entries = tuple(step.mat.ravel())
             lines.append(
-                f"unitary {sname} on {space} = " + _format_matrix(entries, ps.dim)
+                f"unitary {sname} on {space} = " + _format_matrix(step.mat.ravel(), ps.dim)
             )
             snames.append(sname)
         lines.append(f"times {gname} = [{vals}]")
@@ -785,7 +839,7 @@ def scenario_to_famspec(scn) -> str:
                 return name
         name = _sanitize(label, taken)
         lines.append(
-            f"proj {name} on {space} = " + _format_matrix(tuple(proj.mat.ravel()), proj.dim)
+            f"proj {name} on {space} = " + _format_matrix(proj.mat.ravel(), proj.dim)
         )
         proj_names[key] = name
         proj_mats.append((name, label, proj.mat))

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from conhist.cli import main
+from conhist.famspec import scenario_to_famspec
+from conhist.scenarios import build_hardy
 
 MINIMAL = """
 space q dim 2
@@ -92,6 +94,21 @@ class TestCheck:
         path.write_text(MINIMAL)
         code, out, _ = run(capsys, "check", "--file", str(path), "--family", "split")
         assert code == 0
+
+    def test_exported_hardy_file_matches_the_built_in(self, capsys, tmp_path):
+        scn = build_hardy()
+        path = tmp_path / "hardy.fam"
+        path.write_text(scenario_to_famspec(scn))
+        for family in sorted(scn.families):
+            for command in ("check", "probs"):
+                argv = [command, "--family", family, "--format", "json"]
+                code, out, err = run(capsys, *argv, "--scenario", "hardy")
+                file_code, file_out, file_err = run(capsys, *argv, "--file", str(path))
+                assert (file_code, file_err) == (code, err)
+                if command == "probs" and code == 1:  # an inconsistent family is refused
+                    assert file_out == out == ""
+                else:
+                    assert json.loads(file_out)["results"] == json.loads(out)["results"]
 
     def test_parse_error_exit_three(self, capsys, tmp_path):
         path = tmp_path / "bad.fam"

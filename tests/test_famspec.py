@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conhist.famspec import (
+    _format_matrix,
     format_complex,
     parse,
     parse_complex,
@@ -15,6 +16,7 @@ from conhist.famspec import (
     try_parse,
 )
 from conhist.histories import probabilities, weight_table
+from conhist.scenarios.wavepacket import build_wavepacket
 
 MINIMAL = """
 # a two-level system split on the x basis
@@ -55,6 +57,37 @@ family joint times tg initial start {
   at 0: identity
   at 2: outcomes
 } steps { wait splitters }
+"""
+
+# HARDY_TEXT with every matrix but the dense splitters written sparse, plus a
+# zero projector and a sparse matrix whose entries are not ones
+SPARSE_TEXT = """
+space pair dim 4
+ket start in pair = [0.57735026918962573, 0.57735026918962573, 0.57735026918962573, 0]
+unitary wait on pair = sparse [0 0: 1, 1 1: 1, 2 2: 1, 3 3: 1]
+unitary swap on pair = sparse [
+  0 1: -i,
+  1 0: -i,
+  2 3: 0.70710678118654757+0.70710678118654757i,
+  3 2: 0.70710678118654757-0.70710678118654757i
+]
+unitary splitters on pair = [
+  0.5 -0.5 -0.5 0.5
+  0.5 0.5 -0.5 -0.5
+  0.5 -0.5 0.5 -0.5
+  0.5 0.5 0.5 0.5
+]
+proj ee on pair = sparse [0 0: 1]
+proj ef on pair = sparse [1 1: 1]
+proj fe on pair = sparse [2 2: 1]
+proj ff on pair = sparse [3 3: 1]
+proj none on pair = sparse []
+decomp outcomes on pair = {ee, ef, fe, ff}
+times tg = [0, 1, 2, 3]
+family joint times tg initial start {
+  at 0: identity
+  at 3: outcomes
+} steps { wait swap splitters }
 """
 
 
@@ -159,6 +192,38 @@ class TestParse:
         assert d.message.startswith(message)
         assert (d.line, d.column) == (line, column)
 
+    def test_non_finite_time(self):
+        doc, diags = try_parse("times t = [0, 1e400]")
+        assert doc is None
+        [d] = diags
+        assert d.message == "malformed time '1e400': non-finite number '1e400'"
+        assert (d.line, d.column) == (1, 15)
+
+    @pytest.mark.parametrize(
+        "text,message,column",
+        [
+            # U^dag U overflows to inf - inf = NaN, which once passed the check
+            (
+                "space q dim 2\nunitary u on q = [1e308 1e308 1e308 -1e308]",
+                "matrix for 'u' is non-unitary: defect nan",
+                9,
+            ),
+            # idempotent within the tolerance, but trace 2 + 1.2e-9: once a ValueError
+            (
+                "space q dim 2\nproj p on q = [1.0000000006 0 0 1.0000000006]",
+                "invalid projector 'p': projector trace",
+                6,
+            ),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_validation_edge_cases_are_diagnostics(self, text, message, column):
+        doc, diags = try_parse(text)
+        assert doc is None
+        [d] = diags
+        assert d.message.startswith(message)
+        assert (d.line, d.column) == (2, column)
+
     def test_families_share_propagators_and_document_holds_only_its_fields(self):
         text = MINIMAL + (
             "family again times tg initial up {\n  at 0: identity\n  at 2: xbasis\n"
@@ -180,6 +245,172 @@ class TestParse:
         doc = parse(text)
         table = weight_table(doc.family("snapshot"))
         assert dict(table.entries) == {("pup",): pytest.approx(1.0), ("pdn",): pytest.approx(1.0)}
+
+
+def _haar(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _block_matrices(seed, dim, block, negative_zeros):
+    """A unitary and a projector, each a direct sum of random blocks of at most
+    ``block`` rows with rows and columns permuted: the larger the blocks, the
+    denser the matrices (a 1-row block leaves one nonzero per row)."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros((dim, dim), dtype=complex)
+    p = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    while start < dim:
+        n = min(int(rng.integers(1, block + 1)), dim - start)
+        v = _haar(rng, n)
+        u[start:start + n, start:start + n] = v
+        p[start:start + n, start:start + n] = (v * rng.integers(0, 2, n)) @ v.conj().T
+        start += n
+    u = u[rng.permutation(dim)][:, rng.permutation(dim)]
+    if negative_zeros:
+        u[u == 0] = complex(-0.0, -0.0)
+        p[p == 0] = -0.0
+    return u, p
+
+
+def _dense_literal(mat):
+    return "[" + " ".join(format_complex(z) for z in mat.ravel().tolist()) + "]"
+
+
+def _sparse_literal(mat):
+    dim = len(mat)
+    return "sparse [" + ", ".join(
+        f"{k // dim} {k % dim}: {format_complex(mat.flat[k])}"
+        for k in np.flatnonzero(mat)
+    ) + "]"
+
+
+def _bits(a):
+    """The bytes of an array with -0.0 read as 0.0: a sparse literal drops a
+    signed zero and a dense one keeps only the sign of a real part."""
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+class TestSparseLiteral:
+    def test_same_arrays_as_dense(self):
+        dense, sparse = parse(HARDY_TEXT), parse(SPARSE_TEXT)
+        for name in ("ee", "ef", "fe", "ff"):
+            assert _bits(sparse.projectors[name].mat) == _bits(dense.projectors[name].mat)
+        assert _bits(sparse.unitaries["wait"].mat) == _bits(dense.unitaries["wait"].mat)
+        assert not sparse.projectors["none"].mat.any()
+        swap = sparse.unitaries["swap"].mat
+        assert swap[0, 1] == swap[1, 0] == -1j
+        assert swap[3, 2] == complex(0.70710678118654757, -0.70710678118654757)
+        assert np.count_nonzero(swap) == 4
+
+    def test_entries_are_one_read_only_array(self):
+        doc = parse(SPARSE_TEXT)
+        for decl in (doc.unitary_decls["swap"], doc.unitary_decls["splitters"],
+                     doc.proj_decls["none"]):
+            assert decl.entries.dtype == np.complex128 and decl.entries.shape == (16,)
+            assert not decl.entries.flags.writeable
+            with pytest.raises(ValueError):
+                decl.entries[0] = 1
+
+    def test_parsed_sparse_family_probabilities(self):
+        table = probabilities(parse(SPARSE_TEXT).family("joint"))
+        assert sum(table.probability(a) for a, _ in table.items()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "body,message,column",
+        [
+            ("0 0: 1, 2 1: 1", "row index 2 is out of range 0..1", 31),
+            ("0 2: 1", "column index 2 is out of range 0..1", 25),
+            ("-1 0: 1", "row index -1 is out of range 0..1", 23),
+            (
+                "1 0: 1, 0 1: 1",
+                "sparse entry (0, 1) follows (1, 0): entries must be in strictly "
+                "increasing row-major order",
+                31,
+            ),
+            ("0 1: 1, 0 1: 1", "duplicate sparse entry (0, 1)", 31),
+            ("0 0 1", "expected ':', got '1'", 27),
+            ("0.5 0: 1", "expected an integer row index, got '0.5'", 23),
+            ("0 1.5: 1", "expected an integer column index, got '1.5'", 25),
+            ("1i 0: 1", "expected a real row index, got '1i'", 23),
+            ("0 +i: 1", "expected a real column index, got '+i'", 25),
+            ("0 0: 1,", "expected row index, got ']'", 30),
+            ("0 0: 1 1 1: 1", "expected ']', got '1'", 30),
+            ("0 0: 1e400", "malformed matrix entry '1e400': non-finite number '1e400'", 28),
+        ],
+    )
+    def test_positioned_diagnostics(self, body, message, column):
+        doc, diags = try_parse(f"space q dim 2\nproj p on q = sparse [{body}]\n")
+        assert doc is None
+        [d] = diags
+        assert d.message == message
+        assert (d.line, d.column) == (2, column)
+
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            ("space sparse dim 2", "'sparse' is a reserved keyword, not a valid space name", 1, 7),
+            (
+                "space q dim 2\nunitary sparse on q = sparse []",
+                "'sparse' is a reserved keyword, not a valid unitary name",
+                2,
+                9,
+            ),
+            ("space q dim 2\nproj p on q = sparse 0 0: 1", "expected '[', got '0'", 2, 22),
+            ("space q dim 2\nproj p on q = sparse [", "expected row index", 2, 23),
+        ],
+    )
+    def test_keyword_diagnostics(self, text, message, line, column):
+        doc, diags = try_parse(text)
+        assert doc is None
+        [d] = diags
+        assert d.message == message
+        assert (d.line, d.column) == (line, column)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        block=st.integers(1, 8),
+        negative_zeros=st.booleans(),
+        written_sparse=st.booleans(),
+    )
+    def test_round_trip_mixed_density(self, seed, dim, block, negative_zeros, written_sparse):
+        u, p = _block_matrices(seed, dim, block, negative_zeros)
+        literal = _sparse_literal if written_sparse else _dense_literal
+        text = (
+            f"space q dim {dim}\nunitary u on q = {literal(u)}\n"
+            f"proj p on q = {literal(p)}\n"
+        )
+        doc = parse(text)
+        s1 = serialize(doc)
+        doc1 = parse(s1)
+        assert serialize(doc1) == s1
+        for d in (doc, doc1):
+            assert _bits(d.unitaries["u"].mat) == _bits(u)
+            assert _bits(d.projectors["p"].mat) == _bits(p)
+            assert _bits(d.unitary_decls["u"].entries) == _bits(u.ravel())
+        for name, mat in (("u", u), ("p", p)):
+            sparse = 4 * np.count_nonzero(mat) <= dim * dim
+            assert f"{name} on q = {'sparse [' if sparse else '['}" in s1
+
+    def test_form_rule_counts_nonzeros_only(self):
+        # dim 4: at most 4 nonzero entries go sparse, 5 go dense
+        entries = np.diag([1, -0.5j, 2, 1e-300]).astype(complex).ravel()
+        assert _format_matrix(entries, 4) == (
+            "sparse [\n  0 0: 1,\n  1 1: -0.5i,\n  2 2: 2,\n  3 3: 1e-300\n]"
+        )
+        entries[1] = -0.0  # a signed zero is a zero
+        assert _format_matrix(entries, 4).startswith("sparse [\n  0 0: 1,\n  1 1: -0.5i,")
+        entries[1] = 3
+        assert _format_matrix(entries, 4).startswith("[\n  1 3 0 0\n  0 -0.5i 0 0\n")
+        assert _format_matrix(np.zeros(9, dtype=complex), 3) == "sparse []"
+
+    def test_exported_wavepacket_is_small(self):
+        text = scenario_to_famspec(build_wavepacket())
+        assert len(text.encode()) < 64 * 1024
+        doc = parse(text)
+        assert serialize(parse(serialize(doc))) == serialize(doc)
 
 
 class TestComplexLiterals:
@@ -281,6 +512,18 @@ class TestTotality:
     def test_mutation_fuzz_no_crash(self):
         rng = random.Random(7)
         corpus = MINIMAL
+        for _ in range(2_000):
+            chars = list(corpus)
+            for _ in range(rng.randint(1, 6)):
+                k = rng.randrange(len(chars))
+                chars[k] = chr(rng.randint(32, 126))
+            doc, diags = try_parse("".join(chars))
+            if doc is None:
+                assert diags
+
+    def test_sparse_mutation_fuzz_no_crash(self):
+        rng = random.Random(11)
+        corpus = SPARSE_TEXT
         for _ in range(2_000):
             chars = list(corpus)
             for _ in range(rng.randint(1, 6)):
