@@ -43,7 +43,9 @@ projector, which is used as the maximally mixed density operator over its
 range.  `steps` lists one unitary per consecutive pair of grid times.
 
 Parsing is total: any input either yields a document or raises
-:class:`FamSpecError` carrying positioned diagnostics.
+:class:`FamSpecError` carrying positioned diagnostics.  A document may make
+the parser build at most 64 MiB of dim x dim matrices (`_MATRIX_BUDGET`),
+charged before each one is allocated.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,13 +62,13 @@ from .hilbert import (
     DecompositionOfIdentity,
     DensityOperator,
     Ket,
+    NotAProjectorError,
     Operator,
     Projector,
-    is_projector,
     projector_onto_span,
     unitarity_defect,
 )
-from .histories import Family
+from .histories import Family, pure_families
 
 _DECLARATIONS = ("space", "ket", "unitary", "proj", "decomp", "times", "family")
 _KEYWORDS = frozenset(_DECLARATIONS) | frozenset(
@@ -74,6 +76,16 @@ _KEYWORDS = frozenset(_DECLARATIONS) | frozenset(
 )
 
 _MAX_DIM = 4096
+# Bytes of the dim x dim complex matrices one document may make the parser
+# build: matrix literals, span projectors, and each family's identity
+# decompositions, initial-state matrices and cumulative propagators.  A
+# sparse literal or a family line is a few bytes of text at any dimension,
+# so the budget is charged before each allocation.  The largest bundled
+# export, the default wavepacket model (dim 196), charges 41 matrices,
+# 25.2 MB; 64 MiB leaves 2.6x headroom for it and admits no single matrix
+# above dimension 2048.  Peak memory is about twice the charge, since each
+# literal is held both as parsed entries and as its operator.
+_MATRIX_BUDGET = 64 * 2**20
 
 # The token classes, ASCII only (`\d`, `\s` and `\w` would also admit Unicode
 # digits, spaces and letters).  Upper-case groups yield tokens.
@@ -261,8 +273,11 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        # Families over the same grid, steps and space share one PropagatorSet.
+        # Families over the same grid, steps and space share one PropagatorSet,
+        # and families from the same ket one {ket, complement} decomposition.
         self.propagator_sets: dict[tuple, PropagatorSet] = {}
+        self.pure_by_ket: dict[str, Callable[..., Family]] = {}
+        self.matrix_bytes = 0  # charged against _MATRIX_BUDGET
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -323,6 +338,16 @@ class _Parser:
             self.error(f"expected an integer {what}, got {tok.text!r}", tok)
         return int(value), tok
 
+    def charge(self, count: int, space: SpaceDecl, name_tok: _Token):
+        """Account for ``count`` new dim x dim matrices before building them."""
+        self.matrix_bytes += count * space.dim * space.dim * 16
+        if self.matrix_bytes > _MATRIX_BUDGET:
+            self.error(
+                f"{name_tok.text!r} would bring the document's matrices to "
+                f"{self.matrix_bytes} bytes, over the budget of {_MATRIX_BUDGET}",
+                name_tok,
+            )
+
     def parse_complex_list(self) -> tuple[complex, ...]:
         self.expect_punct("[")
         values = [self.expect_number("amplitude")[0]]
@@ -334,6 +359,7 @@ class _Parser:
 
     def parse_matrix(self, space: SpaceDecl, name_tok: _Token) -> np.ndarray:
         """A dense or sparse matrix literal as a read-only row-major array."""
+        self.charge(1, space, name_tok)
         if self.peek().kind == "NAME" and self.peek().text == "sparse":
             self.advance()
             entries = self.parse_sparse(space.dim)
@@ -483,6 +509,7 @@ class _Parser:
                 if doc.ket_decls[n].space != space.name:
                     self.error(f"ket {n!r} lives on space {doc.ket_decls[n].space!r}", name_tok)
                 kets.append(doc.kets[n])
+            self.charge(1, space, name_tok)
             try:
                 proj = projector_onto_span(kets)
             except ValueError as exc:
@@ -490,17 +517,16 @@ class _Parser:
             decl = ProjDecl(name_tok.text, space.name, names, None, kw.line, kw.column)
         else:
             entries = self.parse_matrix(space, name_tok)
-            op = Operator(entries.reshape(space.dim, space.dim))
-            check = is_projector(op)
-            if not check:
+            try:
+                proj = Projector(Operator(entries.reshape(space.dim, space.dim)))
+            except NotAProjectorError as exc:
+                check = exc.check
                 self.error(
                     f"matrix for {name_tok.text!r} is not a projector: hermiticity "
                     f"defect {check.hermiticity_defect:.3e}, idempotency defect "
                     f"{check.idempotency_defect:.3e} (threshold 1e-09)",
                     name_tok,
                 )
-            try:
-                proj = Projector(op)
             except ValueError as exc:  # a trace off an integer by more than the tolerance
                 self.error(f"invalid projector {name_tok.text!r}: {exc}", name_tok)
             decl = ProjDecl(name_tok.text, space.name, None, entries, kw.line, kw.column)
@@ -638,6 +664,16 @@ class _Parser:
 
         grid = TimeGrid(doc.times_decls[decl.times].values)
         key = (decl.times, decl.steps, space.name)
+        pure = decl.initial in doc.kets
+        # identity decompositions (a pure state's first slot is its own pair)
+        new_matrices = sum(at.decomp is None for at in decl.ats[1 if pure else 0:])
+        if key not in self.propagator_sets:
+            new_matrices += len(grid)  # cumulative propagators
+        if pure and decl.initial not in self.pure_by_ket:
+            new_matrices += 2  # the state's projector and its complement
+        elif decl.initial in doc.projectors:
+            new_matrices += 1  # the density operator
+        self.charge(new_matrices, space, name_tok)
         if key not in self.propagator_sets:
             self.propagator_sets[key] = PropagatorSet(
                 grid,
@@ -647,7 +683,6 @@ class _Parser:
         ps = self.propagator_sets[key]
 
         indices = tuple(grid.index_of_value(at.time) for at in decl.ats)
-        pure = decl.initial in doc.kets
         rho = None
         if pure:
             ket = doc.kets[decl.initial]
@@ -677,7 +712,9 @@ class _Parser:
         ]
         try:
             if pure:
-                fam = Family.pure(ps, indices, ket, decs, name=decl.name)
+                if decl.initial not in self.pure_by_ket:
+                    self.pure_by_ket[decl.initial] = pure_families(ket)
+                fam = self.pure_by_ket[decl.initial](ps, indices, decs, name=decl.name)
             else:
                 fam = Family.general(ps, indices, decs, rho=rho, name=decl.name)
         except ValueError as exc:

@@ -15,6 +15,8 @@ models sidesteps that question entirely.)
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,6 +50,76 @@ def _as_complex_matrix(entries, dim: int | None = None) -> np.ndarray:
 
 def _frob(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat))
+
+
+def _frob_sq(mat: np.ndarray) -> float:
+    """Squared Frobenius norm, summed as ``np.linalg.norm`` sums it."""
+    re, im = mat.real.ravel(), mat.imag.ravel()
+    return float(re @ re + im @ im)
+
+
+# The idempotency, unitarity and pairwise-overlap checks multiply matrices
+# that are exactly block diagonal on the connected components of their joint
+# symmetrized nonzero pattern: an entry of a product that links two
+# components is a sum of terms with an exact-zero factor.  The checks below
+# therefore multiply block by block, which changes only the order in which
+# the Frobenius norms are summed.  Finding the blocks costs about 0.1 ms, so
+# dense products stay in use for small or dense inputs: blocks are used from
+# dimension _BLOCK_MIN_DIM up when at most 1/_BLOCK_MAX_FILL of the pattern's
+# entries are nonzero and the pattern splits into more than one component.
+# Measured with one BLAS thread on block-diagonal inputs under a random
+# permutation: one projector or unitary breaks even near dimension 80, is
+# 1.4-2x faster at 96 and 3-5x at 196; a 9-member decomposition is already
+# 2x faster at 32 and 40x at 196.  A connected pattern under the fill bound
+# pays the search on top of the dense product (+0.1-0.4 ms at 96-196).
+_BLOCK_MIN_DIM = 96
+_BLOCK_MAX_FILL = 8
+
+
+def _blocks(*mats: np.ndarray) -> list[np.ndarray] | None:
+    """Components of the joint symmetrized nonzero pattern of ``mats``.
+
+    Returns one ``(n, s)`` index array per component size ``s`` (ascending
+    indices within each component), or ``None`` when the dense products are
+    the cheaper way to run the check.
+    """
+    dim = mats[0].shape[0]
+    if dim < _BLOCK_MIN_DIM:
+        return None
+    pattern = np.zeros((dim, dim), dtype=bool)
+    for m in mats:
+        # a complex entry is nonzero when either of its two float halves is;
+        # comparing the float view is several times faster than ``m != 0``
+        pattern |= (np.ascontiguousarray(m).view(np.float64) != 0).view(np.uint16) != 0
+    pattern = pattern | pattern.T
+    nonzero = np.flatnonzero(pattern)
+    if _BLOCK_MAX_FILL * nonzero.size > dim * dim:
+        return None
+    rows, cols = np.divmod(nonzero, dim)
+    # Label every index with an index of its component: hook the tree of
+    # each row onto the smallest label among the row's neighbours, then jump
+    # pointers.  Labels only decrease and stay inside their component, and
+    # at the fixed point both ends of every edge carry the same label.
+    label = np.arange(dim)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, label[rows], label[cols])
+        label = label[label[label]]
+        if np.array_equal(label, before):
+            break
+    size = np.bincount(label)[label]
+    if size[0] == dim:
+        return None  # one component: its block is the whole matrix
+    # components by size, then by label; indices ascending within each
+    order = np.lexsort((label, size))
+    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    return [part.reshape(-1, size[part[0]]) for part in np.split(order, cuts)]
+
+
+def _gather(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The diagonal blocks ``mat[c][:, c]`` for the rows ``c`` of ``idx``,
+    stacked as an ``(n, s, s)`` array."""
+    return mat[idx[:, :, None], idx[:, None, :]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +244,14 @@ class Operator:
 
 def unitarity_defect(u: Operator) -> float:
     """``||U^dag U - I||_F``; zero for exact unitaries."""
-    return _frob(u.mat.conj().T @ u.mat - np.eye(u.dim))
+    groups = _blocks(u.mat)
+    if groups is None:
+        return _frob(u.mat.conj().T @ u.mat - np.eye(u.dim))
+    total = 0.0
+    for idx in groups:
+        b = _gather(u.mat, idx)
+        total += _frob_sq(b.conj().transpose(0, 2, 1) @ b - np.eye(idx.shape[1]))
+    return math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -190,8 +269,25 @@ class ProjectorCheck:
 def is_projector(p: Operator, tol: float = TOL_PROJ) -> ProjectorCheck:
     """Test whether ``p`` is an orthogonal projector within ``tol`` (Frobenius)."""
     herm = _frob(p.mat - p.mat.conj().T)
-    idem = _frob(p.mat - p.mat @ p.mat)
+    groups = _blocks(p.mat)
+    if groups is None:
+        idem = _frob(p.mat - p.mat @ p.mat)
+    else:
+        blocks = (_gather(p.mat, idx) for idx in groups)
+        idem = math.sqrt(sum(_frob_sq(b - b @ b) for b in blocks))
     return ProjectorCheck(herm < tol and idem < tol, herm, idem)
+
+
+class NotAProjectorError(ValueError):
+    """A matrix failed :func:`is_projector`; ``check`` holds both defects."""
+
+    def __init__(self, check: ProjectorCheck):
+        self.check = check
+        super().__init__(
+            "not a projector: hermiticity defect "
+            f"{check.hermiticity_defect:.3e}, idempotency defect "
+            f"{check.idempotency_defect:.3e} (tol {TOL_PROJ:.0e})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,11 +303,7 @@ class Projector:
     def __post_init__(self):
         check = is_projector(self.op, TOL_PROJ)
         if not check:
-            raise ValueError(
-                "not a projector: hermiticity defect "
-                f"{check.hermiticity_defect:.3e}, idempotency defect "
-                f"{check.idempotency_defect:.3e} (tol {TOL_PROJ:.0e})"
-            )
+            raise NotAProjectorError(check)
         tr = self.op.trace()
         r = round(tr.real)
         if abs(tr - r) >= TOL_PROJ:
@@ -409,9 +501,21 @@ def validate_decomposition(d: DecompositionOfIdentity) -> DecompositionReport:
     completeness = _frob(total - np.eye(dim))
     max_overlap = 0.0
     mats = [proj.mat for _, proj in d.members]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            max_overlap = max(max_overlap, _frob(mats[i] @ mats[j]))
+    groups = _blocks(*mats)
+    if groups is None:
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                max_overlap = max(max_overlap, _frob(mats[i] @ mats[j]))
+    else:
+        # one size group's blocks of every member at a time, so memory stays
+        # within that of the members
+        pairs = list(itertools.combinations(range(len(mats)), 2))
+        squares = [0.0] * len(pairs)
+        for idx in groups:
+            blocks = [_gather(m, idx) for m in mats]
+            for k, (i, j) in enumerate(pairs):
+                squares[k] += _frob_sq(blocks[i] @ blocks[j])
+        max_overlap = math.sqrt(max(squares, default=0.0))
     return DecompositionReport(
         valid=(completeness < TOL_PROJ and max_overlap < TOL_PROJ),
         completeness_defect=completeness,

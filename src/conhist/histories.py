@@ -156,7 +156,8 @@ class Family:
                         "the anchored decomposition must be {initial, complement}"
                     )
                 member = decs[slot].projector(self.initial.label)
-                if not member.op.allclose(ket.projector().op):
+                psi = ket.normalized().amps
+                if not member.op.allclose(Operator(np.outer(psi, psi.conj()))):
                     raise ValueError(
                         "anchored decomposition member does not project onto the initial state"
                     )
@@ -182,16 +183,7 @@ class Family:
         ``decompositions`` cover the times after the first; the first-time
         decomposition is the canonical {initial, complement} pair.
         """
-        label = initial.label or "psi0"
-        d0 = DecompositionOfIdentity.from_projector(initial.projector(), label)
-        return cls(
-            propagators,
-            tuple(time_indices),
-            (d0, *decompositions),
-            PureInitial(initial, label),
-            0,
-            name,
-        )
+        return pure_families(initial)(propagators, time_indices, decompositions, name)
 
     @classmethod
     def general(
@@ -271,6 +263,30 @@ class Family:
             self.propagators, self.time_indices, self.decompositions,
             self.initial, self.initial_slot, name,
         )
+
+
+def pure_families(initial: Ket) -> Callable[..., Family]:
+    """:meth:`Family.pure` for any number of families that start from ``initial``.
+
+    The returned function takes ``Family.pure``'s arguments without the
+    state.  Every family it makes shares one validated {initial, complement}
+    decomposition, built here once instead of once per family.
+    """
+    label = initial.label or "psi0"
+    anchor = DecompositionOfIdentity.from_projector(initial.projector(), label)
+
+    def pure(
+        propagators: PropagatorSet,
+        time_indices: Sequence[int],
+        decompositions: Sequence[DecompositionOfIdentity],
+        name: str | None = None,
+    ) -> Family:
+        return Family(
+            propagators, tuple(time_indices), (anchor, *decompositions),
+            PureInitial(initial, label), 0, name,
+        )
+
+    return pure
 
 
 # -- chain operators and the decoherence functional ---------------------------
@@ -402,14 +418,18 @@ def weight(h: History | Sequence[str], f: Family) -> float:
     """
     hist = f.resolve(h.slots if isinstance(h, History) else h)
     analysis = _analyze(f)
-    try:
-        idx = analysis.alphas.index(hist.slots)
-    except ValueError:
-        # Pure-initial families pin the anchored slot; histories leaving the
-        # initial state have zero weight by the initial condition.
-        if isinstance(f.initial, PureInitial):
-            return 0.0
-        raise UnknownLabelError(f"history {hist.slots} is not in the sample space") from None
+    # position in the enumeration order of ``alphas``: mixed radix over the
+    # slots, first slot most significant, as ``_analyze`` numbers the chains
+    idx = 0
+    for slot, label in enumerate(hist.slots):
+        labels = f.slot_labels(slot)
+        if label not in labels:
+            # Pure-initial families pin the anchored slot; histories leaving
+            # the initial state have zero weight by the initial condition.
+            if isinstance(f.initial, PureInitial):
+                return 0.0
+            raise UnknownLabelError(f"history {hist.slots} is not in the sample space")
+        idx = idx * len(labels) + labels.index(label)
     return float(analysis.weights[idx])
 
 

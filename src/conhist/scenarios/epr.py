@@ -20,7 +20,7 @@ import numpy as np
 from ..dynamics import PropagatorSet, TimeGrid
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import (
-    Family,
+    pure_families,
     conditional_probability,
     event_probability,
     probabilities,
@@ -110,15 +110,16 @@ def build_epr() -> Scenario:
             )
     xx = DecompositionOfIdentity(tuple(xx_members))
 
+    pure = pure_families(psi0)
     fam = {
-        "F0": Family.pure(ps, (0, 1, 2, 3), psi0, [s0d] * 3, name="F0"),
-        "F1": Family.pure(ps, (0, 1, 2, 3), psi0, [zz] * 3, name="F1"),
-        "F2": Family.pure(ps, (0, 1, 2, 3), psi0, [s0d, zz, zz], name="F2"),
-        "F3": Family.pure(ps, (0, 1, 2, 3), psi0, [xx] * 3, name="F3"),
-        "F4": Family.pure(ps, (0, 1, 2, 3), psi0, [zx] * 3, name="F4"),
-        "G1": Family.pure(ps, (0, 3, 4, 5), psi0, [g1_ready, g_out, g_out], name="G1"),
-        "G2": Family.pure(ps, (0, 3, 4, 5), psi0, [dec("s0Z"), g_out, g_out], name="G2"),
-        "G4": Family.pure(ps, (0, 3, 4, 5), psi0, [dec("s0Z"), g4_out, g4_out], name="G4"),
+        "F0": pure(ps, (0, 1, 2, 3), [s0d] * 3, name="F0"),
+        "F1": pure(ps, (0, 1, 2, 3), [zz] * 3, name="F1"),
+        "F2": pure(ps, (0, 1, 2, 3), [s0d, zz, zz], name="F2"),
+        "F3": pure(ps, (0, 1, 2, 3), [xx] * 3, name="F3"),
+        "F4": pure(ps, (0, 1, 2, 3), [zx] * 3, name="F4"),
+        "G1": pure(ps, (0, 3, 4, 5), [g1_ready, g_out, g_out], name="G1"),
+        "G2": pure(ps, (0, 3, 4, 5), [dec("s0Z"), g_out, g_out], name="G2"),
+        "G4": pure(ps, (0, 3, 4, 5), [dec("s0Z"), g4_out, g4_out], name="G4"),
     }
 
     # Flight geometry: particle a at x = -t, particle b at x = +t; the

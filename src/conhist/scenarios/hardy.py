@@ -33,6 +33,7 @@ from ..dynamics import PropagatorSet, TimeGrid
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import (
     Family,
+    pure_families,
     conditional_probability,
     consistency_check,
     event_probability,
@@ -95,17 +96,16 @@ def _build_plain() -> Scenario:
     out_a = dec("e", "f")
     out_b = dec("ebar", "fbar")
 
+    pure = pure_families(psi0)
     fam = {
-        "unitary-output": Family.pure(
-            ps_l, (0, 3, 4), psi0, [out_a, out_b], name="unitary-output"
+        "unitary-output": pure(ps_l, (0, 3, 4), [out_a, out_b], name="unitary-output"),
+        "arm-pair": pure(ps_l, (0, 1, 2), [arm_a, arm_b], name="arm-pair"),
+        "blocker": pure(ps_l, (0, 1, 3), [arm_a, out_a], name="blocker"),
+        "b-first-inference": pure(
+            ps_bfirst, (0, 1, 2), [out_b, arm_a], name="b-first-inference"
         ),
-        "arm-pair": Family.pure(ps_l, (0, 1, 2), psi0, [arm_a, arm_b], name="arm-pair"),
-        "blocker": Family.pure(ps_l, (0, 1, 3), psi0, [arm_a, out_a], name="blocker"),
-        "b-first-inference": Family.pure(
-            ps_bfirst, (0, 1, 2), psi0, [out_b, arm_a], name="b-first-inference"
-        ),
-        "a-first-inference": Family.pure(
-            ps_afirst, (0, 1, 2), psi0, [out_a, arm_b], name="a-first-inference"
+        "a-first-inference": pure(
+            ps_afirst, (0, 1, 2), [out_a, arm_b], name="a-first-inference"
         ),
     }
 

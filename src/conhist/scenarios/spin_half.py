@@ -24,7 +24,7 @@ import numpy as np
 from ..dynamics import PropagatorSet, TimeGrid
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import (
-    Family,
+    pure_families,
     conditional_probability,
     consistency_check,
     probabilities,
@@ -100,22 +100,15 @@ def build_spin_half() -> Scenario:
     g_ready = dec("x+X", "x-X")
     g_outcome = dec("x+X+", "x-X-")
 
+    pure = pure_families(psi0)
     fam = {
-        "F0": Family.pure(ps, (0, 1, 2, 3), psi0, [z_spin] * 3, name="F0"),
-        "F1": Family.pure(ps, (0, 1, 2, 3), psi0, [x_spin] * 3, name="F1"),
-        "F2": Family.pure(ps, (0, 1, 2, 3), psi0, [z_spin, x_spin, x_spin], name="F2"),
-        "F1-remerge": Family.pure(
-            ps, (0, 1, 2, 3), psi0, [x_spin, x_spin, z_spin], name="F1-remerge"
-        ),
-        "G0": Family.pure(
-            ps, (0, 3, 4, 5), psi0, [dec("z+X"), dec("S"), dec("S")], name="G0"
-        ),
-        "G1": Family.pure(
-            ps, (0, 3, 4, 5), psi0, [g_ready, g_outcome, g_outcome], name="G1"
-        ),
-        "G2": Family.pure(
-            ps, (0, 2, 3, 4), psi0, [dec("z+X"), g_ready, g_outcome], name="G2"
-        ),
+        "F0": pure(ps, (0, 1, 2, 3), [z_spin] * 3, name="F0"),
+        "F1": pure(ps, (0, 1, 2, 3), [x_spin] * 3, name="F1"),
+        "F2": pure(ps, (0, 1, 2, 3), [z_spin, x_spin, x_spin], name="F2"),
+        "F1-remerge": pure(ps, (0, 1, 2, 3), [x_spin, x_spin, z_spin], name="F1-remerge"),
+        "G0": pure(ps, (0, 3, 4, 5), [dec("z+X"), dec("S"), dec("S")], name="G0"),
+        "G1": pure(ps, (0, 3, 4, 5), [g_ready, g_outcome, g_outcome], name="G1"),
+        "G2": pure(ps, (0, 2, 3, 4), [dec("z+X"), g_ready, g_outcome], name="G2"),
     }
 
     expected = (

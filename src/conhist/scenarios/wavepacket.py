@@ -27,7 +27,7 @@ import numpy as np
 from ..dynamics import PropagatorSet, TimeGrid
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import (
-    Family,
+    pure_families,
     conditional_probability,
     consistency_check,
     probabilities,
@@ -220,8 +220,10 @@ def build_wavepacket(
             out.append(("rest", Projector(Operator(rest))))
         return DecompositionOfIdentity(tuple(out))
 
-    def psi_dec(v: int) -> DecompositionOfIdentity:
-        return with_rest((f"Psi.{v}", P[f"Psi.{v}"]))
+    # {Psi.v, rest} at every time after the first, built once per time
+    psi_dec = {
+        v: with_rest((f"Psi.{v}", P[f"Psi.{v}"])) for v in sorted({*f_times[1:], *g_times[1:]})
+    }
 
     a1_label = f"int{interval_of[source - mid]}"
     b1_label = f"int{interval_of[source + mid]}"
@@ -237,28 +239,20 @@ def build_wavepacket(
     f_idx = tuple(midx[v] for v in f_times)
     g_idx = tuple(midx[v] for v in g_times)
 
+    pure = pure_families(psi0)
     fam = {
-        "F0": Family.pure(
-            ps, f_idx, psi0, [psi_dec(v) for v in f_times[1:]], name="F0"
-        ),
-        "F1": Family.pure(ps, f_idx, psi0, [interval_dec] * 3, name="F1"),
-        "F2": Family.pure(
-            ps, f_idx, psi0, [psi_dec(f_times[1]), interval_dec, interval_dec], name="F2"
-        ),
-        "F2-remerge": Family.pure(
+        "F0": pure(ps, f_idx, [psi_dec[v] for v in f_times[1:]], name="F0"),
+        "F1": pure(ps, f_idx, [interval_dec] * 3, name="F1"),
+        "F2": pure(ps, f_idx, [psi_dec[f_times[1]], interval_dec, interval_dec], name="F2"),
+        "F2-remerge": pure(
             ps,
             f_idx,
-            psi0,
-            [psi_dec(f_times[1]), interval_dec, psi_dec(f_times[3])],
+            [psi_dec[f_times[1]], interval_dec, psi_dec[f_times[3]]],
             name="F2-remerge",
         ),
-        "G0": Family.pure(
-            ps, g_idx, psi0, [psi_dec(v) for v in g_times[1:]], name="G0"
-        ),
-        "G1": Family.pure(ps, g_idx, psi0, [g1_t1, det_dec, det_dec], name="G1"),
-        "G2": Family.pure(
-            ps, g_idx, psi0, [psi_dec(g_times[1]), g2_t2, det_dec], name="G2"
-        ),
+        "G0": pure(ps, g_idx, [psi_dec[v] for v in g_times[1:]], name="G0"),
+        "G1": pure(ps, g_idx, [g1_t1, det_dec, det_dec], name="G1"),
+        "G2": pure(ps, g_idx, [psi_dec[g_times[1]], g2_t2, det_dec], name="G2"),
     }
 
     # -- spacetime events -------------------------------------------------------

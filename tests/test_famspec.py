@@ -1,11 +1,13 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conhist import famspec, hilbert
 from conhist.famspec import (
     _format_matrix,
     format_complex,
@@ -214,6 +216,12 @@ class TestParse:
                 "invalid projector 'p': projector trace",
                 6,
             ),
+            (
+                "space q dim 2\nproj p on q = [1 0 0 0.5]",
+                "matrix for 'p' is not a projector: hermiticity defect 0.000e+00, "
+                "idempotency defect 2.500e-01 (threshold 1e-09)",
+                6,
+            ),
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
@@ -223,6 +231,13 @@ class TestParse:
         [d] = diags
         assert d.message.startswith(message)
         assert (d.line, d.column) == (2, column)
+
+    def test_matrix_projector_is_checked_once(self, monkeypatch):
+        checks = []
+        real = hilbert.ProjectorCheck
+        monkeypatch.setattr(hilbert, "ProjectorCheck", lambda *a: checks.append(a) or real(*a))
+        parse("space q dim 2\nproj p on q = [1 0 0 0]")
+        assert len(checks) == 1
 
     def test_families_share_propagators_and_document_holds_only_its_fields(self):
         text = MINIMAL + (
@@ -411,6 +426,61 @@ class TestSparseLiteral:
         assert len(text.encode()) < 64 * 1024
         doc = parse(text)
         assert serialize(parse(serialize(doc))) == serialize(doc)
+
+
+class TestMatrixBudget:
+    def refused(self, text):
+        tracemalloc.start()
+        try:
+            doc, diags = try_parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert doc is None
+        [d] = diags
+        assert "over the budget of 67108864" in d.message
+        assert peak < 4 * 2**20  # one refused matrix alone would be 268 MB
+        return d
+
+    def test_sparse_lines_are_refused_before_allocation(self):
+        text = "space q dim 4096\n" + "".join(f"proj p{k} on q = sparse []\n" for k in range(4))
+        d = self.refused(text)
+        assert d.message.startswith("'p0' would bring the document's matrices to 268435456 bytes")
+        assert (d.line, d.column) == (2, 6)
+
+    def test_dense_literal_is_refused_before_its_entries(self):
+        d = self.refused("space q dim 4096\nunitary u on q = [1]")
+        assert (d.line, d.column) == (2, 9)
+
+    @pytest.mark.parametrize(
+        "tail,line,column",
+        [
+            ("proj p on q = span(k)", 3, 6),
+            ("times t = [0]\nfamily f times t initial k { at 0: identity } steps { }", 4, 8),
+        ],
+    )
+    def test_span_projectors_and_families_are_charged(self, tail, line, column):
+        ket = "ket k in q = [1" + ", 0" * 4095 + "]\n"
+        d = self.refused("space q dim 4096\n" + ket + tail)
+        assert (d.line, d.column) == (line, column)
+
+    def test_charges_add_up_over_the_document(self, monkeypatch):
+        monkeypatch.setattr(famspec, "_MATRIX_BUDGET", 3 * 2 * 2 * 16)
+        lines = "space q dim 2\n" + "".join(f"proj p{k} on q = sparse []\n" for k in range(3))
+        assert try_parse(lines)[0] is not None
+        doc, [d] = try_parse(lines + "unitary u on q = [1 0 0 1]\n")
+        assert doc is None
+        assert d.message == (
+            "'u' would bring the document's matrices to 256 bytes, over the budget of 192"
+        )
+        assert (d.line, d.column) == (5, 9)
+
+    def test_largest_bundled_export_fits_with_headroom(self):
+        parser = famspec._Parser(scenario_to_famspec(build_wavepacket()))
+        parser.parse_document()
+        # 33 matrix literals, one propagator set of 6 times, one shared initial pair
+        assert parser.matrix_bytes == 41 * 196 * 196 * 16
+        assert 2.5 * parser.matrix_bytes < famspec._MATRIX_BUDGET
 
 
 class TestComplexLiterals:

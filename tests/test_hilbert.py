@@ -1,9 +1,14 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conhist import hilbert
 from conhist.hilbert import (
+    TOL_PROJ,
     DecompositionOfIdentity,
     DensityOperator,
     DimensionMismatchError,
@@ -15,8 +20,10 @@ from conhist.hilbert import (
     projector_onto_span,
     rho_inner,
     tensor_product,
+    unitarity_defect,
     validate_decomposition,
 )
+from conhist.scenarios import BUILDERS, build_hardy
 
 RNG = np.random.default_rng(1234)
 
@@ -240,3 +247,187 @@ class TestInvariantguards:
         op = Operator.identity(2)
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
+
+
+# -- block-wise checks against the dense formulas -------------------------------
+#
+# The oracles are the plain dense formulas.  On the dense path (small or
+# dense inputs) the checks must reproduce them bit for bit.  On the block path only the order of
+# summation changes, so they must agree within the rounding bound of a
+# reordered product, ``2 eps * largest block * sum of squared Frobenius
+# norms`` (a few ulps of the products' scale; the observed differences stay
+# below a thousandth of it), and give the same verdict wherever that
+# rounding cannot decide it.
+
+EPS = np.finfo(float).eps
+
+
+def dense_idempotency(m):
+    return float(np.linalg.norm(m - m @ m))
+
+
+def dense_unitarity(m):
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
+
+
+def dense_completeness(mats):
+    total = np.zeros_like(mats[0])
+    for m in mats:
+        total += m
+    return float(np.linalg.norm(total - np.eye(len(total))))
+
+
+def dense_max_overlap(mats):
+    return max(
+        (float(np.linalg.norm(a @ b)) for a, b in itertools.combinations(mats, 2)),
+        default=0.0,
+    )
+
+
+def assert_matches_dense(got, want, mats):
+    """``got`` is a block-wise defect of ``mats`` and ``want`` its dense oracle."""
+    groups = hilbert._blocks(*mats)
+    if groups is None:
+        assert got == want
+        return
+    largest = max(idx.shape[1] for idx in groups)
+    bound = 2 * EPS * largest * sum(float(np.linalg.norm(m)) ** 2 for m in mats)
+    assert abs(got - want) <= bound
+    if abs(want - TOL_PROJ) > bound:
+        assert (got < TOL_PROJ) == (want < TOL_PROJ)
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def random_blocks(rng, dim, largest):
+    """A partition of range(dim) into blocks of 1..largest indices, scattered
+    by a random permutation."""
+    perm = rng.permutation(dim)
+    cuts = np.cumsum(rng.integers(1, largest + 1, size=dim))
+    return [b for b in np.split(perm, cuts[cuts < dim]) if b.size]
+
+
+def block_members(rng, dim, blocks, m):
+    """``m`` mutually orthogonal projectors summing to I, block diagonal on
+    ``blocks``: each block's Haar basis is dealt out among the members."""
+    mats = np.zeros((m, dim, dim), dtype=complex)
+    for b in blocks:
+        v = haar_unitary(rng, b.size)
+        owner = rng.integers(0, m, size=b.size)
+        for k in range(m):
+            cols = v[:, owner == k]
+            mats[k][np.ix_(b, b)] = cols @ cols.conj().T
+    return list(mats)
+
+
+def perturbation(rng, dim, blocks, kind):
+    """Noise of Frobenius norm near TOL_PROJ: Hermitian inside the blocks, or
+    non-Hermitian on a few entries anywhere (which may join blocks)."""
+    noise = np.zeros((dim, dim), dtype=complex)
+    if kind == "near":
+        for b in blocks:
+            x = rng.normal(size=(b.size, b.size)) + 1j * rng.normal(size=(b.size, b.size))
+            noise[np.ix_(b, b)] = x + x.conj().T
+    else:
+        i, j = rng.integers(0, dim, size=(2, 4))
+        noise[i, j] = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return noise * (TOL_PROJ * 10 ** rng.uniform(-0.5, 0.5) / np.linalg.norm(noise))
+
+
+def decomposition_of(mats):
+    """Stand-in for a decomposition that need not pass its own validation."""
+    members = [(f"m{k}", SimpleNamespace(mat=m)) for k, m in enumerate(mats)]
+    return SimpleNamespace(dim=len(mats[0]), members=members)
+
+
+def assert_checks_match_dense(members, unitary):
+    p = members[0]
+    check = is_projector(Operator(p))
+    assert check.hermiticity_defect == float(np.linalg.norm(p - p.conj().T))
+    assert_matches_dense(check.idempotency_defect, dense_idempotency(p), [p])
+    report = validate_decomposition(decomposition_of(members))
+    assert report.completeness_defect == dense_completeness(members)
+    assert_matches_dense(report.max_pairwise_overlap, dense_max_overlap(members), members)
+    assert_matches_dense(unitarity_defect(Operator(unitary)), dense_unitarity(unitary), [unitary])
+
+
+class TestBlockwiseChecks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([12, 60, 96, 150]),
+        st.sampled_from(["exact", "near", "non-hermitian", "haar"]),
+    )
+    def test_agree_with_dense_formulas(self, seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "haar":
+            u = haar_unitary(rng, dim)
+            cuts = np.sort(rng.choice(np.arange(1, dim), size=2, replace=False))
+            members = [
+                (u[:, part] @ u[:, part].conj().T)
+                for part in np.split(np.arange(dim), cuts)
+            ]
+            assert_checks_match_dense(members, u)
+            return
+        blocks = random_blocks(rng, dim, largest=int(rng.integers(1, 7)))
+        members = block_members(rng, dim, blocks, m=int(rng.integers(2, 6)))
+        unitary = sum(mat * np.exp(2j * np.pi * rng.random()) for mat in members)
+        # the rule: blocks from dimension 96 up, when the pattern splits
+        assert (hilbert._blocks(*members) is None) == (dim < 96 or len(blocks) == 1)
+        if kind != "exact":
+            members[0] = members[0] + perturbation(rng, dim, blocks, kind)
+            unitary = unitary + perturbation(rng, dim, blocks, kind)
+        assert_checks_match_dense(members, unitary)
+
+    @pytest.mark.parametrize("kind", ["imaginary link", "long cycles", "zero"])
+    def test_edge_patterns_match_dense_formulas(self, kind):
+        dim = 120
+        perm = np.random.default_rng(5).permutation(dim)
+        members = [np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex)]
+        unitary = np.eye(dim, dtype=complex)
+        if kind == "imaginary link":
+            # projector onto (e_0 - i e_1)/sqrt(2): its link is purely imaginary
+            members[0][:2, :2] = [[0.5, 0.5j], [-0.5j, 0.5]]
+            members[1] -= members[0]
+            unitary[:2, :2] = [[0, 1j], [1j, 0]]
+        elif kind == "long cycles":
+            # a shift on two cycles of 60: components found only by many hooks
+            unitary = np.roll(np.eye(dim, dtype=complex).reshape(dim, 2, 60), 1, axis=2)
+            unitary = unitary.reshape(dim, dim)
+            members[0] = np.diag((np.arange(dim) % 2).astype(complex))
+            members[1] -= members[0]
+        members = [m[np.ix_(perm, perm)] for m in members]
+        unitary = unitary[np.ix_(perm, perm)]
+        assert hilbert._blocks(*members, unitary) is not None
+        assert_checks_match_dense(members, unitary)
+        assert is_projector(Operator(members[0]))
+        assert unitarity_defect(Operator(unitary)) < TOL_PROJ
+
+    @pytest.mark.parametrize("name", [*BUILDERS, "hardy-detectors"])
+    def test_bundled_scenarios_match_dense_formulas(self, name):
+        scn = build_hardy(with_detectors=True) if name == "hardy-detectors" else BUILDERS[name]()
+        decompositions = {id(d): d for f in scn.families.values() for d in f.decompositions}
+        unitaries = {
+            id(ps): [ps.propagator(0, j).mat for j in range(len(ps.grid))]
+            + [u.mat for u in ps.steps]
+            for ps in (f.propagators for f in scn.families.values())
+        }
+        projectors = [p.mat for p in scn.projectors.values()] + [
+            p.mat for d in decompositions.values() for _, p in d.members
+        ]
+        for p in projectors:
+            check = is_projector(Operator(p))
+            assert check
+            assert check.hermiticity_defect == float(np.linalg.norm(p - p.conj().T))
+            assert_matches_dense(check.idempotency_defect, dense_idempotency(p), [p])
+        for d in decompositions.values():
+            mats = [p.mat for _, p in d.members]
+            report = validate_decomposition(d)
+            assert report
+            assert report.completeness_defect == dense_completeness(mats)
+            assert_matches_dense(report.max_pairwise_overlap, dense_max_overlap(mats), mats)
+        for u in itertools.chain.from_iterable(unitaries.values()):
+            assert_matches_dense(unitarity_defect(Operator(u)), dense_unitarity(u), [u])

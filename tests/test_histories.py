@@ -14,6 +14,7 @@ from conhist.histories import (
     Family,
     InconsistentFamilyError,
     MixedInitial,
+    PureInitial,
     UnknownLabelError,
     ZeroConditionProbabilityError,
     chain_operator,
@@ -28,6 +29,7 @@ from conhist.histories import (
     weight,
     weight_table,
     _analyze,
+    pure_families,
 )
 
 Z_PLUS = Ket(np.array([1, 0]), "z+")
@@ -65,6 +67,23 @@ def random_family(seed, dim=3, n_times=3):
     initial = Ket(random_unitary(dim, rng).mat[:, 0], "psi0")
     decs = [random_orthobasis_dec(dim, rng) for _ in range(n_times - 1)]
     return Family.pure(ps, tuple(range(n_times)), initial, decs)
+
+
+class TestPureAnchor:
+    def test_anchor_must_project_onto_the_initial_state(self):
+        anchor = DecompositionOfIdentity.from_basis([Z_PLUS, Z_MINUS], ["psi", "other"])
+        with pytest.raises(ValueError, match="does not project onto the initial state"):
+            Family(trivial_ps(2), (0, 1), (anchor, X_DEC), PureInitial(X_PLUS, "psi"))
+        # a global phase is not a different state
+        Family(trivial_ps(2), (0, 1), (anchor, X_DEC), PureInitial(Ket(1j * Z_PLUS.amps), "psi"))
+
+    def test_families_share_one_anchor(self):
+        pure = pure_families(X_PLUS)
+        f, g = pure(trivial_ps(2), (0, 1), [Z_DEC], name="f"), pure(trivial_ps(3), (0, 2), [Z_DEC])
+        assert f.decompositions[0] is g.decompositions[0]
+        assert f.decompositions[0].labels == ("x+", "~x+")
+        built = Family.pure(trivial_ps(2), (0, 1), X_PLUS, [Z_DEC], name="f")
+        assert weight_table(f).entries == weight_table(built).entries
 
 
 class TestChainOperator:
@@ -419,6 +438,29 @@ class TestProbabilities:
         assert event_probability(fam, []) == 0.0
         singles = [event_probability(fam, [a]) for a in alphas]
         assert sum(singles) == pytest.approx(1.0)
+
+    def test_lookups_outside_the_sample_space(self):
+        fam = Family.pure(trivial_ps(2), (0, 1), Z_PLUS, [X_DEC])
+        # the pinned slot's complement is a valid label of zero weight, not a table row
+        assert weight(("~z+", "x+"), fam) == 0.0
+        table = probabilities(fam)
+        assert table.probability(("z+", "x+")) == pytest.approx(0.5)
+        with pytest.raises(UnknownLabelError):
+            table.probability(("~z+", "x+"))
+        with pytest.raises(UnknownLabelError):
+            weight(("z+", "nope"), fam)
+
+    def test_weight_agrees_with_the_table_row_by_row(self):
+        # the mixed-radix position in weight() must name the enumeration's row,
+        # whichever slot is anchored and whatever the initial condition
+        fam = random_family(5, dim=3, n_times=4)
+        back_anchor = DecompositionOfIdentity.from_projector(Z_PLUS.projector(), "psi")
+        backward = Family(trivial_ps(3), (0, 1, 2), (X_DEC, Z_DEC, back_anchor),
+                          PureInitial(Z_PLUS, "psi"), 2)
+        mixed = Family.general(trivial_ps(3), (0, 2), [Z_DEC, X_DEC])
+        for f in (fam, backward, mixed):
+            for alpha, w in weight_table(f).entries:
+                assert weight(alpha, f) == w
 
     def test_event_probability_unknown_label(self):
         ps = trivial_ps(2)
