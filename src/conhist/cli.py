@@ -11,7 +11,7 @@ fields are printed with 17 significant digits and the ``results`` object
 carries no timestamps, so identical inputs produce byte-identical results.
 
 Exit codes: 0 success/affirmative verdict, 1 negative verdict, 2 usage
-error, 3 input/parse error.
+error, 3 input/parse error or a family too large to analyse.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .famspec import FamSpecError, parse as famspec_parse
 from .framework import FamilyMismatchError, common_refinement
 from .histories import (
     Family,
+    FamilyTooLargeError,
     InconsistentFamilyError,
     UnknownLabelError,
     ZeroConditionProbabilityError,
@@ -181,11 +182,6 @@ def cmd_check(args) -> int:
     started = time.monotonic()
     fam = _pick_family(_load_families(args), args.family)
     report = consistency_check(fam, **_tolerances(args))
-    results = {"family": args.family, **report.to_dict()}
-    rows = [
-        {"alpha": " ".join(a), "beta": " ".join(b), "overlap": o}
-        for a, b, o in report.violations
-    ] or [{"alpha": "", "beta": "", "overlap": 0.0}]
     if args.format == "text":
         verdict = "consistent" if report.consistent else "INCONSISTENT"
         print(f"family {args.family}: {verdict}")
@@ -194,8 +190,14 @@ def cmd_check(args) -> int:
             print(f"  violation: ({' '.join(a)}) vs ({' '.join(b)}): {_format_number(o)}")
         if len(report.violations) > 10:
             print(f"  ... and {len(report.violations) - 10} more")
+    elif args.format == "json":
+        _emit(args, "check", {"family": args.family, **report.to_dict()}, [], started)
     else:
-        _emit(args, "check", results, rows, started)
+        rows = [
+            {"alpha": " ".join(a), "beta": " ".join(b), "overlap": o}
+            for a, b, o in report.violations
+        ] or [{"alpha": "", "beta": "", "overlap": 0.0}]
+        _emit(args, "check", {}, rows, started)
     return EXIT_OK if report.consistent else EXIT_NEGATIVE
 
 
@@ -498,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnknownLabelError, ZeroConditionProbabilityError) as exc:
+    except (UnknownLabelError, ZeroConditionProbabilityError, FamilyTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

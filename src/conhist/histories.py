@@ -22,8 +22,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -53,6 +55,13 @@ EPS_SUPPORT = 1e-12
 
 # Refuse to enumerate absurdly large sample spaces.
 _MAX_HISTORIES = 250_000
+
+# Largest array an analysis may hold: one slot's split chains, or the
+# violation arrays at 16 B a pair.  The largest bundled or ladder analysis
+# holds 12.7 MB (796,068 violations), and each may briefly be held twice.
+_MAX_ANALYSIS_BYTES = 24 << 20
+# Bytes of the block of Gram matrix rows that ``_report`` forms at a time.
+_GRAM_BLOCK_BYTES = 4 << 20
 
 
 class UnknownLabelError(KeyError):
@@ -302,12 +311,12 @@ class ChainOperator:
 
 @dataclass(frozen=True, eq=False)
 class _Analysis:
-    """Surviving chains and the decoherence functional for one family."""
+    """Surviving chains and their weights for one family."""
 
     alphas: tuple[tuple[str, ...], ...]
     weights: np.ndarray  # per alpha; exactly 0 for pruned histories
     nonzero: np.ndarray  # ascending indices into alphas of the surviving chains
-    gram: np.ndarray     # decoherence matrix among the surviving chains
+    rows: np.ndarray     # flattened chains, one per surviving alpha; rows @ rows^dag = <K_a, K_b>
     floor: float         # chains whose norm fell to or below this were pruned
 
 
@@ -320,8 +329,10 @@ def _analyze(f: Family) -> _Analysis:
     with one propagator product, then splits them with one product per
     member.  A block whose Frobenius norm falls to the rounding floor
     ``n_slots * d * eps * |seed|_F`` is pruned with its whole subtree.  The
-    Gram matrix is ``<K_a, K_b> = Tr(rho K_a^dag K_b)``, which is invariant
-    under the unitaries that relate the Schrodinger and Heisenberg forms.
+    rows' Gram matrix is ``<K_a, K_b> = Tr(rho K_a^dag K_b)``, which is
+    invariant under the unitaries that relate the Schrodinger and Heisenberg
+    forms; a weight is a squared row norm.  A split larger than
+    ``_MAX_ANALYSIS_BYTES`` is refused before it is allocated.
     """
     ps, n_slots = f.propagators, len(f)
     alphas = f.alphas()
@@ -348,6 +359,10 @@ def _analyze(f: Family) -> _Analysis:
             rows = rows @ ps.propagator(here, j).mat
             here = j
         members = f.decompositions[slot].members
+        if len(members) * rows.nbytes > _MAX_ANALYSIS_BYTES:
+            raise FamilyTooLargeError(
+                f"time {f.time_labels[slot]} splits the chains into "
+                f"{len(members) * rows.nbytes} bytes (limit {_MAX_ANALYSIS_BYTES})")
         split = np.stack([rows @ p.mat for _, p in members]).reshape(len(members) * len(index), -1)
         index = (np.arange(len(members))[:, None] * math.prod(sizes[slot + 1:]) + index).ravel()
         keep = np.linalg.norm(split, axis=1) > floor
@@ -359,10 +374,9 @@ def _analyze(f: Family) -> _Analysis:
         # the state sits after the projectors, so the bras are the chain kets'
         # conjugates and the Gram entries swap
         flat = flat.conj()
-    gram = flat @ flat.conj().T
     weights = np.zeros(len(alphas))
-    weights[index] = gram.diagonal().real
-    return _Analysis(alphas, weights, index, gram, floor)
+    weights[index] = np.einsum("ij,ij->i", flat, flat.conj()).real
+    return _Analysis(alphas, weights, index, flat, floor)
 
 
 def chain_operator(h: History | Sequence[str], f: Family, ref: int = 0) -> ChainOperator:
@@ -436,12 +450,51 @@ def weight(h: History | Sequence[str], f: Family) -> float:
 # -- consistency ---------------------------------------------------------------
 
 
+class Violations(Sequence):
+    """The violating pairs ``(alpha, beta, overlap)`` by descending overlap,
+    ties in enumeration order: a read-only view of (2, n) alpha indices and n
+    overlaps that builds only the tuples read.  It is equal to, and hashes
+    like, the tuple of all of them."""
+
+    __slots__ = ("_alphas", "_pairs", "_overlaps")
+
+    def __init__(self, alphas: Sequence[tuple[str, ...]], pairs: np.ndarray, overlaps: np.ndarray):
+        self._alphas, self._pairs, self._overlaps = alphas, pairs, overlaps
+
+    def __len__(self) -> int:
+        return len(self._overlaps)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._tuples(k))
+        a, b = self._pairs[:, operator.index(k)]
+        return self._alphas[a], self._alphas[b], float(self._overlaps[k])
+
+    def _tuples(self, k: slice = slice(None)):
+        names, (first, second) = self._alphas, self._pairs[:, k].tolist()
+        overlaps = self._overlaps[k].tolist()
+        return ((names[a], names[b], o) for a, b, o in zip(first, second, overlaps))
+
+    __iter__ = _tuples
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, Violations)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} violations>"
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Result of evaluating the decoherence functional's off-diagonals."""
 
     consistent: bool
-    violations: tuple[tuple[tuple[str, ...], tuple[str, ...], float], ...]
+    violations: Violations
     max_normalized_overlap: float
     eps_abs: float = EPS_ABS
     eps_rel: float = EPS_REL
@@ -486,35 +539,39 @@ def consistency_check(
 
 
 def _report(analysis: _Analysis, eps_abs: float, eps_rel: float, mode: str) -> ConsistencyReport:
-    """The check over the upper triangle of the Gram matrix, one row at a time.
+    """The check over the upper triangle of the Gram matrix, a block of rows at a time.
 
-    Surviving chains weigh more than the prune floor squared, so every
-    normalization below is positive.
+    A block is never a single row, which numpy multiplies as a matrix-vector
+    product that rounds differently.  Surviving chains weigh more than the
+    prune floor squared, so every normalization below is positive.
     """
-    gram = analysis.gram
-    w = gram.diagonal().real
-    found = []  # (rows, columns, overlaps) of the violating pairs of one Gram row
-    max_norm = 0.0
-    for a in range(len(w) - 1):
-        row = gram[a, a + 1:]
-        overlap = np.abs(row.real if mode == "real" else row)
-        scale = np.sqrt(w[a] * w[a + 1:])
-        max_norm = max(max_norm, float((overlap / scale).max()))
-        bad = np.flatnonzero(overlap > eps_abs + eps_rel * scale)
-        if bad.size:
-            found.append((np.full(bad.size, a), bad + a + 1, overlap[bad]))
-    violations = ()
-    if found:
-        names = [analysis.alphas[i] for i in analysis.nonzero]
-        first, second, overlaps = (np.concatenate(parts) for parts in zip(*found))
-        order = np.argsort(-overlaps, kind="stable")
-        violations = tuple(
-            (names[a], names[b], float(o))
-            for a, b, o in zip(first[order], second[order], overlaps[order])
-        )
+    flat, w = analysis.rows, analysis.weights[analysis.nonzero]
+    n, adjoint = len(w), flat.conj().T
+    step = max(2, _GRAM_BLOCK_BYTES // max(16 * n, 1))
+    # (alpha index pairs, overlaps) of the violating pairs of each block
+    found = [(np.zeros((2, 0), dtype=np.int32), np.zeros(0))]
+    held, max_norm = 0, 0.0
+    for i in range(0, n - 1, step):
+        j = min(i + step, n)
+        gram = (flat[i:j] @ adjoint)[:, i + 1:]
+        overlap = np.abs(gram.real if mode == "real" else gram)
+        scale = np.sqrt(w[i:j, None] * w[None, i + 1:])
+        upper = np.arange(i + 1, n) > np.arange(i, j)[:, None]
+        max_norm = max(max_norm, float((overlap / scale)[upper].max()))
+        first, second = np.nonzero(upper & (overlap > eps_abs + eps_rel * scale))
+        held += 16 * first.size
+        if held > _MAX_ANALYSIS_BYTES:
+            raise FamilyTooLargeError(
+                f"more than {held // 16} violating pairs (limit {_MAX_ANALYSIS_BYTES} bytes)")
+        # alpha indices stay below _MAX_HISTORIES, so int32 holds them
+        pairs = analysis.nonzero[np.stack((first + i, second + i + 1))].astype(np.int32)
+        found.append((pairs, overlap[first, second]))
+    pairs = np.concatenate([p for p, _ in found], axis=1)
+    overlaps = np.concatenate([o for _, o in found])
+    order = np.argsort(-overlaps, kind="stable")
     return ConsistencyReport(
-        consistent=not violations,
-        violations=violations,
+        consistent=not len(overlaps),
+        violations=Violations(analysis.alphas, pairs[:, order], overlaps[order]),
         max_normalized_overlap=max_norm,
         eps_abs=eps_abs,
         eps_rel=eps_rel,

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from conhist.cli import main
 from conhist.famspec import scenario_to_famspec
 from conhist.scenarios import build_hardy
+
+DATA = Path(__file__).parent / "data"
 
 MINIMAL = """
 space q dim 2
@@ -116,6 +119,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--file", str(path), "--family", "split")
         assert code == 3
         assert "non-unitary" in err
+
+    def test_oversized_family_exit_three(self, capsys):
+        # 2^19 histories, over the enumeration cap: an input error, not a verdict
+        path = DATA / "too_many_histories.fam"
+        code, out, err = run(capsys, "check", "--file", str(path), "--family", "big")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "524288 histories" in err
 
     def test_tolerance_flags_change_verdict(self, capsys):
         code, _, _ = run(capsys, "check", "--scenario", "hardy", "--family", "blocker")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,12 @@ from conhist.hilbert import (
     Ket,
     Operator,
 )
+from conhist import histories
 from conhist.histories import (
+    EPS_ABS,
+    EPS_REL,
     Family,
+    FamilyTooLargeError,
     InconsistentFamilyError,
     MixedInitial,
     PureInitial,
@@ -56,6 +62,11 @@ def random_orthobasis_dec(dim, rng, labels=None):
     kets = [Ket(u[:, k]) for k in range(dim)]
     labels = labels or [f"b{k}" for k in range(dim)]
     return DecompositionOfIdentity.from_basis(kets, labels)
+
+
+def tilted_dec(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return DecompositionOfIdentity.from_basis([Ket(np.array([c, s])), Ket(np.array([-s, c]))], ["a", "b"])
 
 
 def random_family(seed, dim=3, n_times=3):
@@ -316,7 +327,8 @@ class TestEngineAgainstHeisenbergOracle:
                     assert analysis.weights[i] == 0.0
                     assert oracle[i, i].real <= analysis.floor**2
             sub = oracle[np.ix_(analysis.nonzero, analysis.nonzero)]
-            assert np.abs(analysis.gram - sub).max(initial=0.0) <= 1e-12
+            gram = analysis.rows @ analysis.rows.conj().T
+            assert np.abs(gram - sub).max(initial=0.0) <= 1e-12
 
 
 class TestConsistency:
@@ -358,14 +370,65 @@ class TestConsistency:
 
     def test_violations_in_enumeration_order(self):
         # each pair reads (earlier, later) in enumeration order; the list runs
-        # by descending overlap, ties in pair order
+        # by descending overlap, ties in pair order.  The second family has
+        # 240 violations with 30 distinct overlaps.
+        tilted = [X_DEC, Z_DEC, tilted_dec(0.3), X_DEC, Z_DEC]
+        for fam in (random_family(4, dim=3, n_times=4), Family.pure(trivial_ps(6), range(6), Z_PLUS, tilted)):
+            rank = {a: i for i, a in enumerate(fam.alphas())}
+            report = consistency_check(fam)
+            assert len(report.violations) > 1
+            keys = [(-o, rank[a], rank[b]) for a, b, o in report.violations]
+            assert all(ra < rb for _, ra, rb in keys)
+            assert keys == sorted(keys)
+
+    @staticmethod
+    def whole_matrix_check(fam, mode):
+        """Violations and max normalized overlap from the whole Gram matrix,
+        one row at a time."""
+        analysis = _analyze(fam)
+        gram, w = analysis.rows @ analysis.rows.conj().T, analysis.weights[analysis.nonzero]
+        names = [analysis.alphas[k] for k in analysis.nonzero]
+        found, max_norm = [], 0.0
+        for a in range(len(w) - 1):
+            overlap = np.abs(gram[a, a + 1:].real if mode == "real" else gram[a, a + 1:])
+            scale = np.sqrt(w[a] * w[a + 1:])
+            max_norm = max(max_norm, float((overlap / scale).max()))
+            found += [(names[a], names[a + 1 + b], float(overlap[b]))
+                      for b in np.flatnonzero(overlap > EPS_ABS + EPS_REL * scale)]
+        return tuple(sorted(found, key=lambda v: -v[2])), max_norm
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gram_row_blocks_match_the_whole_matrix(self, monkeypatch, seed, mode):
+        # 8 chains: blocks of 2 and of 3 rows both leave one row over, which
+        # joins the last block instead of forming a one-row block.  Reversed,
+        # the last two chains differ next to the state, so they overlap.
+        fam = time_reverse(random_family(seed, dim=2, n_times=4))
+        violations, max_norm = self.whole_matrix_check(fam, mode)
+        assert len(fam.alphas()) == 8 and violations
+        for rows in (None, 2, 3):
+            if rows:
+                monkeypatch.setattr(histories, "_GRAM_BLOCK_BYTES", rows * 16 * 8)
+            report = consistency_check(fam, mode=mode)
+            assert not report.consistent
+            assert tuple(report.violations) == violations
+            assert report.max_normalized_overlap == max_norm
+
+    def test_violations_view(self):
         fam = random_family(4, dim=3, n_times=4)
-        rank = {a: i for i, a in enumerate(fam.alphas())}
         report = consistency_check(fam)
-        assert len(report.violations) > 1
-        keys = [(-o, rank[a], rank[b]) for a, b, o in report.violations]
-        assert all(ra < rb for _, ra, rb in keys)
-        assert keys == sorted(keys)
+        view, pairs = report.violations, tuple(report.violations)
+        assert len(view) == len(pairs) > 3
+        assert all(isinstance(o, float) for _, _, o in pairs)
+        assert (view[0], view[-1], view[-2]) == (pairs[0], pairs[-1], pairs[-2])
+        assert view[1:3] == pairs[1:3] and isinstance(view[1:3], tuple)
+        assert view[::-1] == pairs[::-1]
+        with pytest.raises(IndexError):
+            view[len(pairs)]
+        assert view == pairs and pairs == view and hash(view) == hash(pairs)
+        assert view != pairs[:-1] and view != list(pairs)
+        again = consistency_check(fam)
+        assert again == report and hash(again) == hash(report)
 
     @pytest.mark.parametrize("kw", [
         {"eps_abs": float("nan")}, {"eps_rel": float("nan")},
@@ -388,6 +451,33 @@ class TestConsistency:
         fam = Family.pure(ps, (0, 1, 2), Z_PLUS, [Z_DEC, Z_DEC])
         report = consistency_check(fam)
         assert report.consistent
+
+
+class TestAnalysisBudget:
+    def test_oversized_split_refused_before_allocation(self):
+        # 16,384 histories, under the enumeration cap; but sqrt(rho) splits
+        # into 128 blocks of 128 x 128 rows at the first time (32 MiB) and
+        # into 4.3 GB of chains at the second
+        eye = np.eye(128)
+        dec = DecompositionOfIdentity.from_basis([Ket(c) for c in eye], [f"b{k}" for k in range(128)])
+        fam = Family.general(trivial_ps(2, 128), (0, 1), [dec, dec], DensityOperator(Operator(eye / 128)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FamilyTooLargeError, match="splits the chains"):
+                consistency_check(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_violation_arrays_charged_at_16_bytes_a_pair(self, monkeypatch):
+        fam = random_family(4, dim=3, n_times=4)
+        n = len(consistency_check(fam).violations)
+        monkeypatch.setattr(histories, "_MAX_ANALYSIS_BYTES", 16 * n)
+        assert len(consistency_check(fam).violations) == n
+        monkeypatch.setattr(histories, "_MAX_ANALYSIS_BYTES", 16 * n - 1)
+        with pytest.raises(FamilyTooLargeError, match="violating pairs"):
+            consistency_check(fam)
 
 
 class TestProbabilities:
