@@ -28,7 +28,6 @@ from .dynamics import (
     Hamiltonian,
     PropagatorSet,
     TimeGrid,
-    heisenberg,
     propagator_from_hamiltonian,
 )
 from .histories import (

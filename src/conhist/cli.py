@@ -38,7 +38,6 @@ from .histories import (
     weight_table,
 )
 from .relativistic import (
-    CyclicCausalityError,
     EmbeddingImpossibleError,
     Hypersurface,
     Region,
@@ -405,7 +404,7 @@ def cmd_embed(args) -> int:
         else:
             _emit(args, "embed", results, [{"witness": exc.witness}], started)
         return EXIT_NEGATIVE
-    except CyclicCausalityError as exc:
+    except ValueError as exc:  # no events, repeated ids, or cyclic causality
         raise InputError(str(exc)) from None
     results = {"embedded": True, **result.to_dict()}
     rows = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import Operator, Projector, TOL_PROJ, unitarity_defect
+from .hilbert import Operator, TOL_PROJ, unitarity_defect
 
 # Unitarity tolerance for step operators.
 TOL_UNITARY = 1e-9
@@ -51,12 +51,6 @@ class TimeGrid:
             if abs(v - t) <= tol:
                 return i
         raise KeyError(f"time {t} not on grid {self.values}")
-
-    def index_of_label(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no grid time labeled {label!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +137,7 @@ class PropagatorSet:
         return Operator(self._cumulative[j] @ self._cumulative[k].conj().T)
 
     def heisenberg_matrix(self, mat: np.ndarray, j: int, reference: int = 0) -> np.ndarray:
+        """Heisenberg form ``T(r, j) M T(j, r)`` of an operator at time j."""
         if j == reference:
             return mat
         t_rj = self.propagator(reference, j).mat
@@ -155,14 +150,3 @@ class PropagatorSet:
         if self is other:
             return True
         return all(a.allclose(b, tol) for a, b in zip(self.steps, other.steps))
-
-
-def heisenberg(p: Projector, ps: PropagatorSet, j: int, reference: int = 0) -> Operator:
-    """Heisenberg form ``T(r, j) P T(j, r)`` of a projector at time j.
-
-    The output is again a projector (similarity transform by a unitary); it is
-    returned as a plain Operator because callers immediately multiply chains.
-    """
-    if p.dim != ps.dim:
-        raise ValueError("projector/propagator dimension mismatch")
-    return Operator(ps.heisenberg_matrix(p.mat, j, reference))

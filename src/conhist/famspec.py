@@ -68,7 +68,7 @@ from .hilbert import (
     projector_onto_span,
     unitarity_defect,
 )
-from .histories import Family, pure_families
+from .histories import Family, PureInitial, pure_families
 
 _DECLARATIONS = ("space", "ket", "unitary", "proj", "decomp", "times", "family")
 _KEYWORDS = frozenset(_DECLARATIONS) | frozenset(
@@ -819,15 +819,13 @@ def scenario_to_famspec(scn) -> str:
     Every propagator set used by the scenario's families becomes its own
     times/steps group; decomposition members are exported as explicit
     projector matrices.  Names outside the famspec charset are sanitized.
-    Only pure or absent initial conditions are supported.
+    Only pure or absent initial conditions are supported.  The declarations
+    fill a :class:`SpecDocument` that :func:`serialize` writes, canonically.
     """
-    from .histories import PureInitial
-
     taken: set[str] = set()
-    lines: list[str] = []
+    doc = SpecDocument({}, {}, {}, {}, {}, {}, {})
     space_by_dim: dict[int, str] = {}
-    grid_name: dict[int, str] = {}
-    step_names: dict[int, tuple[str, ...]] = {}
+    grids: dict[int, tuple[str, tuple[str, ...]]] = {}  # id(ps) -> (times, steps)
     proj_names: dict[int, str] = {}
     proj_mats: list[tuple[str, str, np.ndarray]] = []
     ket_names: dict[int, str] = {}
@@ -835,96 +833,66 @@ def scenario_to_famspec(scn) -> str:
     def export_space(ps) -> str:
         # One famspec space per dimension: distinct dynamics over the same
         # system share kets and projectors.
-        if ps.dim in space_by_dim:
-            return space_by_dim[ps.dim]
-        name = _sanitize(f"H{len(space_by_dim)}", taken)
-        lines.append(f"space {name} dim {ps.dim}")
-        space_by_dim[ps.dim] = name
-        return name
+        if ps.dim not in space_by_dim:
+            name = _sanitize(f"H{len(space_by_dim)}", taken)
+            doc.spaces[name] = SpaceDecl(name, ps.dim, 0, 0)
+            space_by_dim[ps.dim] = name
+        return space_by_dim[ps.dim]
 
-    def export_grid(ps) -> str:
-        if id(ps) in grid_name:
-            return grid_name[id(ps)]
-        space = export_space(ps)
-        gname = _sanitize(f"grid{len(grid_name)}", taken)
-        vals = ", ".join(format_float(v) for v in ps.grid.values)
-        snames = []
-        for j, step in enumerate(ps.steps):
-            sname = _sanitize(f"{gname}.step{j}", taken)
-            lines.append(
-                f"unitary {sname} on {space} = " + _format_matrix(step.mat.ravel(), ps.dim)
-            )
-            snames.append(sname)
-        lines.append(f"times {gname} = [{vals}]")
-        grid_name[id(ps)] = gname
-        step_names[id(ps)] = tuple(snames)
-        return gname
+    def export_grid(ps) -> tuple[str, tuple[str, ...]]:
+        if id(ps) not in grids:
+            space = export_space(ps)
+            gname = _sanitize(f"grid{len(grids)}", taken)
+            snames = []
+            for j, step in enumerate(ps.steps):
+                sname = _sanitize(f"{gname}.step{j}", taken)
+                doc.unitary_decls[sname] = UnitaryDecl(sname, space, step.mat.ravel(), 0, 0)
+                snames.append(sname)
+            doc.times_decls[gname] = TimesDecl(gname, ps.grid.values, 0, 0)
+            grids[id(ps)] = (gname, tuple(snames))
+        return grids[id(ps)]
 
     def export_proj(label: str, proj, space: str) -> str:
         # Reuse a declaration only when both the label and the matrix agree;
         # equal matrices may legitimately carry different basis readings.
-        key = id(proj)
-        if key in proj_names:
-            return proj_names[key]
-        for name, lab, mat in proj_mats:
-            if (
-                lab == label
-                and mat.shape == proj.mat.shape
-                and np.allclose(mat, proj.mat, atol=1e-15)
-            ):
-                proj_names[key] = name
-                return name
-        name = _sanitize(label, taken)
-        lines.append(
-            f"proj {name} on {space} = " + _format_matrix(proj.mat.ravel(), proj.dim)
-        )
-        proj_names[key] = name
-        proj_mats.append((name, label, proj.mat))
-        return name
+        if id(proj) not in proj_names:
+            for name, lab, mat in proj_mats:
+                if lab == label and mat.shape == proj.mat.shape:
+                    if np.allclose(mat, proj.mat, atol=1e-15):
+                        break
+            else:
+                name = _sanitize(label, taken)
+                doc.proj_decls[name] = ProjDecl(name, space, None, proj.mat.ravel(), 0, 0)
+                proj_mats.append((name, label, proj.mat))
+            proj_names[id(proj)] = name
+        return proj_names[id(proj)]
 
     def export_ket(ket, fallback: str, space: str) -> str:
-        key = id(ket)
-        if key in ket_names:
-            return ket_names[key]
-        name = _sanitize(ket.label or fallback, taken)
-        amps = ", ".join(format_complex(z) for z in ket.amps)
-        lines.append(f"ket {name} in {space} = [{amps}]")
-        ket_names[key] = name
-        return name
+        if id(ket) not in ket_names:
+            name = _sanitize(ket.label or fallback, taken)
+            doc.ket_decls[name] = KetDecl(name, space, tuple(ket.amps.tolist()), 0, 0)
+            ket_names[id(ket)] = name
+        return ket_names[id(ket)]
 
-    family_lines: list[str] = []
     for fname in sorted(scn.families):
         fam = scn.families[fname]
         if fam.initial is not None and not isinstance(fam.initial, PureInitial):
             raise ValueError("only pure or absent initial conditions can be exported")
-        gname = export_grid(fam.propagators)
+        gname, steps = export_grid(fam.propagators)
         space = space_by_dim[fam.propagators.dim]
-        head = f"family {_sanitize(fname, taken)} times {gname}"
-        start_slot = 0
+        name = _sanitize(fname, taken)
+        times = [fam.propagators.grid.values[j] for j in fam.time_indices]
+        initial, ats = None, []
         if isinstance(fam.initial, PureInitial):
-            kname = export_ket(fam.initial.ket, f"{fname}.initial", space)
-            head += f" initial {kname}"
-            start_slot = 1
-        body = [head + " {"]
-        if start_slot == 1:
-            t0 = fam.propagators.grid.values[fam.time_indices[0]]
-            body.append(f"  at {format_float(t0)}: identity")
-        for slot in range(start_slot, len(fam.time_indices)):
-            t = fam.propagators.grid.values[fam.time_indices[slot]]
-            dec = fam.decompositions[slot]
-            if len(dec) == 1 and dec.members[0][1].rank == fam.dim:
-                target = "identity"
-            else:
-                members = [
-                    export_proj(f"{lab}", proj, space) for lab, proj in dec.members
-                ]
-                dname = _sanitize(f"{fname}.t{t:g}", taken)
-                family_lines.append(
-                    f"decomp {dname} on {space} = {{{', '.join(members)}}}"
-                )
-                target = dname
-            body.append(f"  at {format_float(t)}: {target}")
-        body.append("} steps { " + " ".join(step_names[id(fam.propagators)]) + " }")
-        family_lines.append("\n".join(body))
+            initial = export_ket(fam.initial.ket, f"{fname}.initial", space)
+            ats.append(FamilyAt(times[0], None, 0, 0))
+        for t, dec in zip(times[len(ats):], fam.decompositions[len(ats):]):
+            target = None  # the identity keyword
+            if len(dec) != 1 or dec.members[0][1].rank != fam.dim:
+                members = tuple(export_proj(lab, proj, space) for lab, proj in dec.members)
+                target = _sanitize(f"{fname}.t{t:g}", taken)
+                doc.decomp_decls[target] = DecompDecl(target, space, members, 0, 0)
+            ats.append(FamilyAt(t, target, 0, 0))
+        doc.family_decls[name] = FamilyDecl(name, gname, initial, tuple(ats), steps, 0, 0)
 
-    return "\n".join(lines + family_lines) + "\n"
+    return serialize(doc)

@@ -232,9 +232,6 @@ class Operator:
     def is_hermitian(self, tol: float = TOL_PROJ) -> bool:
         return _frob(self.mat - self.mat.conj().T) < tol
 
-    def is_unitary(self, tol: float = TOL_PROJ) -> bool:
-        return unitarity_defect(self) < tol
-
     def commutator_norm(self, other: "Operator") -> float:
         """Frobenius norm of ``[self, other]``."""
         if self.dim != other.dim:
@@ -311,10 +308,6 @@ class Projector:
         object.__setattr__(self, "rank", int(r))
 
     @classmethod
-    def from_matrix(cls, entries) -> "Projector":
-        return cls(Operator(entries))
-
-    @classmethod
     def identity(cls, dim: int) -> "Projector":
         return cls(Operator.identity(dim))
 
@@ -374,10 +367,6 @@ class DensityOperator:
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product; entry ((i*db+k),(j*db+l)) equals a[i,j]*b[k,l]."""
     return Operator(np.kron(a.mat, b.mat))
-
-
-def tensor_ket(a: Ket, b: Ket) -> Ket:
-    return Ket(np.kron(a.amps, b.amps))
 
 
 def op_inner(a: Operator, b: Operator) -> complex:

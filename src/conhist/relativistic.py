@@ -16,6 +16,7 @@ makes some event collections impossible to embed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -295,9 +296,6 @@ class CausalGraph:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
-    def successors(self, node: str) -> tuple[str, ...]:
-        return tuple(b for a, b in sorted(self.edges) if a == node)
-
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges
 
@@ -305,57 +303,34 @@ class CausalGraph:
         return {"nodes": list(self.nodes), "edges": [list(e) for e in sorted(self.edges)]}
 
 
-def _find_cycle(nodes: Sequence, adjacency: Mapping) -> list | None:
-    """Return one cycle as a node list, or None if the graph is acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    parent: dict = {}
+def _precedence(nodes: Sequence, points: Mapping, same) -> tuple[set, TopologicalSorter]:
+    """Edges a -> b wherever some point of a causally precedes some point of
+    b, for every pair with ``not same(a, b)``, and their sorter."""
+    edges = {
+        (a, b) for a in nodes for b in nodes
+        if not same(a, b) and any(_point_precedes(p, q) for p in points[a] for q in points[b])
+    }
+    return edges, _sorter(nodes, edges)
 
-    for start in nodes:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(adjacency.get(start, ())))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adjacency.get(nxt, ()))))
-                    advanced = True
-                    break
-                if color[nxt] == GRAY:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+
+def _sorter(nodes: Sequence, edges: Iterable) -> TopologicalSorter:
+    """Nodes in input order, each one's successors in sorted order, so that
+    ``prepare()`` reports the cycle a depth-first search in that order meets
+    first (``CycleError.args[1]``, its first node repeated at the end)."""
+    sorter = TopologicalSorter()
+    for n in nodes:
+        sorter.add(n)
+    for a, b in sorted(edges):
+        sorter.add(b, a)
+    return sorter
+
+
+def _cycle(sorter: TopologicalSorter) -> list | None:
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        return exc.args[1]
     return None
-
-
-def _longest_path_layers(nodes: Sequence, adjacency: Mapping) -> dict:
-    """Layer = length of the longest incoming chain (graph must be acyclic)."""
-    indeg = {n: 0 for n in nodes}
-    for a in nodes:
-        for b in adjacency.get(a, ()):
-            indeg[b] += 1
-    layer = {n: 0 for n in nodes}
-    queue = [n for n in nodes if indeg[n] == 0]
-    while queue:
-        n = queue.pop(0)
-        for b in adjacency.get(n, ()):
-            layer[b] = max(layer[b], layer[n] + 1)
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                queue.append(b)
-    return layer
 
 
 def causal_precedence(events: Sequence[TaggedEvent]) -> CausalGraph:
@@ -368,18 +343,8 @@ def causal_precedence(events: Sequence[TaggedEvent]) -> CausalGraph:
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
         raise ValueError("event ids must be unique")
-    pts = {e.id: e.points() for e in events}
-    edges = set()
-    for e in events:
-        for g in events:
-            if e.id == g.id:
-                continue
-            if any(_point_precedes(p, q) for p in pts[e.id] for q in pts[g.id]):
-                edges.add((e.id, g.id))
-    adjacency: dict[str, list[str]] = {i: [] for i in ids}
-    for a, b in sorted(edges):
-        adjacency[a].append(b)
-    cycle = _find_cycle(ids, adjacency)
+    edges, sorter = _precedence(ids, {e.id: e.points() for e in events}, lambda a, b: a == b)
+    cycle = _cycle(sorter)
     if cycle is not None:
         raise CyclicCausalityError(cycle)
     return CausalGraph(tuple(ids), frozenset(edges))
@@ -427,32 +392,15 @@ def embed_events(events: Sequence[TaggedEvent]) -> EmbeddingResult:
         raise ValueError("need at least one event")
 
     # Region-level precedence.
-    rnodes: list[tuple[str, int]] = []
-    rpoints: dict[tuple[str, int], tuple[SpacetimePoint, ...]] = {}
-    for e in events:
-        for i, r in enumerate(e.regions):
-            rnodes.append((e.id, i))
-            rpoints[(e.id, i)] = r.corner_points()
-    redges = set()
-    for a in rnodes:
-        for b in rnodes:
-            if a[0] == b[0]:
-                continue
-            if any(_point_precedes(p, q) for p in rpoints[a] for q in rpoints[b]):
-                redges.add((a, b))
-    radj: dict[tuple[str, int], list] = {n: [] for n in rnodes}
-    for a, b in sorted(redges):
-        radj[a].append(b)
-    rcycle = _find_cycle(rnodes, radj)
+    rpoints = {(e.id, i): r.corner_points() for e in events for i, r in enumerate(e.regions)}
+    redges, rsorter = _precedence(list(rpoints), rpoints, lambda a, b: a[0] == b[0])
+    rcycle = _cycle(rsorter)
     if rcycle is not None:
         raise CyclicCausalityError([f"{eid}[{i}]" for eid, i in rcycle])
 
     # Quotient by event atomicity: all regions of an event share a node.
-    qadj: dict[str, set[str]] = {i: set() for i in ids}
-    for (ea, _), (eb, _) in redges:
-        if ea != eb:
-            qadj[ea].add(eb)
-    qcycle = _find_cycle(ids, {k: sorted(v) for k, v in qadj.items()})
+    qsorter = _sorter(ids, {(ea, eb) for (ea, _), (eb, _) in redges})
+    qcycle = _cycle(qsorter)
     if qcycle is not None:
         entangled = [e for e in events if e.is_entangled and e.id in qcycle]
         if entangled:
@@ -463,9 +411,14 @@ def embed_events(events: Sequence[TaggedEvent]) -> EmbeddingResult:
             )
         raise CyclicCausalityError(qcycle)
 
-    layer = _longest_path_layers(ids, {k: sorted(v) for k, v in qadj.items()})
-    n_layers = max(layer.values()) + 1
-    grouped: list[list[str]] = [[] for _ in range(n_layers)]
+    # Layer k is the k-th round of ready events, each round done whole: the
+    # longest chain into an event of layer k has k edges.
+    rounds: list[tuple[str, ...]] = []
+    while qsorter.is_active():
+        rounds.append(qsorter.get_ready())
+        qsorter.done(*rounds[-1])
+    layer = {eid: k for k, ready in enumerate(rounds) for eid in ready}
+    grouped: list[list[str]] = [[] for _ in rounds]
     for eid in ids:
         grouped[layer[eid]].append(eid)
 
@@ -523,12 +476,11 @@ def embed_events(events: Sequence[TaggedEvent]) -> EmbeddingResult:
         surfaces.append(surf)
         prev = base
 
-    result = EmbeddingResult(
+    return EmbeddingResult(
         foliation=Foliation(tuple(surfaces)),
         layer_of={eid: layer[eid] for eid in ids},
         layers=tuple(tuple(g) for g in grouped),
     )
-    return result
 
 
 # -- spacelike commutation and covariance -------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..dynamics import PropagatorSet
-from ..hilbert import Ket, Operator, Projector
+from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import Family
 from ..relativistic import CovarianceMap, TaggedEvent, transform_family
 
@@ -112,6 +112,14 @@ class Scenario:
 def kron(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product of the factors, leftmost factor most significant."""
     return functools.reduce(np.kron, mats)
+
+
+def with_rest(*members: tuple[str, Projector]) -> DecompositionOfIdentity:
+    """The members, plus a ``"rest"`` member when they do not sum to I."""
+    rest = np.eye(members[0][1].dim, dtype=np.complex128) - sum(p.mat for _, p in members)
+    if np.linalg.norm(rest) > 1e-12:
+        members += (("rest", Projector(Operator(rest))),)
+    return DecompositionOfIdentity(members)
 
 
 def basis_relabeling_maps(ps: PropagatorSet, seed: int = 7) -> CovarianceMap:

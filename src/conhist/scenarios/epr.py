@@ -35,6 +35,7 @@ from .base import (
     PROVENANCE_TRIVIAL,
     Scenario,
     kron,
+    with_rest,
 )
 
 
@@ -88,12 +89,7 @@ def build_epr() -> Scenario:
     ps = PropagatorSet(grid, (ident, ident, ident, Operator(measure), ident))
 
     def dec(*labels: str) -> DecompositionOfIdentity:
-        members = [(lab, P[lab]) for lab in labels]
-        total = sum(p.mat for _, p in members)
-        rest = np.eye(12, dtype=np.complex128) - total
-        if np.linalg.norm(rest) > 1e-12:
-            members.append(("rest", Projector(Operator(rest))))
-        return DecompositionOfIdentity(tuple(members))
+        return with_rest(*((lab, P[lab]) for lab in labels))
 
     zz = dec("z+z+", "z+z-", "z-z+", "z-z-")
     zx = dec("z+x+", "z+x-", "z-x+", "z-x-")

@@ -41,6 +41,7 @@ from .base import (
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    with_rest,
 )
 
 _LEFT, _RIGHT = 0, 1
@@ -211,14 +212,6 @@ def build_wavepacket(
     det_dec = DecompositionOfIdentity(
         tuple((lab, P[lab]) for lab in ("A*B", "AB", "AB*", "A*B*"))
     )
-
-    def with_rest(*members: tuple[str, Projector]) -> DecompositionOfIdentity:
-        total = sum(p.mat for _, p in members)
-        rest = np.eye(dim, dtype=np.complex128) - total
-        out = list(members)
-        if np.linalg.norm(rest) > 1e-12:
-            out.append(("rest", Projector(Operator(rest))))
-        return DecompositionOfIdentity(tuple(out))
 
     # {Psi.v, rest} at every time after the first, built once per time
     psi_dec = {

@@ -310,6 +310,21 @@ class TestEmbed:
         assert code == 1
         assert "psi-" in out
 
+    def test_no_events_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"events": []}))
+        code, _, err = run(capsys, "embed", str(path))
+        assert code == 3
+        assert "at least one event" in err
+
+    def test_repeated_event_id_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "events.json"
+        twice = EVENTS_OK["events"][0]
+        path.write_text(json.dumps({"events": [twice, twice]}))
+        code, _, err = run(capsys, "embed", str(path))
+        assert code == 3
+        assert "unique" in err
+
     def test_bad_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "events.json"
         path.write_text("{not json")

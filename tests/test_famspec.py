@@ -551,6 +551,13 @@ class TestSerialize:
             s1 = serialize(doc)
             assert serialize(parse(s1)) == s1
 
+    @pytest.mark.parametrize("name", ["spin-half", "epr", "hardy", "wavepacket"])
+    def test_export_is_canonical(self, name):
+        from conhist import scenarios
+
+        text = scenario_to_famspec(scenarios.build(name))
+        assert text == serialize(parse(text))
+
     def test_exported_spin_half_reproduces_weights(self):
         from conhist.scenarios import build_spin_half
 

@@ -1,3 +1,7 @@
+import ast
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +237,105 @@ class TestEmbedding:
         assert result.layer_of["p"] == 1
         surf = result.foliation.surfaces[1]
         assert surf.tau(0) == pytest.approx(1.0)
+
+
+def _precedes(a_points, b_points):
+    return any(
+        classify_interval(p, q) in (TIMELIKE, LIGHTLIKE) and p.t < q.t
+        for p in a_points
+        for q in b_points
+    )
+
+
+def _longest_chain(nodes, edges):
+    """Number of edges on the longest chain into each node of a DAG."""
+    depth = {}
+
+    def into(n):
+        if n not in depth:
+            depth[n] = max((into(a) + 1 for a, b in edges if b == n), default=0)
+        return depth[n]
+
+    return {n: into(n) for n in nodes}
+
+
+def _random_events(rng):
+    """One to six local, wide or entangled events on flat or tilted surfaces."""
+
+    def surface():
+        slope = float(rng.choice([0.0, -0.8, -0.5, 0.25, 0.5, 0.8]))
+        return Hypersurface.line(float(rng.integers(-4, 8)), slope, -30, 30)
+
+    events = []
+    for k in range(int(rng.integers(1, 7))):
+        kind = rng.integers(3)
+        if kind == 2:
+            cells = rng.choice(np.arange(-12, 13), size=int(rng.integers(2, 4)), replace=False)
+            shared = surface() if rng.random() < 0.6 else None
+            regions = [Region.at([int(c)], shared or surface()) for c in cells]
+            events.append(TaggedEvent.entangled(f"e{k}", regions))
+        else:
+            cell = int(rng.integers(-10, 11))
+            width = int(rng.integers(4, 15)) if kind == 1 else 0
+            region = Region.at(range(cell, cell + width + 1), surface())
+            events.append(TaggedEvent.local(f"e{k}", region))
+    return events
+
+
+class TestLayeringAndCycles:
+    def test_random_event_sets(self):
+        rng = np.random.default_rng(2002)
+        seen = Counter()
+        for trial in range(600):
+            events = _random_events(rng)
+            by_id = {e.id: e for e in events}
+            edges = {
+                (a.id, b.id) for a in events for b in events
+                if a is not b and _precedes(a.points(), b.points())
+            }
+
+            def points(node):  # an event id, or "id[i]" for one of its regions
+                m = re.fullmatch(r"(\w+)\[(\d+)\]", node)
+                if m is None:
+                    return node, by_id[node].points()
+                return m[1], by_id[m[1]].regions[int(m[2])].corner_points()
+
+            def assert_closed_walk(cycle):
+                assert len(cycle) >= 3 and cycle[0] == cycle[-1], (trial, cycle)
+                for a, b in zip(cycle, cycle[1:]):
+                    (ea, pa), (eb, pb) = points(a), points(b)
+                    assert ea != eb and _precedes(pa, pb), (trial, cycle, a, b)
+
+            try:
+                graph = causal_precedence(events)
+                assert graph.edges == edges, trial
+            except CyclicCausalityError as exc:
+                assert_closed_walk(exc.cycle)
+                graph = None
+                seen["event cycle"] += 1
+            try:
+                result = embed_events(events)
+            except CyclicCausalityError as exc:
+                assert_closed_walk(exc.cycle)
+                seen["region cycle"] += 1
+            except EmbeddingImpossibleError as exc:
+                m = re.search(r"\(cycle (\[.*\])\)$", exc.detail)
+                if m is not None:
+                    cycle = ast.literal_eval(m[1])
+                    assert_closed_walk(cycle)
+                    first = next(e.id for e in events if e.is_entangled and e.id in cycle)
+                    assert exc.witness == first, (trial, cycle)
+                    seen["witness"] += 1
+            else:
+                assert graph is not None, trial
+                assert result.layer_of == _longest_chain(by_id, edges), trial
+                assert [eid for layer in result.layers for eid in layer] == sorted(
+                    by_id, key=lambda eid: (result.layer_of[eid], list(by_id).index(eid))
+                )
+                seen["embedded"] += 1
+        # every kind of outcome is exercised
+        kinds = ("event cycle", "region cycle", "witness", "embedded")
+        assert min(seen[k] for k in kinds) >= 10, seen
 
 
 class TestCovarianceMap:
