@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import Operator, TOL_PROJ, unitarity_defect
+from .hilbert import Operator, TOL_PROJ, _product, unitarity_defect
 
 # Unitarity tolerance for step operators.
 TOL_UNITARY = 1e-9
@@ -111,7 +111,7 @@ class PropagatorSet:
         acc = np.eye(self.space_dim, dtype=np.complex128)
         cumulative = [acc]
         for u in steps:
-            acc = u.mat @ acc
+            acc = _product(u.mat, acc)
             cumulative.append(acc)
         object.__setattr__(self, "_cumulative", tuple(cumulative))
 
@@ -134,14 +134,14 @@ class PropagatorSet:
             return Operator(self._cumulative[j])
         if j == 0:
             return Operator(self._cumulative[k].conj().T)
-        return Operator(self._cumulative[j] @ self._cumulative[k].conj().T)
+        return Operator(_product(self._cumulative[j], self._cumulative[k].conj().T))
 
     def heisenberg_matrix(self, mat: np.ndarray, j: int, reference: int = 0) -> np.ndarray:
         """Heisenberg form ``T(r, j) M T(j, r)`` of an operator at time j."""
         if j == reference:
             return mat
         t_rj = self.propagator(reference, j).mat
-        return t_rj @ mat @ t_rj.conj().T
+        return _product(_product(t_rj, mat), t_rj.conj().T)
 
     def same_dynamics(self, other: "PropagatorSet", tol: float = 1e-9) -> bool:
         """Equal grids and equal step unitaries within ``tol``."""

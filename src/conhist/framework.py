@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DecompositionOfIdentity, Operator, Projector, TOL_PROJ
+from .hilbert import DecompositionOfIdentity, Operator, Projector, TOL_PROJ, _product
 from .histories import (
     ConsistencyReport,
     Family,
@@ -168,7 +168,7 @@ def _member_is_sum(coarse: Projector, fine: DecompositionOfIdentity, tol: float)
     """
     total = None
     for _, q in fine.members:
-        qp = q.mat @ coarse.mat
+        qp = _product(q.mat, coarse.mat)
         if np.linalg.norm(qp - q.mat) < tol:
             total = q.mat if total is None else total + q.mat
         elif np.linalg.norm(qp) < tol:
@@ -269,7 +269,7 @@ def common_refinement(f: Family, g: Family) -> CompatibilityVerdict:
                 if comm >= COMMUTE_TOL:
                     witness = KinematicWitness(grid.labels[idx], la, lb, float(comm))
                     return CompatibilityVerdict(False, CLASS_KINEMATIC, witness=witness)
-                prod = p.mat @ q.mat
+                prod = _product(p.mat, q.mat)
                 prod = (prod + prod.conj().T) / 2.0
                 if np.linalg.norm(prod) < TOL_PROJ:
                     continue

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dynamics import PropagatorSet, TimeGrid
-from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
+from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector, _product
 from ..histories import (
     pure_families,
     conditional_probability,
@@ -120,9 +120,9 @@ def build_wavepacket(
     for t in range(t_max):
         u = shift_full
         if t == t_a - 1:
-            u = swap_a @ u
+            u = _product(swap_a, u)
         if t == t_b - 1:
-            u = swap_b @ u
+            u = _product(swap_b, u)
         lattice_steps.append(u)
 
     mid = (1 + (t_a - 1)) // 2
@@ -135,7 +135,7 @@ def build_wavepacket(
     for v0, v1 in zip(master_values, master_values[1:]):
         u = np.eye(dim, dtype=np.complex128)
         for t in range(v0, v1):
-            u = lattice_steps[t] @ u
+            u = _product(lattice_steps[t], u)
         steps.append(Operator(u))
     ps = PropagatorSet(grid, tuple(steps))
 
@@ -221,12 +221,12 @@ def build_wavepacket(
     a1_label = f"int{interval_of[source - mid]}"
     b1_label = f"int{interval_of[source + mid]}"
     g1_t1 = with_rest(
-        ("a1.AB", Projector(Operator(P[a1_label].mat @ P["AB"].mat))),
-        ("b1.AB", Projector(Operator(P[b1_label].mat @ P["AB"].mat))),
+        ("a1.AB", Projector(Operator(_product(P[a1_label].mat, P["AB"].mat)))),
+        ("b1.AB", Projector(Operator(_product(P[b1_label].mat, P["AB"].mat)))),
     )
     g2_t2 = with_rest(
         ("A*B", P["A*B"]),
-        ("phib.AB", Projector(Operator(P["phib.AB"].mat @ P["AB"].mat))),
+        ("phib.AB", Projector(Operator(_product(P["phib.AB"].mat, P["AB"].mat)))),
     )
 
     f_idx = tuple(midx[v] for v in f_times)

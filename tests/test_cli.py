@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conhist import hilbert
 from conhist.cli import main
 from conhist.famspec import scenario_to_famspec
 from conhist.scenarios import build_hardy
@@ -266,6 +267,33 @@ family other times tg2 initial up {
         code, _, err = run(capsys, "compat", "--file", str(path), "split", "other")
         assert code == 3
         assert "different dynamics" in err
+
+
+WAVEPACKET_FAMILIES = ("F0", "F1", "F2", "F2-remerge", "G0", "G1", "G2")
+# the common-refinement and dynamic pairs, and one kinematic pair
+WAVEPACKET_PAIRS = (
+    ("F0", "G0"), ("F0", "G2"), ("F1", "G1"), ("F2", "G1"), ("F2-remerge", "G1"), ("F0", "F1"),
+)
+
+
+class TestBlockwiseProducts:
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "--family", fam) for fam in WAVEPACKET_FAMILIES]
+        + [("compat", a, b) for a, b in WAVEPACKET_PAIRS],
+        ids=" ".join,
+    )
+    def test_dense_products_give_the_same_results(self, capsys, monkeypatch, argv):
+        # the wavepacket's d = 196 products run block-wise; above 196 they are dense
+        def results():
+            code, out, _ = run(
+                capsys, argv[0], "--scenario", "wavepacket", *argv[1:], "--format", "json"
+            )
+            return code, json.dumps(json.loads(out)["results"])
+
+        block = results()
+        monkeypatch.setattr(hilbert, "_BLOCK_MIN_DIM", 197)
+        assert results() == block
 
 
 class TestScenario:

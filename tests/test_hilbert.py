@@ -382,6 +382,46 @@ class TestBlockwiseChecks:
             unitary = unitary + perturbation(rng, dim, blocks, kind)
         assert_checks_match_dense(members, unitary)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([12, 60, 96, 150]),
+        st.sampled_from(["exact", "near", "non-hermitian", "haar"]),
+    )
+    def test_product_agrees_with_matmul(self, seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "haar":
+            a, b = haar_unitary(rng, dim), haar_unitary(rng, dim)
+        else:
+            blocks = random_blocks(rng, dim, largest=int(rng.integers(1, 7)))
+            members = block_members(rng, dim, blocks, m=int(rng.integers(2, 6)))
+            a = sum(mat * np.exp(2j * np.pi * rng.random()) for mat in members)
+            b = members[0]
+            assert (hilbert._blocks(a, b) is None) == (dim < 96 or len(blocks) == 1)
+            if kind != "exact":
+                a = a + perturbation(rng, dim, blocks, kind)
+                b = b + perturbation(rng, dim, blocks, kind)
+        got = hilbert._product(a, b)
+        if hilbert._blocks(a, b) is None:
+            assert got.tobytes() == (a @ b).tobytes()
+        assert_matches_dense(float(np.linalg.norm(got)), float(np.linalg.norm(a @ b)), [a, b])
+        assert_matches_dense(float(np.linalg.norm(got - a @ b)), 0.0, [a, b])
+        assert_matches_dense(
+            Operator(a).commutator_norm(Operator(b)), float(np.linalg.norm(a @ b - b @ a)), [a, b]
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([96, 150, 196]))
+    def test_product_of_permutations_and_diagonals_is_exact(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        perm = np.eye(dim, dtype=complex)
+        for part in random_blocks(rng, dim, largest=int(rng.integers(2, 9))):
+            perm[:, part] = perm[:, rng.permutation(part)]
+        diag = np.diag(rng.integers(0, 2, size=dim).astype(complex))
+        for a, b in itertools.product([perm, perm.T, diag], repeat=2):
+            assert hilbert._blocks(a, b) is not None
+            assert hilbert._product(a, b).tobytes() == (a @ b).tobytes()
+
     @pytest.mark.parametrize("kind", ["imaginary link", "long cycles", "zero"])
     def test_edge_patterns_match_dense_formulas(self, kind):
         dim = 120
