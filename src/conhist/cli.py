@@ -27,6 +27,7 @@ from . import __version__
 from .famspec import FamSpecError, parse as famspec_parse
 from .framework import FamilyMismatchError, common_refinement
 from .histories import (
+    EPS_SUPPORT,
     Family,
     FamilyTooLargeError,
     InconsistentFamilyError,
@@ -34,8 +35,8 @@ from .histories import (
     ZeroConditionProbabilityError,
     consistency_check,
     histories_with_slots,
+    probabilities,
     slot_predicate,
-    weight_table,
 )
 from .relativistic import (
     EmbeddingImpossibleError,
@@ -203,13 +204,11 @@ def cmd_check(args) -> int:
 def cmd_probs(args) -> int:
     started = time.monotonic()
     fam = _pick_family(_load_families(args), args.family)
-    report = consistency_check(fam, **_tolerances(args))
-    if not report.consistent:
-        print(
-            f"error: {InconsistentFamilyError(report, args.family)}", file=sys.stderr
-        )
+    try:
+        table = probabilities(fam, **_tolerances(args))
+    except InconsistentFamilyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    table = weight_table(fam)
     entries = [(a, p) for a, p in table.items()]
     entries.sort(key=lambda ap: -ap[1])
     results: dict = {
@@ -224,36 +223,24 @@ def cmd_probs(args) -> int:
     if args.given or args.target:
         if not (args.given and args.target):
             raise InputError("conditional queries need both --target and --given")
-        try:
-            tpred = slot_predicate(fam, _parse_predicate(args.target))
-            gpred = slot_predicate(fam, _parse_predicate(args.given))
-        except UnknownLabelError as exc:
-            raise InputError(str(exc)) from None
-        p_given = sum(p for a, p in table.items() if gpred(a))
-        p_both = sum(p for a, p in table.items() if gpred(a) and tpred(a))
-        if p_given <= 1e-12:
-            raise InputError(
-                f"conditioning event {args.given!r} has probability {p_given:.3e}"
-            )
-        conditional = p_both / p_given
+        conditional = table.conditional(
+            slot_predicate(fam, _parse_predicate(args.target)),
+            slot_predicate(fam, _parse_predicate(args.given)),
+        )
         results["conditional"] = {
             "target": args.target, "given": args.given, "probability": conditional,
         }
     events = []
     for spec in args.event or []:
         labels = [s.strip() for s in spec.split(",") if s.strip()]
-        try:
-            subset = set(histories_with_slots(fam, labels))
-        except UnknownLabelError as exc:
-            raise InputError(str(exc)) from None
-        prob = float(sum(p for a, p in table.items() if a in subset))
+        prob = table.event(histories_with_slots(fam, labels))
         events.append({"labels": labels, "probability": prob})
     if events:
         results["events"] = events
     if args.format == "text":
         print(f"family {args.family} (normalization {_format_number(table.normalization)})")
         for a, p in entries:
-            if p > 1e-12 or args.all:
+            if p > EPS_SUPPORT or args.all:
                 print(f"  {_format_number(p):<24} {' '.join(a)}")
         if conditional is not None:
             print(f"  Pr({args.target} | {args.given}) = {_format_number(conditional)}")
@@ -434,10 +421,6 @@ def _add_source_flags(sub: argparse.ArgumentParser, scenario_only: bool = False)
         "--format", choices=("text", "json", "csv"), default="text",
         help="report format (default text)",
     )
-    sub.add_argument("--tol-rel", type=_tolerance, default=None, metavar="EPS",
-                     help="relative consistency threshold")
-    sub.add_argument("--tol-abs", type=_tolerance, default=None, metavar="EPS",
-                     help="absolute consistency threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,6 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_probs.add_argument("--all", action="store_true", help="print zero-probability rows")
     p_probs.set_defaults(handler=cmd_probs)
+    for p in (p_check, p_probs):  # the commands that apply the consistency thresholds
+        p.add_argument("--tol-rel", type=_tolerance, metavar="EPS",
+                       help="relative consistency threshold")
+        p.add_argument("--tol-abs", type=_tolerance, metavar="EPS",
+                       help="absolute consistency threshold")
 
     p_compat = sub.add_parser("compat", help="compatibility classification")
     _add_source_flags(p_compat)
@@ -496,10 +484,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (UnknownLabelError, ZeroConditionProbabilityError, FamilyTooLargeError) as exc:
+    except (InputError, UnknownLabelError, ZeroConditionProbabilityError,
+            FamilyTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

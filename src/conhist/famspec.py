@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import PropagatorSet, TimeGrid
+from .dynamics import TOL_UNITARY, PropagatorSet, TimeGrid
 from .hilbert import (
     DecompositionOfIdentity,
     DensityOperator,
@@ -65,6 +65,8 @@ from .hilbert import (
     NotAProjectorError,
     Operator,
     Projector,
+    TOL_NORM,
+    TOL_PROJ,
     projector_onto_span,
     unitarity_defect,
 )
@@ -175,8 +177,6 @@ def format_complex(z: complex) -> str:
 class SpaceDecl:
     name: str
     dim: int
-    line: int
-    column: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +184,6 @@ class KetDecl:
     name: str
     space: str
     amplitudes: tuple[complex, ...]
-    line: int
-    column: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +191,6 @@ class UnitaryDecl:
     name: str
     space: str
     entries: np.ndarray  # read-only, row-major, dim * dim complex
-    line: int
-    column: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +199,6 @@ class ProjDecl:
     space: str
     span: tuple[str, ...] | None
     entries: np.ndarray | None  # as in UnitaryDecl
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
@@ -212,24 +206,18 @@ class DecompDecl:
     name: str
     space: str
     members: tuple[str, ...]
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
 class TimesDecl:
     name: str
     values: tuple[float, ...]
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
 class FamilyAt:
     time: float
     decomp: str | None  # None means the identity keyword
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
@@ -239,8 +227,6 @@ class FamilyDecl:
     initial: str | None
     ats: tuple[FamilyAt, ...]
     steps: tuple[str, ...]
-    line: int
-    column: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,17 +429,17 @@ class _Parser:
         return doc.spaces[name]
 
     def parse_space(self, doc: SpecDocument):
-        kw = self.advance()
+        self.advance()
         name_tok = self.expect_name("space name")
         self._declare(doc, name_tok)
         self.expect_keyword("dim")
         dim, dim_tok = self.expect_int("dimension")
         if not (1 <= dim <= _MAX_DIM):
             self.error(f"dimension must lie in 1..{_MAX_DIM}", dim_tok)
-        doc.spaces[name_tok.text] = SpaceDecl(name_tok.text, dim, kw.line, kw.column)
+        doc.spaces[name_tok.text] = SpaceDecl(name_tok.text, dim)
 
     def parse_ket(self, doc: SpecDocument):
-        kw = self.advance()
+        self.advance()
         name_tok = self.expect_name("ket name")
         self._declare(doc, name_tok)
         self.expect_keyword("in")
@@ -466,12 +452,12 @@ class _Parser:
                 f"ket has {len(amps)} amplitudes, space {space.name!r} has dimension {space.dim}",
                 name_tok,
             )
-        decl = KetDecl(name_tok.text, space.name, amps, kw.line, kw.column)
+        decl = KetDecl(name_tok.text, space.name, amps)
         doc.ket_decls[decl.name] = decl
         doc.kets[decl.name] = Ket(np.array(amps, dtype=np.complex128), decl.name)
 
     def parse_unitary(self, doc: SpecDocument):
-        kw = self.advance()
+        self.advance()
         name_tok = self.expect_name("unitary name")
         self._declare(doc, name_tok)
         self.expect_keyword("on")
@@ -481,18 +467,18 @@ class _Parser:
         entries = self.parse_matrix(space, name_tok)
         op = Operator(entries.reshape(space.dim, space.dim))
         defect = unitarity_defect(op)
-        if not defect < 1e-9:  # also refuses NaN, from entries whose products overflow
+        if not defect < TOL_UNITARY:  # also refuses NaN, from entries whose products overflow
             self.error(
                 f"matrix for {name_tok.text!r} is non-unitary: defect {defect:.3e} "
-                "(threshold 1e-09)",
+                f"(threshold {TOL_UNITARY:.0e})",
                 name_tok,
             )
-        decl = UnitaryDecl(name_tok.text, space.name, entries, kw.line, kw.column)
+        decl = UnitaryDecl(name_tok.text, space.name, entries)
         doc.unitary_decls[decl.name] = decl
         doc.unitaries[decl.name] = op
 
     def parse_proj(self, doc: SpecDocument):
-        kw = self.advance()
+        self.advance()
         name_tok = self.expect_name("projector name")
         self._declare(doc, name_tok)
         self.expect_keyword("on")
@@ -514,7 +500,7 @@ class _Parser:
                 proj = projector_onto_span(kets)
             except ValueError as exc:
                 self.error(f"cannot build projector {name_tok.text!r}: {exc}", name_tok)
-            decl = ProjDecl(name_tok.text, space.name, names, None, kw.line, kw.column)
+            decl = ProjDecl(name_tok.text, space.name, names, None)
         else:
             entries = self.parse_matrix(space, name_tok)
             try:
@@ -524,17 +510,17 @@ class _Parser:
                 self.error(
                     f"matrix for {name_tok.text!r} is not a projector: hermiticity "
                     f"defect {check.hermiticity_defect:.3e}, idempotency defect "
-                    f"{check.idempotency_defect:.3e} (threshold 1e-09)",
+                    f"{check.idempotency_defect:.3e} (threshold {TOL_PROJ:.0e})",
                     name_tok,
                 )
             except ValueError as exc:  # a trace off an integer by more than the tolerance
                 self.error(f"invalid projector {name_tok.text!r}: {exc}", name_tok)
-            decl = ProjDecl(name_tok.text, space.name, None, entries, kw.line, kw.column)
+            decl = ProjDecl(name_tok.text, space.name, None, entries)
         doc.proj_decls[decl.name] = decl
         doc.projectors[decl.name] = proj
 
     def parse_decomp(self, doc: SpecDocument):
-        kw = self.advance()
+        self.advance()
         name_tok = self.expect_name("decomposition name")
         self._declare(doc, name_tok)
         self.expect_keyword("on")
@@ -553,12 +539,12 @@ class _Parser:
             dec = DecompositionOfIdentity(tuple(projs))
         except ValueError as exc:
             self.error(f"invalid decomposition {name_tok.text!r}: {exc}", name_tok)
-        decl = DecompDecl(name_tok.text, space.name, members, kw.line, kw.column)
+        decl = DecompDecl(name_tok.text, space.name, members)
         doc.decomp_decls[decl.name] = decl
         doc.decompositions[decl.name] = dec
 
     def parse_times(self, doc: SpecDocument):
-        kw = self.advance()
+        self.advance()
         name_tok = self.expect_name("time grid name")
         self._declare(doc, name_tok)
         self.expect_punct("=")
@@ -570,12 +556,10 @@ class _Parser:
         self.expect_punct("]")
         if any(b <= a for a, b in zip(values, values[1:])):
             self.error("times must be strictly increasing", name_tok)
-        doc.times_decls[name_tok.text] = TimesDecl(
-            name_tok.text, tuple(values), kw.line, kw.column
-        )
+        doc.times_decls[name_tok.text] = TimesDecl(name_tok.text, tuple(values))
 
     def parse_family(self, doc: SpecDocument):
-        kw = self.advance()
+        self.advance()
         name_tok = self.expect_name("family name")
         self._declare(doc, name_tok)
         self.expect_keyword("times")
@@ -595,7 +579,7 @@ class _Parser:
         self.expect_punct("{")
         ats: list[FamilyAt] = []
         while self.peek().kind == "NAME" and self.peek().text == "at":
-            at_tok = self.advance()
+            self.advance()
             t, t_tok = self.expect_real("time")
             self.expect_punct(":")
             tok = self.peek()
@@ -614,7 +598,7 @@ class _Parser:
                     f"time {t:g} is not on grid {times_decl.name!r} {times_decl.values}",
                     t_tok,
                 )
-            ats.append(FamilyAt(t, dec_name, at_tok.line, at_tok.column))
+            ats.append(FamilyAt(t, dec_name))
         self.expect_punct("}")
         if not ats:
             self.error("a family needs at least one `at` entry", name_tok)
@@ -635,10 +619,7 @@ class _Parser:
                 f"family needs {len(times_decl.values) - 1} steps, got {len(steps)}",
                 name_tok,
             )
-        decl = FamilyDecl(
-            name_tok.text, times_decl.name, initial, tuple(ats), tuple(steps),
-            kw.line, kw.column,
-        )
+        decl = FamilyDecl(name_tok.text, times_decl.name, initial, tuple(ats), tuple(steps))
         self._build_family(doc, decl, name_tok)
         doc.family_decls[decl.name] = decl
 
@@ -686,7 +667,7 @@ class _Parser:
         rho = None
         if pure:
             ket = doc.kets[decl.initial]
-            if abs(ket.norm() - 1.0) >= 1e-9:
+            if abs(ket.norm() - 1.0) >= TOL_NORM:
                 self.error(
                     f"initial state {decl.initial!r} has norm {ket.norm():.12g}, expected 1",
                     name_tok,
@@ -835,7 +816,7 @@ def scenario_to_famspec(scn) -> str:
         # system share kets and projectors.
         if ps.dim not in space_by_dim:
             name = _sanitize(f"H{len(space_by_dim)}", taken)
-            doc.spaces[name] = SpaceDecl(name, ps.dim, 0, 0)
+            doc.spaces[name] = SpaceDecl(name, ps.dim)
             space_by_dim[ps.dim] = name
         return space_by_dim[ps.dim]
 
@@ -846,9 +827,9 @@ def scenario_to_famspec(scn) -> str:
             snames = []
             for j, step in enumerate(ps.steps):
                 sname = _sanitize(f"{gname}.step{j}", taken)
-                doc.unitary_decls[sname] = UnitaryDecl(sname, space, step.mat.ravel(), 0, 0)
+                doc.unitary_decls[sname] = UnitaryDecl(sname, space, step.mat.ravel())
                 snames.append(sname)
-            doc.times_decls[gname] = TimesDecl(gname, ps.grid.values, 0, 0)
+            doc.times_decls[gname] = TimesDecl(gname, ps.grid.values)
             grids[id(ps)] = (gname, tuple(snames))
         return grids[id(ps)]
 
@@ -862,7 +843,7 @@ def scenario_to_famspec(scn) -> str:
                         break
             else:
                 name = _sanitize(label, taken)
-                doc.proj_decls[name] = ProjDecl(name, space, None, proj.mat.ravel(), 0, 0)
+                doc.proj_decls[name] = ProjDecl(name, space, None, proj.mat.ravel())
                 proj_mats.append((name, label, proj.mat))
             proj_names[id(proj)] = name
         return proj_names[id(proj)]
@@ -870,7 +851,7 @@ def scenario_to_famspec(scn) -> str:
     def export_ket(ket, fallback: str, space: str) -> str:
         if id(ket) not in ket_names:
             name = _sanitize(ket.label or fallback, taken)
-            doc.ket_decls[name] = KetDecl(name, space, tuple(ket.amps.tolist()), 0, 0)
+            doc.ket_decls[name] = KetDecl(name, space, tuple(ket.amps.tolist()))
             ket_names[id(ket)] = name
         return ket_names[id(ket)]
 
@@ -885,14 +866,14 @@ def scenario_to_famspec(scn) -> str:
         initial, ats = None, []
         if isinstance(fam.initial, PureInitial):
             initial = export_ket(fam.initial.ket, f"{fname}.initial", space)
-            ats.append(FamilyAt(times[0], None, 0, 0))
+            ats.append(FamilyAt(times[0], None))
         for t, dec in zip(times[len(ats):], fam.decompositions[len(ats):]):
             target = None  # the identity keyword
             if len(dec) != 1 or dec.members[0][1].rank != fam.dim:
                 members = tuple(export_proj(lab, proj, space) for lab, proj in dec.members)
                 target = _sanitize(f"{fname}.t{t:g}", taken)
-                doc.decomp_decls[target] = DecompDecl(target, space, members, 0, 0)
-            ats.append(FamilyAt(t, target, 0, 0))
-        doc.family_decls[name] = FamilyDecl(name, gname, initial, tuple(ats), steps, 0, 0)
+                doc.decomp_decls[target] = DecompDecl(target, space, members)
+            ats.append(FamilyAt(t, target))
+        doc.family_decls[name] = FamilyDecl(name, gname, initial, tuple(ats), steps)
 
     return serialize(doc)

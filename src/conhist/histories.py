@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .dynamics import PropagatorSet
+from .dynamics import PropagatorSet, TimeGrid
 from .hilbert import (
     DecompositionOfIdentity,
     DensityOperator,
@@ -248,9 +248,6 @@ class Family:
                 f"family enumerates {self.n_histories()} histories (cap {_MAX_HISTORIES})"
             )
         return tuple(itertools.product(*(self.slot_labels(s) for s in range(len(self)))))
-
-    def histories(self) -> tuple[History, ...]:
-        return tuple(History(a) for a in self.alphas())
 
     def resolve(self, alpha: Sequence[str]) -> History:
         """Validate a label tuple against the family's decompositions."""
@@ -532,9 +529,6 @@ def consistency_check(
     """
     if mode not in ("complex", "real"):
         raise ValueError(f"mode must be 'complex' or 'real', got {mode!r}")
-    for name, eps in (("eps_abs", eps_abs), ("eps_rel", eps_rel)):
-        if not (math.isfinite(eps) and eps >= 0.0):
-            raise ValueError(f"{name} must be finite and non-negative, got {eps!r}")
     return _report(_analyze(f), eps_abs, eps_rel, mode)
 
 
@@ -545,6 +539,9 @@ def _report(analysis: _Analysis, eps_abs: float, eps_rel: float, mode: str) -> C
     product that rounds differently.  Surviving chains weigh more than the
     prune floor squared, so every normalization below is positive.
     """
+    for name, eps in (("eps_abs", eps_abs), ("eps_rel", eps_rel)):
+        if not (math.isfinite(eps) and eps >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {eps!r}")
     flat, w = analysis.rows, analysis.weights[analysis.nonzero]
     n, adjoint = len(w), flat.conj().T
     step = max(2, _GRAM_BLOCK_BYTES // max(16 * n, 1))
@@ -582,6 +579,9 @@ def _report(analysis: _Analysis, eps_abs: float, eps_rel: float, mode: str) -> C
 # -- probabilities --------------------------------------------------------------
 
 
+Predicate = Callable[[tuple[str, ...]], bool]
+
+
 @dataclass(frozen=True, eq=False)
 class WeightTable:
     """Weights per history plus the normalization that turns them into
@@ -604,6 +604,26 @@ class WeightTable:
 
     def total_weight(self) -> float:
         return float(sum(w for _, w in self.entries))
+
+    def event(self, subset: Iterable[tuple[str, ...]]) -> float:
+        """Probability of an event: a set of the table's histories."""
+        keys = set(subset)
+        return float(sum(p for a, p in self.items() if a in keys))
+
+    def conditional(self, target: Predicate, given: Predicate) -> float:
+        """``Pr(target | given)``; a condition of probability at most
+        ``EPS_SUPPORT`` raises :class:`ZeroConditionProbabilityError`."""
+        p_given = p_both = 0.0
+        for alpha, pr in self.items():
+            if given(alpha):
+                p_given += pr
+                if target(alpha):
+                    p_both += pr
+        if p_given <= EPS_SUPPORT:
+            raise ZeroConditionProbabilityError(
+                f"conditioning event has probability {p_given:.3e}"
+            )
+        return p_both / p_given
 
     def to_dict(self) -> dict:
         return {
@@ -630,20 +650,18 @@ def _table(analysis: _Analysis) -> WeightTable:
     return WeightTable(entries=entries, normalization=norm)
 
 
-def probabilities(f: Family) -> WeightTable:
+def probabilities(f: Family, eps_abs: float = EPS_ABS, eps_rel: float = EPS_REL) -> WeightTable:
     """Probabilities over the family's sample space.
 
-    Refuses inconsistent families: probabilities only make sense within a
-    single consistent framework.
+    Refuses inconsistent families, judged as :func:`consistency_check` judges
+    them at these thresholds: probabilities only make sense within a single
+    consistent framework.  The family is analysed once for both.
     """
     analysis = _analyze(f)
-    report = _report(analysis, EPS_ABS, EPS_REL, "complex")
+    report = _report(analysis, eps_abs, eps_rel, "complex")
     if not report.consistent:
         raise InconsistentFamilyError(report, f.name)
     return _table(analysis)
-
-
-Predicate = Callable[[tuple[str, ...]], bool]
 
 
 def slot_predicate(f: Family, spec: Mapping[str, str | Iterable[str]] | Predicate) -> Predicate:
@@ -681,20 +699,7 @@ def conditional_probability(
 ) -> float:
     """``Pr(target | given)`` over a consistent family's sample space."""
     table = probabilities(f)
-    tpred = slot_predicate(f, target)
-    gpred = slot_predicate(f, given)
-    p_given = 0.0
-    p_both = 0.0
-    for alpha, pr in table.items():
-        if gpred(alpha):
-            p_given += pr
-            if tpred(alpha):
-                p_both += pr
-    if p_given <= EPS_SUPPORT:
-        raise ZeroConditionProbabilityError(
-            f"conditioning event has probability {p_given:.3e}"
-        )
-    return p_both / p_given
+    return table.conditional(slot_predicate(f, target), slot_predicate(f, given))
 
 
 def support(f: Family) -> tuple[tuple[tuple[str, ...], float], ...]:
@@ -711,11 +716,7 @@ def event_probability(f: Family, subset: Iterable[Sequence[str]]) -> float:
     Additive over disjoint subsets by construction.
     """
     table = probabilities(f)
-    keys = set()
-    for alpha in subset:
-        hist = f.resolve(alpha)
-        keys.add(hist.slots)
-    return float(sum(p for a, p in table.items() if a in keys))
+    return table.event(f.resolve(alpha).slots for alpha in subset)
 
 
 def histories_with_slots(f: Family, labels: Iterable[str]) -> tuple[tuple[str, ...], ...]:
@@ -747,8 +748,6 @@ def time_reverse(f: Family) -> Family:
     n = len(ps.grid)
     rev_values = tuple(-v for v in reversed(ps.grid.values))
     rev_labels = tuple(reversed(ps.grid.labels))
-    from .dynamics import TimeGrid  # local to avoid import cycles in tooling
-
     rev_grid = TimeGrid(rev_values, rev_labels)
     rev_steps = tuple(s.dagger() for s in reversed(ps.steps))
     rev_ps = PropagatorSet(rev_grid, rev_steps, space_dim=ps.dim)

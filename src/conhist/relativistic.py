@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import PropagatorSet, TOL_UNITARY
-from .hilbert import Operator, unitarity_defect
+from .hilbert import (
+    DecompositionOfIdentity, DensityOperator, Ket, Operator, Projector, unitarity_defect,
+)
 from .histories import Family, MixedInitial, PureInitial, consistency_check, weight_table
 
 if TYPE_CHECKING:  # only for type checkers; scenarios are duck-typed here
@@ -554,8 +556,6 @@ class CovarianceMap:
 def transform_family(fam: Family, maps: CovarianceMap, primed: PropagatorSet) -> Family:
     """Conjugate every projector (and the initial condition) by the per-time
     maps, rebasing the family onto the primed dynamics."""
-    from .hilbert import DecompositionOfIdentity, Ket, Projector, DensityOperator
-
     decs = []
     for slot, dec in enumerate(fam.decompositions):
         j = fam.time_indices[slot]
@@ -585,7 +585,6 @@ class CovarianceReport:
     passed: bool
     propagator_residual: float
     family_results: tuple[tuple[str, float, bool], ...]  # (name, max |dW|, verdicts agree)
-    skipped: tuple[str, ...] = ()  # families carried on auxiliary dynamics
 
     def __bool__(self) -> bool:
         return self.passed
@@ -598,7 +597,6 @@ class CovarianceReport:
                 {"name": n, "max_weight_diff": d, "verdicts_agree": v}
                 for n, d, v in self.family_results
             ],
-            "skipped": list(self.skipped),
         }
 
 
@@ -612,8 +610,8 @@ def covariance_check(
     """Verify that the primed description is the same physics relabeled.
 
     Checks ``T'_{jk} = L_j T_{jk} L_k^dag`` over all index pairs, then that
-    every named family's weight table and consistency verdict survive
-    conjugating all projectors (and the initial condition) by the maps.
+    every named family has the same weight table and consistency verdict as
+    the same-named family of ``primed``.
     """
     ps, pps = scn.propagators, primed.propagators
     n = len(ps.grid)
@@ -631,16 +629,9 @@ def covariance_check(
             residual = max(residual, float(np.linalg.norm(t_prime - expected)))
 
     family_results = []
-    skipped = []
     all_ok = residual < tol_propagator
     for name in sorted(scn.families):
-        fam = scn.families[name]
-        if not fam.propagators.same_dynamics(ps):
-            # Families on auxiliary dynamics (other frame orderings) carry
-            # their own per-time spaces; the maps here do not apply to them.
-            skipped.append(name)
-            continue
-        fam_p = transform_family(fam, maps, pps)
+        fam, fam_p = scn.families[name], primed.families[name]
         w0 = weight_table(fam)
         w1 = weight_table(fam_p)
         diffs = [abs(a - b) for (_, a), (_, b) in zip(w0.entries, w1.entries)]
@@ -656,5 +647,4 @@ def covariance_check(
         passed=all_ok,
         propagator_residual=residual,
         family_results=tuple(family_results),
-        skipped=tuple(skipped),
     )

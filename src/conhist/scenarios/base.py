@@ -11,15 +11,17 @@ the public API and compare against the registered value.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from ..dynamics import PropagatorSet
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
-from ..histories import Family
-from ..relativistic import CovarianceMap, TaggedEvent, transform_family
+from ..histories import Family, weight_table
+from ..relativistic import (
+    SPACELIKE, CovarianceMap, TaggedEvent, classify_interval, transform_family,
+)
 
 PROVENANCE_PAPER = "paper"
 PROVENANCE_DERIVED = "derived"
@@ -36,14 +38,7 @@ class ExpectationResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "provenance": self.provenance,
-            "expected": self.expected,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +195,6 @@ def relabeling_weight_residual(fam: Family, seed: int = 11) -> float:
 
     Zero (to rounding) for any family: weights are frame-independent.
     """
-    from ..histories import weight_table
-
     maps = basis_relabeling_maps(fam.propagators, seed=seed)
     primed = transformed_propagators(fam.propagators, maps)
     fam_p = transform_family(fam, maps, primed)
@@ -216,8 +209,6 @@ def spacelike_local_event_pairs(
     scn: Scenario, count: int, seed: int = 0
 ) -> list[tuple[TaggedEvent, TaggedEvent]]:
     """Deterministically sample spacelike-separated local event pairs."""
-    from ..relativistic import SPACELIKE, classify_interval
-
     locals_ = [
         e for e in scn.events.values()
         if e.is_local and e.projector is not None and e.time_index is not None

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conhist import hilbert
+from conhist import hilbert, histories
 from conhist.cli import main
 from conhist.famspec import scenario_to_famspec
 from conhist.scenarios import build_hardy
@@ -149,8 +149,48 @@ class TestCheck:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    @pytest.mark.parametrize("argv", [
+        ("compat", "--scenario", "spin-half", "F1", "F2"),
+        ("scenario", "hardy"),
+        ("embed", str(DATA / "crossing_events.json")),
+    ], ids=lambda argv: argv[0])
+    def test_tolerance_flags_only_where_a_check_runs(self, capsys, argv, flag):
+        # compat, scenario and embed apply no consistency thresholds
+        code, out, err = run(capsys, *argv, flag, "1")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
 
 class TestProbs:
+    @pytest.mark.parametrize("query", [
+        ("hardy", "unitary-output", "--event", "e,ebar"),
+        ("spin-half", "G1", "--target", "t3=x+X", "--given", "t5=x+X+", "--event", "x+X+"),
+    ], ids=["event", "conditional"])
+    def test_one_analysis_per_command(self, capsys, monkeypatch, query):
+        # the consistency gate, the table and every query share one analysis
+        calls, analyze = [], histories._analyze
+
+        def counted(f):
+            calls.append(f.name)
+            return analyze(f)
+
+        monkeypatch.setattr(histories, "_analyze", counted)
+        scenario, family, *rest = query
+        code, _, _ = run(capsys, "probs", "--scenario", scenario, "--family", family, *rest)
+        assert code == 0
+        assert calls == [family]
+
+    def test_zero_probability_condition_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "probs", "--scenario", "hardy", "--family", "arm-pair",
+            "--target", "t1=c", "--given", "t1=d,t2=dbar",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "has probability 0.000e+00" in err
+
     def test_hardy_event_query(self, capsys):
         code, out, _ = run(
             capsys, "probs", "--scenario", "hardy", "--family", "unitary-output",

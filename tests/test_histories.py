@@ -488,6 +488,21 @@ class TestProbabilities:
             probabilities(fam)
         assert "single framework rule" in str(err.value)
 
+    def test_thresholds_reach_the_gate(self):
+        # the remerge family's violating overlaps are 1/4: refused at the
+        # defaults, a sample space at an absolute threshold of 1
+        ps = trivial_ps(4)
+        fam = Family.pure(ps, (0, 1, 2, 3), Z_PLUS, [X_DEC, X_DEC, Z_DEC])
+        table = probabilities(fam, eps_abs=1)
+        assert table.normalization == pytest.approx(1.0)
+        assert table.probability(("z+", "x+", "x+", "z+")) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("kw", [{"eps_abs": float("nan")}, {"eps_rel": -1.0}])
+    def test_bad_thresholds_refused(self, kw):
+        fam = Family.pure(trivial_ps(3), (0, 1, 2), Z_PLUS, [Z_DEC, Z_DEC])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            probabilities(fam, **kw)
+
     def test_normalization_is_one_for_unit_initial(self):
         # two-time families are always consistent, so probabilities() accepts
         fam = random_family(2, n_times=2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,30 @@ def test_every_family_frame_independent(name):
     scn = SCENARIOS[name]
     for fam in scn.families.values():
         assert relabeling_weight_residual(fam, seed=5) < 1e-9
+
+
+def test_covariance_check_reports_every_family():
+    # hardy's two inference families run on their own frame orderings
+    scn = SCENARIOS["hardy"]
+    maps = basis_relabeling_maps(scn.propagators, seed=13)
+    report = covariance_check(scn, maps, transform_scenario(scn, maps, seed=13))
+    assert report.passed
+    assert [name for name, _, _ in report.family_results] == sorted(scn.families)
+    assert len(report.family_results) == 5
+
+
+def test_covariance_check_compares_the_primed_families():
+    scn = SCENARIOS["spin-half"]
+    maps = basis_relabeling_maps(scn.propagators, seed=13)
+    primed = transform_scenario(scn, maps, seed=13)
+    swapped = dataclasses.replace(
+        primed, families={**primed.families, "F1": primed.families["F2"]}
+    )
+    report = covariance_check(scn, maps, swapped)
+    assert report.propagator_residual < 1e-10
+    assert not report.passed
+    [(_, diff, _)] = [r for r in report.family_results if r[0] == "F1"]
+    assert diff > 0.1
 
 
 def test_covariance_check_flags_wrong_map():
