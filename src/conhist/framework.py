@@ -17,6 +17,7 @@ rather than compared: all descriptions must concern one closed system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -136,27 +137,29 @@ def extend(f: Family, extra_times: list[float]) -> Family:
                 "cannot extend a family with a fixed initial state to times "
                 "before that state"
             )
-    dim = f.dim
-    merged = sorted(set(f.time_indices) | set(new_indices))
-    decs = []
-    by_index = dict(zip(f.time_indices, f.decompositions))
-    for idx in merged:
-        if idx in by_index:
-            decs.append(by_index[idx])
-        else:
-            decs.append(DecompositionOfIdentity.trivial(dim))
+    merged, columns = _aligned((f,), new_indices)
     slot = 0
     if f.initial is not None:
         anchor_master = f.time_indices[f.initial_slot]
         slot = merged.index(anchor_master)
-    return Family(f.propagators, tuple(merged), tuple(decs), f.initial, slot, f.name)
+    return Family(
+        f.propagators, tuple(merged), tuple(dec for (dec,) in columns), f.initial, slot, f.name
+    )
 
 
-def _extended_decomposition(f: Family, master_index: int) -> DecompositionOfIdentity:
-    by_index = dict(zip(f.time_indices, f.decompositions))
-    if master_index in by_index:
-        return by_index[master_index]
-    return DecompositionOfIdentity.trivial(f.dim)
+def _aligned(
+    fams: Sequence[Family], extra: Iterable[int] = ()
+) -> tuple[list[int], list[tuple[DecompositionOfIdentity, ...]]]:
+    """The union of the families' grid indices (and ``extra``), and at each
+    index every family's decomposition: its own where it has that time, else
+    the trivial {I}, which is built once and only when some family lacks a time.
+    """
+    union = sorted(set(extra).union(*(f.time_indices for f in fams)))
+    if all(len(f.time_indices) == len(union) for f in fams):
+        return union, list(zip(*(f.decompositions for f in fams)))
+    trivial = DecompositionOfIdentity.trivial(fams[0].dim)
+    by_index = [dict(zip(f.time_indices, f.decompositions)) for f in fams]
+    return union, [tuple(d.get(idx, trivial) for d in by_index) for idx in union]
 
 
 def _member_is_sum(coarse: Projector, fine: DecompositionOfIdentity, tol: float) -> bool:
@@ -187,14 +190,15 @@ def is_refinement(coarse: Family, fine: Family, tol: float = TOL_PROJ) -> bool:
     Every family is a refinement of itself.
     """
     _check_comparable(coarse, fine)
-    union = sorted(set(coarse.time_indices) | set(fine.time_indices))
-    for idx in union:
-        dec_c = _extended_decomposition(coarse, idx)
-        dec_f = _extended_decomposition(fine, idx)
-        for _, p in dec_c.members:
-            if not _member_is_sum(p, dec_f, tol):
-                return False
-    return True
+    return _refines(_aligned((coarse, fine))[1], tol)
+
+
+def _refines(columns: Iterable[tuple[DecompositionOfIdentity, ...]], tol: float = TOL_PROJ) -> bool:
+    """Every member of each column's first decomposition is a sum of members
+    of its second."""
+    return all(
+        _member_is_sum(p, fine, tol) for coarse, fine in columns for _, p in coarse.members
+    )
 
 
 def _same_decomposition(a: DecompositionOfIdentity, b: DecompositionOfIdentity) -> bool:
@@ -236,10 +240,11 @@ def common_refinement(f: Family, g: Family) -> CompatibilityVerdict:
     if _families_identical(f, g):
         return CompatibilityVerdict(True, CLASS_IDENTICAL, refinement=f)
 
+    union, columns = _aligned((f, g))
     finer = None
-    if is_refinement(f, g):
+    if _refines(columns):
         finer = g
-    elif is_refinement(g, f):
+    elif _refines((dec_g, dec_f) for dec_f, dec_g in columns):
         finer = f
     if finer is not None:
         report = consistency_check(finer)
@@ -247,12 +252,9 @@ def common_refinement(f: Family, g: Family) -> CompatibilityVerdict:
             return CompatibilityVerdict(True, CLASS_REFINEMENT, refinement=finer)
         return CompatibilityVerdict(False, CLASS_DYNAMIC, witness=report)
 
-    union = sorted(set(f.time_indices) | set(g.time_indices))
     grid = f.propagators.grid
     product_decs = []
-    for idx in union:
-        dec_f = _extended_decomposition(f, idx)
-        dec_g = _extended_decomposition(g, idx)
+    for idx, (dec_f, dec_g) in zip(union, columns):
         if _same_decomposition(dec_f, dec_g):
             product_decs.append(dec_f)
             continue
@@ -283,7 +285,7 @@ def common_refinement(f: Family, g: Family) -> CompatibilityVerdict:
         slot = union.index(anchor_master)
         # The anchored slot keeps its canonical {initial, complement} form so
         # the product family can carry the same initial condition.
-        anchored = _extended_decomposition(f, anchor_master)
+        anchored = columns[slot][0]
         if not _same_decomposition(product_decs[slot], anchored):
             product_decs[slot] = anchored
 

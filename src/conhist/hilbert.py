@@ -216,11 +216,6 @@ class Operator:
         """Frobenius norm."""
         return _frob(self.mat)
 
-    def apply(self, ket: Ket) -> Ket:
-        if ket.dim != self.dim:
-            raise DimensionMismatchError("operator/ket dimension mismatch")
-        return Ket(self.mat @ ket.amps)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise DimensionMismatchError("operator dimensions differ")

@@ -428,20 +428,17 @@ def weight(h: History | Sequence[str], f: Family) -> float:
     initial condition.
     """
     hist = f.resolve(h.slots if isinstance(h, History) else h)
-    analysis = _analyze(f)
     # position in the enumeration order of ``alphas``: mixed radix over the
     # slots, first slot most significant, as ``_analyze`` numbers the chains
     idx = 0
     for slot, label in enumerate(hist.slots):
         labels = f.slot_labels(slot)
         if label not in labels:
-            # Pure-initial families pin the anchored slot; histories leaving
-            # the initial state have zero weight by the initial condition.
-            if isinstance(f.initial, PureInitial):
-                return 0.0
-            raise UnknownLabelError(f"history {hist.slots} is not in the sample space")
+            # resolve() admitted the label, so this is a pure state's pinned
+            # slot carrying the complement: zero by the initial condition
+            return 0.0
         idx = idx * len(labels) + labels.index(label)
-    return float(analysis.weights[idx])
+    return float(_analyze(f).weights[idx])
 
 
 # -- consistency ---------------------------------------------------------------
@@ -624,15 +621,6 @@ class WeightTable:
                 f"conditioning event has probability {p_given:.3e}"
             )
         return p_both / p_given
-
-    def to_dict(self) -> dict:
-        return {
-            "normalization": self.normalization,
-            "entries": [
-                {"history": list(a), "weight": w, "probability": w / self.normalization}
-                for a, w in self.entries
-            ],
-        }
 
 
 def weight_table(f: Family) -> WeightTable:

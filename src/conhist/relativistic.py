@@ -25,7 +25,9 @@ from .dynamics import PropagatorSet, TOL_UNITARY
 from .hilbert import (
     DecompositionOfIdentity, DensityOperator, Ket, Operator, Projector, unitarity_defect,
 )
-from .histories import Family, MixedInitial, PureInitial, consistency_check, weight_table
+from .histories import (
+    EPS_ABS, EPS_REL, Family, MixedInitial, PureInitial, _analyze, _report,
+)
 
 if TYPE_CHECKING:  # only for type checkers; scenarios are duck-typed here
     from .scenarios.base import Scenario
@@ -301,9 +303,6 @@ class CausalGraph:
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges
 
-    def to_dict(self) -> dict:
-        return {"nodes": list(self.nodes), "edges": [list(e) for e in sorted(self.edges)]}
-
 
 def _precedence(nodes: Sequence, points: Mapping, same) -> tuple[set, TopologicalSorter]:
     """Edges a -> b wherever some point of a causally precedes some point of
@@ -496,14 +495,6 @@ class CommutationResult:
     norm: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "spacelike": self.spacelike,
-            "commutator_norm": self.norm,
-            "detail": self.detail,
-        }
-
 
 def commutation_check(
     scn: "Scenario", e: TaggedEvent, g: TaggedEvent, reference: int = 0
@@ -631,15 +622,12 @@ def covariance_check(
     family_results = []
     all_ok = residual < tol_propagator
     for name in sorted(scn.families):
-        fam, fam_p = scn.families[name], primed.families[name]
-        w0 = weight_table(fam)
-        w1 = weight_table(fam_p)
-        diffs = [abs(a - b) for (_, a), (_, b) in zip(w0.entries, w1.entries)]
-        max_diff = max(diffs, default=0.0)
-        verdict0 = consistency_check(fam).consistent
-        verdict1 = consistency_check(fam_p).consistent
-        agree = verdict0 == verdict1
-        family_results.append((name, float(max_diff), agree))
+        # one pass per side serves both the weights and the verdict
+        a0, a1 = _analyze(scn.families[name]), _analyze(primed.families[name])
+        max_diff = float(np.abs(a0.weights - a1.weights).max())
+        agree = (_report(a0, EPS_ABS, EPS_REL, "complex").consistent
+                 == _report(a1, EPS_ABS, EPS_REL, "complex").consistent)
+        family_results.append((name, max_diff, agree))
         if max_diff >= tol_weight or not agree:
             all_ok = False
 

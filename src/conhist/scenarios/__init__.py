@@ -9,7 +9,6 @@ from .base import (
     ExpectationResult,
     Scenario,
     basis_relabeling_maps,
-    relabeling_weight_residual,
     spacelike_local_event_pairs,
     transform_scenario,
     transformed_propagators,
@@ -48,7 +47,6 @@ __all__ = [
     "build_hardy",
     "build_spin_half",
     "build_wavepacket",
-    "relabeling_weight_residual",
     "spacelike_local_event_pairs",
     "transform_scenario",
     "transformed_propagators",

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..dynamics import PropagatorSet
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
-from ..histories import Family, weight_table
+from ..histories import Family
 from ..relativistic import (
     SPACELIKE, CovarianceMap, TaggedEvent, classify_interval, transform_family,
 )
@@ -187,21 +187,6 @@ def transform_scenario(scn: Scenario, maps: CovarianceMap, seed: int = 7) -> Sce
         expected=(),
         named_times=dict(scn.named_times),
         description=scn.description,
-    )
-
-
-def relabeling_weight_residual(fam: Family, seed: int = 11) -> float:
-    """Max weight change when the family is rewritten in relabeled bases.
-
-    Zero (to rounding) for any family: weights are frame-independent.
-    """
-    maps = basis_relabeling_maps(fam.propagators, seed=seed)
-    primed = transformed_propagators(fam.propagators, maps)
-    fam_p = transform_family(fam, maps, primed)
-    w0 = weight_table(fam)
-    w1 = weight_table(fam_p)
-    return max(
-        (abs(a - b) for (_, a), (_, b) in zip(w0.entries, w1.entries)), default=0.0
     )
 
 

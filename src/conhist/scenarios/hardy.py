@@ -19,10 +19,6 @@ lives in the two single-frame inference families (detection on one side
 pins the other particle's arm) and in the blocker family, which shows that
 an arm event and that same particle's later outcome event cannot coexist in
 one consistent description.
-
-With ``with_detectors=True`` the outcome readout is carried by two-state
-detectors (ready/triggered) flipped by the particle's outcome arm, for
-parity with the wave-packet scenario; all numbers are unchanged.
 """
 
 from __future__ import annotations
@@ -32,13 +28,11 @@ import numpy as np
 from ..dynamics import PropagatorSet, TimeGrid
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import (
-    Family,
     pure_families,
     conditional_probability,
     consistency_check,
     event_probability,
     histories_with_slots,
-    probabilities,
     support,
 )
 from ..relativistic import Hypersurface, Region, TaggedEvent, causal_precedence
@@ -54,7 +48,7 @@ from .base import (
 _SPLITTER = np.array([[1, -1], [1, 1]], dtype=np.complex128) / np.sqrt(2)
 
 
-def _build_plain() -> Scenario:
+def build_hardy() -> Scenario:
     i2 = np.eye(2, dtype=np.complex128)
     basis = np.eye(2, dtype=np.complex128)
 
@@ -256,90 +250,3 @@ def _build_plain() -> Scenario:
             "combination."
         ),
     )
-
-
-def _build_with_detectors() -> Scenario:
-    i2 = np.eye(2, dtype=np.complex128)
-    basis = np.eye(2, dtype=np.complex128)
-
-    def proj(vec):
-        return np.outer(vec, vec.conj())
-
-    # arm_a x arm_b x detector_E x detector_Ebar; detectors: ready, triggered.
-    ready, trig = proj(basis[:, 0]), proj(basis[:, 1])
-    flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-    P = {
-        "E*": Projector(Operator(kron(i2, i2, trig, i2))),
-        "E": Projector(Operator(kron(i2, i2, ready, i2))),
-        "Ebar*": Projector(Operator(kron(i2, i2, i2, trig))),
-        "Ebar": Projector(Operator(kron(i2, i2, i2, ready))),
-    }
-    for key, mat in (
-        ("e", kron(proj(basis[:, 0]), i2, i2, i2)),
-        ("f", kron(proj(basis[:, 1]), i2, i2, i2)),
-        ("ebar", kron(i2, proj(basis[:, 0]), i2, i2)),
-        ("fbar", kron(i2, proj(basis[:, 1]), i2, i2)),
-    ):
-        P[key] = Projector(Operator(mat))
-
-    psi0 = Ket(
-        np.kron(np.array([1, 1, 1, 0], dtype=np.complex128) / np.sqrt(3),
-                np.kron(basis[:, 0], basis[:, 0])),
-        "psi0",
-    )
-
-    bs_both = Operator(kron(_SPLITTER, _SPLITTER, i2, i2))
-    # Detection: flip detector E when a is in the e outcome arm, and
-    # detector Ebar when b is in the ebar arm.
-    detect_e = kron(proj(basis[:, 0]), i2, flip, i2) + kron(
-        proj(basis[:, 1]), i2, i2, i2
-    )
-    detect_eb = kron(i2, proj(basis[:, 0]), i2, flip) + kron(
-        i2, proj(basis[:, 1]), i2, i2
-    )
-    detect = Operator(detect_eb @ detect_e)
-    ident = Operator(np.eye(16, dtype=np.complex128))
-
-    ps = PropagatorSet(TimeGrid((0, 1, 2, 3)), (ident, bs_both, detect))
-
-    pairs = {}
-    for le, pe in (("E*", P["E*"]), ("E", P["E"])):
-        for lb, pb in (("Ebar*", P["Ebar*"]), ("Ebar", P["Ebar"])):
-            pairs[f"{le}.{lb}"] = Projector(Operator(pe.mat @ pb.mat))
-    P.update(pairs)
-    readout = DecompositionOfIdentity(tuple(pairs.items()))
-
-    fam = {
-        "readout": Family.pure(ps, (0, 3), psi0, [readout], name="readout"),
-    }
-
-    expected = (
-        Expectation(
-            "both detectors trigger with probability 1/12",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("readout")).probability(("psi0", "E*.Ebar*")),
-            1.0 / 12.0,
-        ),
-        Expectation(
-            "neither detector triggers with probability 3/4",
-            PROVENANCE_DERIVED,
-            lambda s: probabilities(s.family("readout")).probability(("psi0", "E.Ebar")),
-            0.75,
-        ),
-    )
-
-    return Scenario(
-        name="hardy-detectors",
-        propagators=ps,
-        kets={"psi0": psi0},
-        projectors=P,
-        families=fam,
-        events={},
-        expected=expected,
-        description="Hardy interferometers with explicit two-state outcome detectors.",
-    )
-
-
-def build_hardy(with_detectors: bool = False) -> Scenario:
-    return _build_with_detectors() if with_detectors else _build_plain()

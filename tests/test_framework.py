@@ -245,3 +245,18 @@ class TestCommonRefinement:
         g = Family.pure(ps, (0, 1), X_PLUS, [X_DEC])
         with pytest.raises(FamilyMismatchError):
             common_refinement(f, g)
+
+    def test_trivial_decomposition_built_once_and_only_for_missing_times(self, ps, monkeypatch):
+        built = []
+        real = DecompositionOfIdentity.trivial
+        monkeypatch.setattr(DecompositionOfIdentity, "trivial", staticmethod(
+            lambda dim, label="I": built.append(dim) or real(dim, label)))
+        f = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC], name="F")
+        g = Family.pure(ps, (0, 2), Z_PLUS, [X_DEC], name="G")
+        assert common_refinement(f, g).classification == CLASS_COMMON
+        assert built == [2]
+        built.clear()
+        f = Family.pure(ps, (0, 1, 2), Z_PLUS, [X_DEC, IDENT], name="F")
+        g = Family.pure(ps, (0, 1, 2), Z_PLUS, [IDENT, Z_DEC], name="G")
+        assert common_refinement(f, g).classification == CLASS_DYNAMIC
+        assert built == []

@@ -23,7 +23,7 @@ from conhist.hilbert import (
     unitarity_defect,
     validate_decomposition,
 )
-from conhist.scenarios import BUILDERS, build_hardy
+from conhist.scenarios import BUILDERS
 
 RNG = np.random.default_rng(1234)
 
@@ -446,9 +446,9 @@ class TestBlockwiseChecks:
         assert is_projector(Operator(members[0]))
         assert unitarity_defect(Operator(unitary)) < TOL_PROJ
 
-    @pytest.mark.parametrize("name", [*BUILDERS, "hardy-detectors"])
+    @pytest.mark.parametrize("name", BUILDERS)
     def test_bundled_scenarios_match_dense_formulas(self, name):
-        scn = build_hardy(with_detectors=True) if name == "hardy-detectors" else BUILDERS[name]()
+        scn = BUILDERS[name]()
         decompositions = {id(d): d for f in scn.families.values() for d in f.decompositions}
         unitaries = {
             id(ps): [ps.propagator(0, j).mat for j in range(len(ps.grid))]
