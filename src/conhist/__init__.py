@@ -21,15 +21,9 @@ from .hilbert import (
     op_inner,
     projector_onto_span,
     rho_inner,
-    tensor_product,
     validate_decomposition,
 )
-from .dynamics import (
-    Hamiltonian,
-    PropagatorSet,
-    TimeGrid,
-    propagator_from_hamiltonian,
-)
+from .dynamics import PropagatorSet, TimeGrid
 from .histories import (
     ChainOperator,
     ConsistencyReport,
@@ -53,7 +47,6 @@ from .framework import (
     FamilyMismatchError,
     common_refinement,
     extend,
-    is_compatible,
     is_refinement,
 )
 from .relativistic import (

@@ -346,28 +346,28 @@ def _events_from_json(payload) -> list[TaggedEvent]:
         raw_events = payload["events"]
         events = []
         for raw in raw_events:
+            if not isinstance(raw["id"], str):
+                raise InputError(f"bad events file: event id {raw['id']!r} is not a string")
             regions = []
             for reg in raw["regions"]:
                 surf = reg["surface"]
-                regions.append(
-                    Region.at(
-                        [int(c) for c in reg["cells"]],
-                        Hypersurface(
-                            tuple(float(x) for x in surf["xs"]),
-                            tuple(float(t) for t in surf["ts"]),
-                        ),
-                    )
-                )
+                # a bool or a string is no number, and a float no cell (1e400 reads as inf)
+                if any(type(c) is not int for c in reg["cells"]):
+                    raise InputError(f"bad events file: cells {reg['cells']!r} are not integers")
+                if any(type(v) not in (int, float) for v in [*surf["xs"], *surf["ts"]]):
+                    raise InputError(f"bad events file: surface {surf!r} has a non-number")
+                surface = Hypersurface(tuple(surf["xs"]), tuple(surf["ts"]))
+                regions.append(Region.at(reg["cells"], surface))
             events.append(
                 TaggedEvent(
-                    str(raw["id"]),
+                    raw["id"],
                     tuple(regions),
                     raw.get("projector"),
                     raw.get("time_index"),
                 )
             )
         return events
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad events file: {exc}") from None
 
 
@@ -391,7 +391,8 @@ def cmd_embed(args) -> int:
         else:
             _emit(args, "embed", results, [{"witness": exc.witness}], started)
         return EXIT_NEGATIVE
-    except ValueError as exc:  # no events, repeated ids, or cyclic causality
+    except (ValueError, OverflowError) as exc:
+        # no events, repeated ids, cyclic causality, or a cell beyond float range
         raise InputError(str(exc)) from None
     results = {"embedded": True, **result.to_dict()}
     rows = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import Operator, TOL_PROJ, _product, unitarity_defect
+from .hilbert import Operator, _product, unitarity_defect
 
 # Unitarity tolerance for step operators.
 TOL_UNITARY = 1e-9
@@ -51,28 +51,6 @@ class TimeGrid:
             if abs(v - t) <= tol:
                 return i
         raise KeyError(f"time {t} not on grid {self.values}")
-
-
-@dataclass(frozen=True, eq=False)
-class Hamiltonian:
-    """Hermitian generator of time development."""
-
-    op: Operator
-
-    def __post_init__(self):
-        if not self.op.is_hermitian(TOL_PROJ):
-            raise ValueError("Hamiltonian must be Hermitian")
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-
-def propagator_from_hamiltonian(h: Hamiltonian, t_to: float, t_from: float) -> Operator:
-    """``exp[-i (t_to - t_from) H]`` with hbar = 1, via eigendecomposition."""
-    evals, evecs = np.linalg.eigh(h.op.mat)
-    phases = np.exp(-1j * (t_to - t_from) * evals)
-    return Operator((evecs * phases) @ evecs.conj().T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -299,8 +299,3 @@ def common_refinement(f: Family, g: Family) -> CompatibilityVerdict:
     if report.consistent:
         return CompatibilityVerdict(True, CLASS_COMMON, refinement=product)
     return CompatibilityVerdict(False, CLASS_DYNAMIC, witness=report)
-
-
-def is_compatible(f: Family, g: Family) -> bool:
-    """Thin wrapper: do the families admit a consistent common refinement?"""
-    return common_refinement(f, g).compatible

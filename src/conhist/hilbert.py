@@ -186,7 +186,7 @@ class Operator:
     """A dense complex square matrix with dimension metadata.
 
     One representation serves every operator role: projectors, unitaries,
-    Hamiltonians, chain operators, density operators.
+    chain operators, density operators.
     """
 
     mat: np.ndarray
@@ -350,15 +350,6 @@ class DensityOperator:
             raise ValueError(f"density operator trace {tr} != 1")
 
     @classmethod
-    def from_ket(cls, ket: Ket) -> "DensityOperator":
-        psi = ket.normalized()
-        return cls(Operator(np.outer(psi.amps, psi.amps.conj())))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(Operator(np.eye(dim, dtype=np.complex128) / dim))
-
-    @classmethod
     def from_projector(cls, p: Projector) -> "DensityOperator":
         """Maximally mixed state over the range of ``p``."""
         if p.rank == 0:
@@ -372,11 +363,6 @@ class DensityOperator:
     @property
     def mat(self) -> np.ndarray:
         return self.op.mat
-
-
-def tensor_product(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; entry ((i*db+k),(j*db+l)) equals a[i,j]*b[k,l]."""
-    return Operator(np.kron(a.mat, b.mat))
 
 
 def op_inner(a: Operator, b: Operator) -> complex:
@@ -473,22 +459,6 @@ class DecompositionOfIdentity:
             if lab == label:
                 return proj
         raise KeyError(f"no member labeled {label!r}")
-
-    def refine_member(self, label: str, parts: Sequence[tuple[str, Projector]]) -> "DecompositionOfIdentity":
-        """Split one member into orthogonal parts that sum to it."""
-        target = self.projector(label)
-        total = Operator.zero(self.dim)
-        for _, part in parts:
-            total = total + part.op
-        if not total.allclose(target.op):
-            raise ValueError(f"parts do not sum to member {label!r}")
-        new_members = []
-        for lab, proj in self.members:
-            if lab == label:
-                new_members.extend(parts)
-            else:
-                new_members.append((lab, proj))
-        return DecompositionOfIdentity(tuple(new_members))
 
 
 def validate_decomposition(d: DecompositionOfIdentity) -> DecompositionReport:

@@ -15,7 +15,7 @@ makes some event collections impossible to embed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -23,7 +23,8 @@ import numpy as np
 
 from .dynamics import PropagatorSet, TOL_UNITARY
 from .hilbert import (
-    DecompositionOfIdentity, DensityOperator, Ket, Operator, Projector, unitarity_defect,
+    DecompositionOfIdentity, DensityOperator, Ket, Operator, Projector, _product,
+    unitarity_defect,
 )
 from .histories import (
     EPS_ABS, EPS_REL, Family, MixedInitial, PureInitial, _analyze, _report,
@@ -526,7 +527,11 @@ def commutation_check(
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMap:
-    """Per-time unitaries L_j relating one frame's spaces to another's."""
+    """Per-time unitaries L_j relating one frame's spaces to another's.
+
+    Relabeling conjugates an operator at time j by ``L_j``, a step
+    ``T_{j+1,j}`` by ``L_{j+1} . L_j^dag`` and a ket at time j by ``L_j``.
+    """
 
     unitaries: tuple[Operator, ...]
 
@@ -543,30 +548,77 @@ class CovarianceMap:
     def __len__(self) -> int:
         return len(self.unitaries)
 
+    @classmethod
+    def seeded(cls, ps: PropagatorSet, seed: int = 7) -> "CovarianceMap":
+        """One permutation-times-phases unitary per grid time, drawn from
+        ``seed``: different maps at different times exercise the full
+        transformation law, not just a global change of basis."""
+        rng = np.random.default_rng(seed)
+        maps = []
+        for _ in range(len(ps.grid)):
+            perm = rng.permutation(ps.dim)
+            mat = np.zeros((ps.dim, ps.dim), dtype=np.complex128)
+            mat[perm, np.arange(ps.dim)] = np.exp(2j * np.pi * rng.random(ps.dim))
+            maps.append(Operator(mat))
+        return cls(tuple(maps))
 
-def transform_family(fam: Family, maps: CovarianceMap, primed: PropagatorSet) -> Family:
-    """Conjugate every projector (and the initial condition) by the per-time
-    maps, rebasing the family onto the primed dynamics."""
-    decs = []
-    for slot, dec in enumerate(fam.decompositions):
-        j = fam.time_indices[slot]
-        l_mat = maps.unitaries[j].mat
-        members = []
-        for label, proj in dec.members:
-            members.append((label, Projector(Operator(l_mat @ proj.mat @ l_mat.conj().T))))
-        decs.append(DecompositionOfIdentity(tuple(members)))
-    initial = fam.initial
-    if isinstance(initial, PureInitial):
-        j0 = fam.time_indices[fam.initial_slot]
-        ket = Ket(maps.unitaries[j0].mat @ initial.ket.amps, initial.ket.label)
-        initial = PureInitial(ket, initial.label)
-    elif isinstance(initial, MixedInitial):
-        j0 = fam.time_indices[fam.initial_slot]
-        l_mat = maps.unitaries[j0].mat
-        initial = MixedInitial(
-            DensityOperator(Operator(l_mat @ initial.rho.mat @ l_mat.conj().T))
+    def conjugate(self, mat: np.ndarray, j: int, k: int | None = None) -> np.ndarray:
+        """``L_j mat L_k^dag``; ``k`` defaults to ``j``."""
+        lj = self.unitaries[j].mat
+        lk = lj if k is None else self.unitaries[k].mat
+        return _product(_product(lj, mat), lk.conj().T)
+
+    def relabel_propagators(self, ps: PropagatorSet) -> PropagatorSet:
+        """The same dynamics in the relabeled bases, step by step."""
+        if len(self) != len(ps.grid):
+            raise ValueError(f"need one map per grid time ({len(ps.grid)}), got {len(self)}")
+        steps = tuple(Operator(self.conjugate(u.mat, j + 1, j)) for j, u in enumerate(ps.steps))
+        return PropagatorSet(ps.grid, steps, space_dim=ps.dim)
+
+    def relabel_family(self, fam: Family, primed: PropagatorSet) -> Family:
+        """Every projector and the initial condition conjugated at its time,
+        rebased onto the primed dynamics."""
+        decs = tuple(
+            DecompositionOfIdentity(tuple(
+                (label, Projector(Operator(self.conjugate(proj.mat, j))))
+                for label, proj in dec.members
+            ))
+            for j, dec in zip(fam.time_indices, fam.decompositions)
         )
-    return Family(primed, fam.time_indices, tuple(decs), initial, fam.initial_slot, fam.name)
+        initial = fam.initial
+        if initial is not None:
+            j0 = fam.time_indices[fam.initial_slot]
+            if isinstance(initial, PureInitial):
+                ket = Ket(self.unitaries[j0].mat @ initial.ket.amps, initial.ket.label)
+                initial = PureInitial(ket, initial.label)
+            else:
+                rho = DensityOperator(Operator(self.conjugate(initial.rho.mat, j0)))
+                initial = MixedInitial(rho)
+        return Family(primed, fam.time_indices, decs, initial, fam.initial_slot, fam.name)
+
+
+def transform_scenario(scn: "Scenario", maps: CovarianceMap, seed: int = 7) -> "Scenario":
+    """The relabeled twin of a scenario: its dynamics and its families, every
+    per-time basis conjugated.  It carries nothing else.
+
+    Families on the scenario's own dynamics are relabeled with ``maps``.
+    Families on another propagator set (another frame ordering) get maps of
+    their own, seeded ``seed + 1``, ``seed + 2``, ... in order of first use.
+    """
+    master = scn.propagators
+    relabeled = {id(master): (maps, maps.relabel_propagators(master))}
+    families = {}
+    for name, fam in scn.families.items():
+        ps = master if fam.propagators.same_dynamics(master) else fam.propagators
+        if id(ps) not in relabeled:
+            aux = CovarianceMap.seeded(ps, seed=seed + len(relabeled))
+            relabeled[id(ps)] = (aux, aux.relabel_propagators(ps))
+        m, primed = relabeled[id(ps)]
+        families[name] = m.relabel_family(fam, primed)
+    return replace(
+        scn, name=f"{scn.name}-relabeled", propagators=relabeled[id(master)][1],
+        kets={}, projectors={}, families=families, events={}, expected=(),
+    )
 
 
 @dataclass(frozen=True)
@@ -576,19 +628,6 @@ class CovarianceReport:
     passed: bool
     propagator_residual: float
     family_results: tuple[tuple[str, float, bool], ...]  # (name, max |dW|, verdicts agree)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "propagator_residual": self.propagator_residual,
-            "families": [
-                {"name": n, "max_weight_diff": d, "verdicts_agree": v}
-                for n, d, v in self.family_results
-            ],
-        }
 
 
 def covariance_check(
@@ -600,9 +639,11 @@ def covariance_check(
 ) -> CovarianceReport:
     """Verify that the primed description is the same physics relabeled.
 
-    Checks ``T'_{jk} = L_j T_{jk} L_k^dag`` over all index pairs, then that
-    every named family has the same weight table and consistency verdict as
-    the same-named family of ``primed``.
+    Checks ``T'_{j+1,j} = L_{j+1} T_{j+1,j} L_j^dag`` on the n - 1 steps,
+    which gives ``T'_{jk} = L_j T_{jk} L_k^dag`` for every pair since each
+    propagator is a product of steps on both sides.  Then checks that every
+    named family has the same weights and consistency verdict as the
+    same-named family of ``primed``.
     """
     ps, pps = scn.propagators, primed.propagators
     n = len(ps.grid)
@@ -610,29 +651,18 @@ def covariance_check(
         raise ValueError(f"need one map per grid time ({n}), got {len(maps)}")
     if len(pps.grid) != n or ps.dim != pps.dim:
         raise ValueError("primed dynamics must match grid length and dimension")
-    residual = 0.0
-    for j in range(n):
-        lj = maps.unitaries[j].mat
-        for k in range(n):
-            lk = maps.unitaries[k].mat
-            t_prime = pps.propagator(j, k).mat
-            expected = lj @ ps.propagator(j, k).mat @ lk.conj().T
-            residual = max(residual, float(np.linalg.norm(t_prime - expected)))
+    residual = max(
+        (float(np.linalg.norm(pps.steps[j].mat - maps.conjugate(u.mat, j + 1, j)))
+         for j, u in enumerate(ps.steps)),
+        default=0.0,
+    )
 
     family_results = []
-    all_ok = residual < tol_propagator
     for name in sorted(scn.families):
         # one pass per side serves both the weights and the verdict
         a0, a1 = _analyze(scn.families[name]), _analyze(primed.families[name])
-        max_diff = float(np.abs(a0.weights - a1.weights).max())
         agree = (_report(a0, EPS_ABS, EPS_REL, "complex").consistent
                  == _report(a1, EPS_ABS, EPS_REL, "complex").consistent)
-        family_results.append((name, max_diff, agree))
-        if max_diff >= tol_weight or not agree:
-            all_ok = False
-
-    return CovarianceReport(
-        passed=all_ok,
-        propagator_residual=residual,
-        family_results=tuple(family_results),
-    )
+        family_results.append((name, float(np.abs(a0.weights - a1.weights).max()), agree))
+    passed = residual < tol_propagator and all(d < tol_weight and ok for _, d, ok in family_results)
+    return CovarianceReport(passed, residual, tuple(family_results))

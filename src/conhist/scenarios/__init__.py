@@ -8,10 +8,7 @@ from .base import (
     Expectation,
     ExpectationResult,
     Scenario,
-    basis_relabeling_maps,
     spacelike_local_event_pairs,
-    transform_scenario,
-    transformed_propagators,
 )
 from .epr import build_epr
 from .hardy import build_hardy
@@ -41,13 +38,10 @@ __all__ = [
     "Expectation",
     "ExpectationResult",
     "Scenario",
-    "basis_relabeling_maps",
     "build",
     "build_epr",
     "build_hardy",
     "build_spin_half",
     "build_wavepacket",
     "spacelike_local_event_pairs",
-    "transform_scenario",
-    "transformed_propagators",
 ]

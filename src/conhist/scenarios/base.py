@@ -11,7 +11,7 @@ the public API and compare against the registered value.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -19,9 +19,7 @@ import numpy as np
 from ..dynamics import PropagatorSet
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import Family
-from ..relativistic import (
-    SPACELIKE, CovarianceMap, TaggedEvent, classify_interval, transform_family,
-)
+from ..relativistic import SPACELIKE, TaggedEvent, classify_interval
 
 PROVENANCE_PAPER = "paper"
 PROVENANCE_DERIVED = "derived"
@@ -82,9 +80,6 @@ class Scenario:
     families: Mapping[str, Family]
     events: Mapping[str, TaggedEvent]
     expected: tuple[Expectation, ...]
-    # Grid time index associated with each named ket/projector, where one is
-    # meaningful; used when relabeling the scenario frame by frame.
-    named_times: Mapping[str, int] = field(default_factory=dict)
     description: str = ""
 
     @property
@@ -115,79 +110,6 @@ def with_rest(*members: tuple[str, Projector]) -> DecompositionOfIdentity:
     if np.linalg.norm(rest) > 1e-12:
         members += (("rest", Projector(Operator(rest))),)
     return DecompositionOfIdentity(members)
-
-
-def basis_relabeling_maps(ps: PropagatorSet, seed: int = 7) -> CovarianceMap:
-    """Deterministic per-time relabeling unitaries: permutation times phases.
-
-    Different maps at different times exercise the full transformation law
-    for the dynamics, not just a global change of basis.
-    """
-    rng = np.random.default_rng(seed)
-    dim = ps.dim
-    maps = []
-    for _ in range(len(ps.grid)):
-        perm = rng.permutation(dim)
-        phases = np.exp(2j * np.pi * rng.random(dim))
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[perm, np.arange(dim)] = phases
-        maps.append(Operator(mat))
-    return CovarianceMap(tuple(maps))
-
-
-def transformed_propagators(ps: PropagatorSet, maps: CovarianceMap) -> PropagatorSet:
-    """The same dynamics written in the relabeled per-time bases."""
-    if len(maps) != len(ps.grid):
-        raise ValueError("need one map per grid time")
-    steps = []
-    for j, step in enumerate(ps.steps):
-        lj1 = maps.unitaries[j + 1].mat
-        lj = maps.unitaries[j].mat
-        steps.append(Operator(lj1 @ step.mat @ lj.conj().T))
-    return PropagatorSet(ps.grid, tuple(steps), space_dim=ps.dim)
-
-
-def transform_scenario(scn: Scenario, maps: CovarianceMap, seed: int = 7) -> Scenario:
-    """A relabeled twin of the scenario: every per-time basis conjugated.
-
-    Families living on the scenario's master dynamics are transformed with
-    ``maps``; families carried on auxiliary propagator sets (other frame
-    orderings) get their own deterministic maps derived from ``seed``.
-    Events keep their geometry: relabeling does not move spacetime points.
-    """
-    primed_ps = transformed_propagators(scn.propagators, maps)
-    aux_maps: dict[int, tuple[CovarianceMap, PropagatorSet]] = {}
-    families = {}
-    for name, fam in scn.families.items():
-        if fam.propagators.same_dynamics(scn.propagators):
-            families[name] = transform_family(fam, maps, primed_ps)
-        else:
-            key = id(fam.propagators)
-            if key not in aux_maps:
-                m = basis_relabeling_maps(fam.propagators, seed=seed + 1 + len(aux_maps))
-                aux_maps[key] = (m, transformed_propagators(fam.propagators, m))
-            m, aux_ps = aux_maps[key]
-            families[name] = transform_family(fam, m, aux_ps)
-    kets = {}
-    for name, ket in scn.kets.items():
-        j = scn.named_times.get(name, 0)
-        kets[name] = Ket(maps.unitaries[j].mat @ ket.amps, ket.label)
-    projectors = {}
-    for name, proj in scn.projectors.items():
-        j = scn.named_times.get(name, 0)
-        l_mat = maps.unitaries[j].mat
-        projectors[name] = Projector(Operator(l_mat @ proj.mat @ l_mat.conj().T))
-    return Scenario(
-        name=scn.name + "-relabeled",
-        propagators=primed_ps,
-        kets=kets,
-        projectors=projectors,
-        families=families,
-        events=dict(scn.events),
-        expected=(),
-        named_times=dict(scn.named_times),
-        description=scn.description,
-    )
 
 
 def spacelike_local_event_pairs(

@@ -275,7 +275,6 @@ def build_epr() -> Scenario:
         families=fam,
         events=events,
         expected=expected,
-        named_times={"Psi2": 4},
         description=(
             "Singlet pair flying apart with a z-spin measurement on particle a: "
             "perfect anticorrelation, uncorrelated mixed-axis descriptions, and "

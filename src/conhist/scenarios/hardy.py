@@ -242,7 +242,6 @@ def build_hardy() -> Scenario:
         families=fam,
         events=events,
         expected=expected,
-        named_times={"psi2": 3},
         description=(
             "Two interferometers fed by a joint state with no (d, dbar) "
             "amplitude; three beam-splitter orderings, the two single-frame "

@@ -218,7 +218,6 @@ def build_spin_half() -> Scenario:
         families=fam,
         events={},
         expected=expected,
-        named_times={"S": 4},
         description=(
             "Spin-half particle with trivial free dynamics and a nondestructive "
             "x-spin measurement; stochastic vs unitary descriptions, the "

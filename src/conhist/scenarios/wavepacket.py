@@ -191,12 +191,10 @@ def build_wavepacket(
     P["B*"] = Projector(Operator(np.kron(ip, np.kron(i2, np.diag([0, 1.0])))))
 
     kets = {"Psi0": psi0}
-    named_times = {}
     for v in master_values:
         name = f"Psi.{v}"
         kets[name] = Ket(evolved[v], name)
         P[name] = kets[name].projector()
-        named_times[name] = midx[v]
 
     phib_mid_cell = source + (t_a + 1)
     phib = np.zeros(n_part, dtype=np.complex128)
@@ -429,7 +427,6 @@ def build_wavepacket(
         families=fam,
         events=events,
         expected=expected,
-        named_times=named_times,
         description=(
             "A single particle in a left/right superposition on a cell lattice "
             "with two absorbing detectors: trajectory families, unitary MQS "

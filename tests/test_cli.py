@@ -393,6 +393,26 @@ class TestEmbed:
         assert code == 3
         assert "unique" in err
 
+    @pytest.mark.parametrize("old,new", [
+        ('"cells": [0]', '"cells": [1e400]'),  # JSON reads it as inf
+        ('"cells": [0]', '"cells": [1.5]'),
+        ('"cells": [0]', '"cells": [true]'),
+        ('"cells": [0]', '"cells": ["7"]'),
+        ('"cells": [0]', f'"cells": [1{"0" * 400}]'),
+        ('"id": "src"', '"id": 5'),
+        ('"xs": [-10, 10]', '"xs": [true, 10]'),
+        ('"ts": [0, 0]', '"ts": [0, "0"]'),
+        ('"xs": [-10, 10]', f'"xs": [-1{"0" * 400}, 10]'),
+    ], ids=["cell-1e400", "cell-1.5", "cell-true", "cell-string", "cell-10**400", "id-number",
+            "x-true", "t-string", "x-minus-10**400"])
+    def test_malformed_event_is_input_error(self, capsys, tmp_path, old, new):
+        # not read as another cell or id, and no traceback
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(EVENTS_OK).replace(old, new))
+        code, _, err = run(capsys, "embed", str(path))
+        assert code == 3
+        assert err.count("error:") == 1 and "Traceback" not in err
+
     def test_bad_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "events.json"
         path.write_text("{not json")

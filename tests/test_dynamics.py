@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conhist.dynamics import (
-    Hamiltonian,
-    PropagatorSet,
-    TimeGrid,
-    propagator_from_hamiltonian,
-)
+from conhist.dynamics import PropagatorSet, TimeGrid
 from conhist.hilbert import Ket, Operator, is_projector
 
 
@@ -19,20 +14,6 @@ def random_unitary(dim, rng):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(m)
     return Operator(q * (np.diag(r) / np.abs(np.diag(r))))
-
-
-def series_expm(mat, terms=60):
-    """Independent matrix-exponential oracle: scaled-and-squared power series."""
-    k = max(0, int(np.ceil(np.log2(max(np.linalg.norm(mat), 1e-300)))) + 2)
-    small = mat / (2**k)
-    out = np.eye(mat.shape[0], dtype=complex)
-    term = np.eye(mat.shape[0], dtype=complex)
-    for n in range(1, terms):
-        term = term @ small / n
-        out = out + term
-    for _ in range(k):
-        out = out @ out
-    return out
 
 
 class TestTimeGrid:
@@ -45,35 +26,6 @@ class TestTimeGrid:
             TimeGrid((0.0, 0.0))
         with pytest.raises(ValueError):
             TimeGrid((1.0, 0.5))
-
-
-class TestPropagatorFromHamiltonian:
-    def test_zero_hamiltonian(self):
-        h = Hamiltonian(Operator.zero(3))
-        u = propagator_from_hamiltonian(h, 2.7, 0.3)
-        assert np.allclose(u.mat, np.eye(3))
-
-    def test_sigma_z_half_turn(self):
-        # eigendecomposition oracle: exp(-i pi sigma_z) = diag(e^-ipi, e^+ipi) = -I
-        sigma_z = Hamiltonian(Operator(np.diag([1.0, -1.0])))
-        u = propagator_from_hamiltonian(sigma_z, np.pi, 0.0)
-        assert np.allclose(u.mat, -np.eye(2), atol=1e-12)
-
-    def test_composition_against_series_oracle(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = Hamiltonian(Operator((m + m.conj().T) / 2))
-        t0, t1, t2 = 0.2, 0.9, 1.7
-        u_10 = propagator_from_hamiltonian(h, t1, t0)
-        u_21 = propagator_from_hamiltonian(h, t2, t1)
-        u_20 = propagator_from_hamiltonian(h, t2, t0)
-        assert np.linalg.norm((u_21 @ u_10).mat - u_20.mat) < 1e-10
-        oracle = series_expm(-1j * (t2 - t0) * h.op.mat)
-        assert np.linalg.norm(u_20.mat - oracle) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            Hamiltonian(Operator(np.array([[0, 1], [0, 0]], dtype=complex)))
 
 
 class TestPropagatorComposition:

@@ -12,7 +12,6 @@ from conhist.framework import (
     KinematicWitness,
     common_refinement,
     extend,
-    is_compatible,
     is_refinement,
 )
 from conhist.hilbert import DecompositionOfIdentity, Ket, Operator, projector_onto_span
@@ -96,8 +95,8 @@ class TestExtend:
         coarse_dec = DecompositionOfIdentity(
             (("occupied", e[0].projector()), ("empty", projector_onto_span(e[1:]))),
         )
-        fine_dec = coarse_dec.refine_member(
-            "empty", (("e1", e[1].projector()), ("e2", e[2].projector()))
+        fine_dec = DecompositionOfIdentity(
+            (("occupied", e[0].projector()), ("e1", e[1].projector()), ("e2", e[2].projector())),
         )
         fam_c = Family.pure(dim3, (0, 1, 2), psi, [coarse_dec, coarse_dec])
         fam_f = Family.pure(dim3, (0, 1, 2), psi, [fine_dec, fine_dec])
@@ -171,7 +170,6 @@ class TestCommonRefinement:
         verdict = common_refinement(fam, fam)
         assert verdict.classification == CLASS_IDENTICAL
         assert verdict.compatible
-        assert is_compatible(fam, fam)
 
     def test_extension_is_refinement_classified(self, ps):
         fam = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC])
@@ -189,7 +187,7 @@ class TestCommonRefinement:
         assert verdict.witness.time_label == "t1"
         # ||[x+, z+]||_F = 1/sqrt(2)
         assert verdict.witness.commutator_norm == pytest.approx(1 / np.sqrt(2))
-        assert not is_compatible(f1, f2)
+        assert not verdict.compatible
 
     def test_dynamic_incompatibility(self, ps):
         # slotwise-commuting pair whose product family is inconsistent:

@@ -19,7 +19,6 @@ from conhist.hilbert import (
     op_inner,
     projector_onto_span,
     rho_inner,
-    tensor_product,
     unitarity_defect,
     validate_decomposition,
 )
@@ -40,37 +39,6 @@ Z_PLUS = Ket(np.array([1, 0]), "z+")
 Z_MINUS = Ket(np.array([0, 1]), "z-")
 X_PLUS = Ket(np.array([1, 1]) / np.sqrt(2), "x+")
 X_MINUS = Ket(np.array([1, -1]) / np.sqrt(2), "x-")
-
-
-class TestTensorProduct:
-    def test_identity_times_identity(self):
-        out = tensor_product(Operator.identity(2), Operator.identity(2))
-        assert np.allclose(out.mat, np.eye(4))
-
-    def test_rank_multiplies(self):
-        p = tensor_product(Z_PLUS.projector().op, Operator.identity(3))
-        assert Projector(p).rank == 3
-
-    def test_index_expansion_oracle(self):
-        # Oracle: walk every output entry by the index formula.
-        a = random_operator(2)
-        b = random_operator(3)
-        out = tensor_product(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(3):
-                        assert out.mat[i * 3 + k, j * 3 + l] == pytest.approx(
-                            a.mat[i, j] * b.mat[k, l]
-                        )
-        # spot check one off-diagonal entry: (3, 4) = a[1,1] * b[0,1]
-        assert out.mat[3, 4] == pytest.approx(a.mat[1, 1] * b.mat[0, 1])
-
-    def test_associativity(self):
-        a, b, c = random_operator(2), random_operator(3), random_operator(2)
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert np.linalg.norm(left.mat - right.mat) < 1e-14
 
 
 class TestOpInner:
@@ -110,20 +78,20 @@ class TestOpInner:
 
 class TestRhoInner:
     def test_maximally_mixed_reduces_to_op_inner(self):
-        rho = DensityOperator.maximally_mixed(3)
+        rho = DensityOperator(Operator(np.eye(3) / 3))
         a, b = random_operator(3), random_operator(3)
         assert rho_inner(rho, a, b) == pytest.approx(op_inner(a, b) / 3)
 
     def test_pure_state_expansion_oracle(self):
         psi = random_ket(3).normalized()
-        rho = DensityOperator.from_ket(psi)
+        rho = DensityOperator.from_projector(psi.projector())
         a, b = random_operator(3), random_operator(3)
         # oracle: <psi| a^dag b |psi> by direct vector algebra
         direct = np.vdot(a.mat @ psi.amps, b.mat @ psi.amps)
         assert rho_inner(rho, a, b) == pytest.approx(direct)
 
     def test_unit_trace(self):
-        rho = DensityOperator.from_ket(random_ket(4).normalized())
+        rho = DensityOperator.from_projector(random_ket(4).projector())
         i4 = Operator.identity(4)
         assert rho_inner(rho, i4, i4) == pytest.approx(1.0)
 
@@ -165,14 +133,6 @@ class TestValidateDecomposition:
     def test_single_member_identity(self):
         dec = DecompositionOfIdentity.trivial(3)
         assert validate_decomposition(dec).valid
-
-    def test_refinement_by_splitting_member_stays_valid(self):
-        # split the identity member of {I} into the z basis
-        dec = DecompositionOfIdentity.trivial(2)
-        refined = dec.refine_member(
-            "I", (("z+", Z_PLUS.projector()), ("z-", Z_MINUS.projector()))
-        )
-        assert validate_decomposition(refined).valid
 
     def test_label_rules(self):
         with pytest.raises(ValueError):

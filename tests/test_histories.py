@@ -179,7 +179,7 @@ class TestWeights:
     def test_mixed_initial_matches_pure_average(self):
         # rho = (|z+><z+| + |z-><z-|)/2 weights are the average of the pure runs
         ps = trivial_ps(2)
-        rho = DensityOperator.maximally_mixed(2)
+        rho = DensityOperator(Operator(np.eye(2) / 2))
         fam_mixed = Family.general(ps, (0, 1), [Z_DEC, X_DEC], rho=rho)
         fam_up = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC])
         fam_dn = Family.pure(ps, (0, 1), Z_MINUS, [X_DEC])
@@ -619,7 +619,7 @@ class TestTimeReversal:
     def test_mixed_initial_rejected(self):
         ps = trivial_ps(2)
         fam = Family.general(
-            ps, (0, 1), [Z_DEC, X_DEC], rho=DensityOperator.maximally_mixed(2)
+            ps, (0, 1), [Z_DEC, X_DEC], rho=DensityOperator(Operator(np.eye(2) / 2))
         )
         with pytest.raises(ValueError):
             time_reverse(fam)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conhist import histories, relativistic
-from conhist.dynamics import TOL_UNITARY
-from conhist.hilbert import unitarity_defect
+from conhist.dynamics import TOL_UNITARY, PropagatorSet
+from conhist.hilbert import Operator, unitarity_defect
 from conhist.histories import (
     EPS_REL,
     chain_operator,
@@ -15,18 +15,15 @@ from conhist.histories import (
     weight_table,
 )
 from conhist.relativistic import (
+    CovarianceMap,
     EmbeddingImpossibleError,
     commutation_check,
     covariance_check,
     embed_events,
+    transform_scenario,
     validate_foliation,
 )
-from conhist.scenarios import (
-    BUILDERS,
-    basis_relabeling_maps,
-    spacelike_local_event_pairs,
-    transform_scenario,
-)
+from conhist.scenarios import BUILDERS, spacelike_local_event_pairs
 
 SCENARIOS = {name: builder() for name, builder in BUILDERS.items()}
 
@@ -111,11 +108,11 @@ def test_reference_index_independence(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_covariance_under_basis_relabeling(name):
     scn = SCENARIOS[name]
-    maps = basis_relabeling_maps(scn.propagators, seed=13)
+    maps = CovarianceMap.seeded(scn.propagators, seed=13)
     primed = transform_scenario(scn, maps, seed=13)
     report = covariance_check(scn, maps, primed)
     assert report.propagator_residual < 1e-10
-    assert report.passed, report.to_dict()
+    assert report.passed, report
     assert [r[0] for r in report.family_results] == sorted(scn.families)
 
 
@@ -124,7 +121,7 @@ def test_every_family_frame_independent(name):
     # weight tables survive per-time basis relabeling family by family,
     # including families carried on auxiliary frame orderings
     scn = SCENARIOS[name]
-    maps = basis_relabeling_maps(scn.propagators, seed=5)
+    maps = CovarianceMap.seeded(scn.propagators, seed=5)
     primed = transform_scenario(scn, maps, seed=5)
     for fam_name, fam in scn.families.items():
         w0 = weight_table(fam).entries
@@ -137,7 +134,7 @@ def test_every_family_frame_independent(name):
 def test_covariance_check_reports_every_family():
     # hardy's two inference families run on their own frame orderings
     scn = SCENARIOS["hardy"]
-    maps = basis_relabeling_maps(scn.propagators, seed=13)
+    maps = CovarianceMap.seeded(scn.propagators, seed=13)
     report = covariance_check(scn, maps, transform_scenario(scn, maps, seed=13))
     assert report.passed
     assert [name for name, _, _ in report.family_results] == sorted(scn.families)
@@ -149,7 +146,7 @@ def test_covariance_check_analyses_each_side_once(name, monkeypatch):
     # one chain pass per family and per primed family gives both the weights
     # and the verdict
     scn = SCENARIOS[name]
-    maps = basis_relabeling_maps(scn.propagators, seed=13)
+    maps = CovarianceMap.seeded(scn.propagators, seed=13)
     primed = transform_scenario(scn, maps, seed=13)
     passes = []
     real = histories._analyze
@@ -166,7 +163,7 @@ def test_covariance_check_analyses_each_side_once(name, monkeypatch):
 
 def test_covariance_check_compares_the_primed_families():
     scn = SCENARIOS["spin-half"]
-    maps = basis_relabeling_maps(scn.propagators, seed=13)
+    maps = CovarianceMap.seeded(scn.propagators, seed=13)
     primed = transform_scenario(scn, maps, seed=13)
     swapped = dataclasses.replace(
         primed, families={**primed.families, "F1": primed.families["F2"]}
@@ -178,21 +175,47 @@ def test_covariance_check_compares_the_primed_families():
     assert diff > 0.1
 
 
-def test_covariance_check_flags_wrong_map():
-    scn = SCENARIOS["spin-half"]
-    maps = basis_relabeling_maps(scn.propagators, seed=13)
+def test_covariance_check_reads_steps_not_propagators(monkeypatch):
+    # every two-time propagator is a product of steps on both sides, so the
+    # propagator law is checked on the n - 1 steps alone
+    scn = SCENARIOS["wavepacket"]
+    maps = CovarianceMap.seeded(scn.propagators, seed=13)
     primed = transform_scenario(scn, maps, seed=13)
-    bad_unitaries = list(maps.unitaries)
-    swap = np.zeros((6, 6), dtype=complex)
-    order = [1, 0, 2, 3, 4, 5]
-    for i, j in enumerate(order):
-        swap[j, i] = 1.0
-    from conhist.hilbert import Operator
-    from conhist.relativistic import CovarianceMap
+    analyses = {id(f): histories._analyze(f) for s in (scn, primed) for f in s.families.values()}
 
-    bad_unitaries[2] = Operator(swap @ bad_unitaries[2].mat)
-    bad = CovarianceMap(tuple(bad_unitaries))
-    report = covariance_check(scn, bad, primed)
+    def no_propagator(self, j, k):
+        raise AssertionError(f"propagator({j}, {k}) called")
+
+    monkeypatch.setattr(relativistic, "_analyze", lambda f: analyses[id(f)])
+    monkeypatch.setattr(PropagatorSet, "propagator", no_propagator)
+    assert covariance_check(scn, maps, primed).passed
+
+
+def _wrong_map(maps, primed):
+    # swap the first two basis vectors after the map at time 2
+    swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
+    unitaries = list(maps.unitaries)
+    unitaries[2] = Operator(swap @ unitaries[2].mat)
+    return CovarianceMap(tuple(unitaries)), primed
+
+
+def _perturbed_step(maps, primed):
+    # one primed step with an extra phase on one basis vector
+    steps = list(primed.propagators.steps)
+    steps[2] = Operator(np.diag(np.exp(0.5j * np.eye(6)[0])) @ steps[2].mat)
+    ps = dataclasses.replace(primed.propagators, steps=tuple(steps))
+    return maps, dataclasses.replace(primed, propagators=ps)
+
+
+@pytest.mark.parametrize(
+    "mutate", [_wrong_map, _perturbed_step], ids=["wrong-map", "perturbed-step"]
+)
+def test_covariance_check_flags_wrong_map(mutate):
+    # each step enters the check once, so one wrong map or one wrong primed
+    # step must show in the residual
+    scn = SCENARIOS["spin-half"]
+    maps = CovarianceMap.seeded(scn.propagators, seed=13)
+    report = covariance_check(scn, *mutate(maps, transform_scenario(scn, maps, seed=13)))
     assert not report.passed
     assert report.propagator_residual > 0.1
 
