@@ -346,16 +346,9 @@ def _events_from_json(payload) -> list[TaggedEvent]:
         raw_events = payload["events"]
         events = []
         for raw in raw_events:
-            if not isinstance(raw["id"], str):
-                raise InputError(f"bad events file: event id {raw['id']!r} is not a string")
             regions = []
             for reg in raw["regions"]:
                 surf = reg["surface"]
-                # a bool or a string is no number, and a float no cell (1e400 reads as inf)
-                if any(type(c) is not int for c in reg["cells"]):
-                    raise InputError(f"bad events file: cells {reg['cells']!r} are not integers")
-                if any(type(v) not in (int, float) for v in [*surf["xs"], *surf["ts"]]):
-                    raise InputError(f"bad events file: surface {surf!r} has a non-number")
                 surface = Hypersurface(tuple(surf["xs"]), tuple(surf["ts"]))
                 regions.append(Region.at(reg["cells"], surface))
             events.append(

@@ -46,9 +46,9 @@ class TimeGrid:
     def __len__(self) -> int:
         return len(self.values)
 
-    def index_of_value(self, t: float, tol: float = 1e-9) -> int:
+    def index_of_value(self, t: float) -> int:
         for i, v in enumerate(self.values):
-            if abs(v - t) <= tol:
+            if abs(v - t) <= 1e-9:
                 return i
         raise KeyError(f"time {t} not on grid {self.values}")
 
@@ -121,10 +121,10 @@ class PropagatorSet:
         t_rj = self.propagator(reference, j).mat
         return _product(_product(t_rj, mat), t_rj.conj().T)
 
-    def same_dynamics(self, other: "PropagatorSet", tol: float = 1e-9) -> bool:
-        """Equal grids and equal step unitaries within ``tol``."""
+    def same_dynamics(self, other: "PropagatorSet") -> bool:
+        """Equal grids, and step unitaries equal under ``Operator.allclose``."""
         if self.grid.values != other.grid.values:
             return False
         if self is other:
             return True
-        return all(a.allclose(b, tol) for a, b in zip(self.steps, other.steps))
+        return all(a.allclose(b) for a, b in zip(self.steps, other.steps))

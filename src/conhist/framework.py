@@ -162,7 +162,7 @@ def _aligned(
     return union, [tuple(d.get(idx, trivial) for d in by_index) for idx in union]
 
 
-def _member_is_sum(coarse: Projector, fine: DecompositionOfIdentity, tol: float) -> bool:
+def _member_is_sum(coarse: Projector, fine: DecompositionOfIdentity) -> bool:
     """Does some subset of ``fine`` members sum to ``coarse``?
 
     Uses that fine members are orthogonal: each either lies under the coarse
@@ -172,32 +172,32 @@ def _member_is_sum(coarse: Projector, fine: DecompositionOfIdentity, tol: float)
     total = None
     for _, q in fine.members:
         qp = _product(q.mat, coarse.mat)
-        if np.linalg.norm(qp - q.mat) < tol:
+        if np.linalg.norm(qp - q.mat) < TOL_PROJ:
             total = q.mat if total is None else total + q.mat
-        elif np.linalg.norm(qp) < tol:
+        elif np.linalg.norm(qp) < TOL_PROJ:
             continue
         else:
             return False
     if total is None:
         return coarse.rank == 0
-    return bool(np.linalg.norm(total - coarse.mat) < tol)
+    return bool(np.linalg.norm(total - coarse.mat) < TOL_PROJ)
 
 
-def is_refinement(coarse: Family, fine: Family, tol: float = TOL_PROJ) -> bool:
+def is_refinement(coarse: Family, fine: Family) -> bool:
     """True iff, after automatic extension to the union of their times, every
     coarse decomposition member equals a sum of fine members.
 
     Every family is a refinement of itself.
     """
     _check_comparable(coarse, fine)
-    return _refines(_aligned((coarse, fine))[1], tol)
+    return _refines(_aligned((coarse, fine))[1])
 
 
-def _refines(columns: Iterable[tuple[DecompositionOfIdentity, ...]], tol: float = TOL_PROJ) -> bool:
+def _refines(columns: Iterable[tuple[DecompositionOfIdentity, ...]]) -> bool:
     """Every member of each column's first decomposition is a sum of members
     of its second."""
     return all(
-        _member_is_sum(p, fine, tol) for coarse, fine in columns for _, p in coarse.members
+        _member_is_sum(p, fine) for coarse, fine in columns for _, p in coarse.members
     )
 
 

@@ -1,7 +1,7 @@
 """Dense complex operator algebra for finite-dimensional Hilbert spaces.
 
 Kets, operators, projectors, decompositions of the identity, density
-operators, tensor products, and the two operator inner products used by the
+operators, and the two operator inner products used by the
 histories machinery: the trace inner product ``<A, B> = Tr(A^dag B)`` and its
 density-weighted variant ``<A, B>_rho = Tr(rho A^dag B)``.
 
@@ -36,12 +36,10 @@ class DimensionMismatchError(ValueError):
     """Operands live on spaces of different dimension."""
 
 
-def _as_complex_matrix(entries, dim: int | None = None) -> np.ndarray:
+def _as_complex_matrix(entries) -> np.ndarray:
     mat = np.array(entries, dtype=np.complex128, copy=True)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if dim is not None and mat.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {mat.shape[0]}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite")
     mat.flags.writeable = False
@@ -164,11 +162,11 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self, label: str | None = None) -> "Ket":
+    def normalized(self) -> "Ket":
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero ket")
-        return Ket(self.amps / n, label if label is not None else self.label)
+        return Ket(self.amps / n, self.label)
 
     def dagger_apply(self, other: "Ket") -> complex:
         """Inner product ``<self|other>``."""
@@ -198,10 +196,6 @@ class Operator:
     def identity(cls, dim: int) -> "Operator":
         return cls(np.eye(dim, dtype=np.complex128))
 
-    @classmethod
-    def zero(cls, dim: int) -> "Operator":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -216,31 +210,8 @@ class Operator:
         """Frobenius norm."""
         return _frob(self.mat)
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError("operator dimensions differ")
-        return Operator(self.mat @ other.mat)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError("operator dimensions differ")
-        return Operator(self.mat + other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError("operator dimensions differ")
-        return Operator(self.mat - other.mat)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def allclose(self, other: "Operator", tol: float = TOL_PROJ) -> bool:
-        return self.dim == other.dim and _frob(self.mat - other.mat) < tol
-
-    def is_hermitian(self, tol: float = TOL_PROJ) -> bool:
-        return _frob(self.mat - self.mat.conj().T) < tol
+    def allclose(self, other: "Operator") -> bool:
+        return self.dim == other.dim and _frob(self.mat - other.mat) < TOL_PROJ
 
     def commutator_norm(self, other: "Operator") -> float:
         """Frobenius norm of ``[self, other]``."""
@@ -273,8 +244,8 @@ class ProjectorCheck:
         return self.ok
 
 
-def is_projector(p: Operator, tol: float = TOL_PROJ) -> ProjectorCheck:
-    """Test whether ``p`` is an orthogonal projector within ``tol`` (Frobenius)."""
+def is_projector(p: Operator) -> ProjectorCheck:
+    """Test whether ``p`` is an orthogonal projector within ``TOL_PROJ`` (Frobenius)."""
     herm = _frob(p.mat - p.mat.conj().T)
     groups = _blocks(p.mat)
     if groups is None:
@@ -282,7 +253,7 @@ def is_projector(p: Operator, tol: float = TOL_PROJ) -> ProjectorCheck:
     else:
         blocks = (_gather(p.mat, idx) for idx in groups)
         idem = math.sqrt(sum(_frob_sq(b - b @ b) for b in blocks))
-    return ProjectorCheck(herm < tol and idem < tol, herm, idem)
+    return ProjectorCheck(herm < TOL_PROJ and idem < TOL_PROJ, herm, idem)
 
 
 class NotAProjectorError(ValueError):
@@ -308,7 +279,7 @@ class Projector:
     rank: int = field(init=False)
 
     def __post_init__(self):
-        check = is_projector(self.op, TOL_PROJ)
+        check = is_projector(self.op)
         if not check:
             raise NotAProjectorError(check)
         tr = self.op.trace()
@@ -330,7 +301,7 @@ class Projector:
         return self.op.mat
 
     def complement(self) -> "Projector":
-        return Projector(Operator.identity(self.dim) - self.op)
+        return Projector(Operator(np.eye(self.dim, dtype=np.complex128) - self.mat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +311,7 @@ class DensityOperator:
     op: Operator
 
     def __post_init__(self):
-        if not self.op.is_hermitian(TOL_PROJ):
+        if _frob(self.mat - self.mat.conj().T) >= TOL_PROJ:
             raise ValueError("density operator must be Hermitian")
         evals = np.linalg.eigvalsh(self.op.mat)
         if evals.min() < -TOL_PROJ:
@@ -424,17 +395,16 @@ class DecompositionOfIdentity:
             )
 
     @classmethod
-    def trivial(cls, dim: int, label: str = "I") -> "DecompositionOfIdentity":
-        return cls(((label, Projector.identity(dim)),))
+    def trivial(cls, dim: int) -> "DecompositionOfIdentity":
+        return cls((("I", Projector.identity(dim)),))
 
     @classmethod
-    def from_projector(cls, p: Projector, label: str, complement_label: str | None = None) -> "DecompositionOfIdentity":
-        """Two-member decomposition {P, I-P} (single member if P = I)."""
+    def from_projector(cls, p: Projector, label: str) -> "DecompositionOfIdentity":
+        """Two-member decomposition {P, I-P}, the complement labeled
+        ``"~" + label`` (single member if P = I)."""
         if p.rank == p.dim:
             return cls(((label, p),))
-        if complement_label is None:
-            complement_label = "~" + label
-        return cls(((label, p), (complement_label, p.complement())))
+        return cls(((label, p), ("~" + label, p.complement())))
 
     @classmethod
     def from_basis(cls, kets: Sequence[Ket], labels: Sequence[str]) -> "DecompositionOfIdentity":

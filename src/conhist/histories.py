@@ -38,9 +38,6 @@ from .hilbert import (
     TOL_NORM,
 )
 
-# Label used for the trivial {I} decomposition member (automatic extension).
-IDENTITY_LABEL = "I"
-
 # Consistency thresholds: a pair (alpha, beta) violates when
 # |<K_a, K_b>| > EPS_ABS + EPS_REL * sqrt(W_a * W_b).  "Approximately
 # consistent" has no canonical quantification; these are engineering choices
@@ -58,7 +55,8 @@ _MAX_HISTORIES = 250_000
 
 # Largest array an analysis may hold: one slot's split chains, or the
 # violation arrays at 16 B a pair.  The largest bundled or ladder analysis
-# holds 12.7 MB (796,068 violations), and each may briefly be held twice.
+# holds 12.7 MB (796,068 violations).  A split's peak is about 4x its charge
+# (per-member products, their stack, the kept rows); see ROADMAP item 4.
 _MAX_ANALYSIS_BYTES = 24 << 20
 # Bytes of the block of Gram matrix rows that ``_report`` forms at a time.
 _GRAM_BLOCK_BYTES = 4 << 20
@@ -95,9 +93,6 @@ class History:
     """One history: a label per family time (or the identity marker)."""
 
     slots: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return " (+) ".join(self.slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,10 +206,6 @@ class Family:
     @property
     def dim(self) -> int:
         return self.propagators.dim
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(self.propagators.grid.values[i] for i in self.time_indices)
 
     @property
     def time_labels(self) -> tuple[str, ...]:
@@ -428,17 +419,8 @@ def weight(h: History | Sequence[str], f: Family) -> float:
     initial condition.
     """
     hist = f.resolve(h.slots if isinstance(h, History) else h)
-    # position in the enumeration order of ``alphas``: mixed radix over the
-    # slots, first slot most significant, as ``_analyze`` numbers the chains
-    idx = 0
-    for slot, label in enumerate(hist.slots):
-        labels = f.slot_labels(slot)
-        if label not in labels:
-            # resolve() admitted the label, so this is a pure state's pinned
-            # slot carrying the complement: zero by the initial condition
-            return 0.0
-        idx = idx * len(labels) + labels.index(label)
-    return float(_analyze(f).weights[idx])
+    # resolve() admits a pinned slot's complement, which the table leaves out
+    return dict(weight_table(f).entries).get(hist.slots, 0.0)
 
 
 # -- consistency ---------------------------------------------------------------

@@ -91,6 +91,10 @@ class Hypersurface:
     ts: tuple[float, ...]
 
     def __post_init__(self):
+        for v in (*self.xs, *self.ts):
+            # float() would read True as 1.0 and "0" as 0.0
+            if isinstance(v, (bool, np.bool_, str)):
+                raise ValueError(f"breakpoint coordinate {v!r} is not a number")
         xs = tuple(float(v) for v in self.xs)
         ts = tuple(float(v) for v in self.ts)
         if len(xs) != len(ts) or not xs:
@@ -206,14 +210,20 @@ class Region:
     surface: Hypersurface
 
     def __post_init__(self):
-        cells = frozenset(int(c) for c in self.cells)
+        cells = tuple(self.cells)
+        for c in cells:
+            # int() would truncate 1.5 to 1 and read True as 1
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"cell {c!r} is not an integer")
+        cells = frozenset(int(c) for c in cells)
         if not cells:
             raise ValueError("a region needs at least one cell")
         object.__setattr__(self, "cells", cells)
 
     @classmethod
     def at(cls, cells: Iterable[int], surface: Hypersurface) -> "Region":
-        return cls(frozenset(cells), surface)
+        # the cells are checked before a set could merge True into 1
+        return cls(tuple(cells), surface)
 
     def corner_points(self) -> tuple[SpacetimePoint, ...]:
         """Extremal cells at the surface time; sufficient for convex regions."""
@@ -240,6 +250,8 @@ class TaggedEvent:
     time_index: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"event id {self.id!r} is not a string")
         regions = tuple(self.regions)
         if not regions:
             raise ValueError("an event needs at least one region")
@@ -491,20 +503,16 @@ def embed_events(events: Sequence[TaggedEvent]) -> EmbeddingResult:
 class CommutationResult:
     """Heisenberg commutator norm for a pair of tagged events."""
 
-    applicable: bool
     spacelike: bool
     norm: float
-    detail: str = ""
 
 
-def commutation_check(
-    scn: "Scenario", e: TaggedEvent, g: TaggedEvent, reference: int = 0
-) -> CommutationResult:
-    """``||[P, Q]||_F`` for the events' Heisenberg projectors.
+def commutation_check(scn: "Scenario", e: TaggedEvent, g: TaggedEvent) -> CommutationResult:
+    """``||[P, Q]||_F`` for the events' Heisenberg projectors at time index 0.
 
     The causality requirement constrains spacelike-separated events only;
-    for pairs that are not spacelike the result is flagged inapplicable
-    (the norm is still reported for diagnostics).
+    for pairs that are not spacelike the norm is still reported for
+    diagnostics.
     """
     for ev in (e, g):
         if ev.projector is None or ev.projector not in scn.projectors:
@@ -514,15 +522,9 @@ def commutation_check(
     pairs = [(p, q) for p in e.points() for q in g.points()]
     spacelike = all(classify_interval(p, q) == SPACELIKE for p, q in pairs)
     ps = scn.propagators
-    p_mat = ps.heisenberg_matrix(scn.projectors[e.projector].mat, e.time_index, reference)
-    q_mat = ps.heisenberg_matrix(scn.projectors[g.projector].mat, g.time_index, reference)
-    norm = Operator(p_mat).commutator_norm(Operator(q_mat))
-    return CommutationResult(
-        applicable=spacelike,
-        spacelike=spacelike,
-        norm=norm,
-        detail="" if spacelike else "events are not spacelike separated",
-    )
+    p_mat = ps.heisenberg_matrix(scn.projectors[e.projector].mat, e.time_index)
+    q_mat = ps.heisenberg_matrix(scn.projectors[g.projector].mat, g.time_index)
+    return CommutationResult(spacelike, Operator(p_mat).commutator_norm(Operator(q_mat)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -630,20 +632,15 @@ class CovarianceReport:
     family_results: tuple[tuple[str, float, bool], ...]  # (name, max |dW|, verdicts agree)
 
 
-def covariance_check(
-    scn: "Scenario",
-    maps: CovarianceMap,
-    primed: "Scenario",
-    tol_propagator: float = 1e-10,
-    tol_weight: float = 1e-9,
-) -> CovarianceReport:
+def covariance_check(scn: "Scenario", maps: CovarianceMap, primed: "Scenario") -> CovarianceReport:
     """Verify that the primed description is the same physics relabeled.
 
-    Checks ``T'_{j+1,j} = L_{j+1} T_{j+1,j} L_j^dag`` on the n - 1 steps,
-    which gives ``T'_{jk} = L_j T_{jk} L_k^dag`` for every pair since each
-    propagator is a product of steps on both sides.  Then checks that every
-    named family has the same weights and consistency verdict as the
-    same-named family of ``primed``.
+    Checks ``T'_{j+1,j} = L_{j+1} T_{j+1,j} L_j^dag`` on the n - 1 steps
+    (Frobenius residual below 1e-10), which gives ``T'_{jk} = L_j T_{jk}
+    L_k^dag`` for every pair since each propagator is a product of steps on
+    both sides.  Then checks that every named family has the same weights
+    (within 1e-9) and consistency verdict as the same-named family of
+    ``primed``.
     """
     ps, pps = scn.propagators, primed.propagators
     n = len(ps.grid)
@@ -664,5 +661,5 @@ def covariance_check(
         agree = (_report(a0, EPS_ABS, EPS_REL, "complex").consistent
                  == _report(a1, EPS_ABS, EPS_REL, "complex").consistent)
         family_results.append((name, float(np.abs(a0.weights - a1.weights).max()), agree))
-    passed = residual < tol_propagator and all(d < tol_weight and ok for _, d, ok in family_results)
+    passed = residual < 1e-10 and all(d < 1e-9 and ok for _, d, ok in family_results)
     return CovarianceReport(passed, residual, tuple(family_results))

@@ -104,6 +104,11 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
+def proj(vec: np.ndarray) -> np.ndarray:
+    """Outer product ``|vec><vec|``: a projector matrix for a unit vector."""
+    return np.outer(vec, vec.conj())
+
+
 def with_rest(*members: tuple[str, Projector]) -> DecompositionOfIdentity:
     """The members, plus a ``"rest"`` member when they do not sum to I."""
     rest = np.eye(members[0][1].dim, dtype=np.complex128) - sum(p.mat for _, p in members)

@@ -35,6 +35,7 @@ from .base import (
     PROVENANCE_TRIVIAL,
     Scenario,
     kron,
+    proj,
     with_rest,
 )
 
@@ -47,9 +48,6 @@ def build_epr() -> Scenario:
     x_plus = np.array([1, 1], dtype=np.complex128) / np.sqrt(2)
     x_minus = np.array([1, -1], dtype=np.complex128) / np.sqrt(2)
     app = np.eye(3, dtype=np.complex128)  # columns: Z, Z+, Z-
-
-    def proj(vec):
-        return np.outer(vec, vec.conj())
 
     spins = {"z+": z_plus, "z-": z_minus, "x+": x_plus, "x-": x_minus}
     P: dict[str, Projector] = {}

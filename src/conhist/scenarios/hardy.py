@@ -43,6 +43,7 @@ from .base import (
     PROVENANCE_TRIVIAL,
     Scenario,
     kron,
+    proj,
 )
 
 _SPLITTER = np.array([[1, -1], [1, 1]], dtype=np.complex128) / np.sqrt(2)
@@ -51,9 +52,6 @@ _SPLITTER = np.array([[1, -1], [1, 1]], dtype=np.complex128) / np.sqrt(2)
 def build_hardy() -> Scenario:
     i2 = np.eye(2, dtype=np.complex128)
     basis = np.eye(2, dtype=np.complex128)
-
-    def proj(vec):
-        return np.outer(vec, vec.conj())
 
     # Arm/outcome bases share coordinates; the labels encode which side of
     # the beam splitter a projector is read in.

@@ -38,6 +38,7 @@ from .base import (
     PROVENANCE_TRIVIAL,
     Scenario,
     kron,
+    proj,
     with_rest,
 )
 
@@ -54,9 +55,6 @@ def build_spin_half() -> Scenario:
     x_plus = np.array([1, 1], dtype=np.complex128) / np.sqrt(2)
     x_minus = np.array([1, -1], dtype=np.complex128) / np.sqrt(2)
     app = np.eye(3, dtype=np.complex128)  # columns: X, X+, X-
-
-    def proj(vec: np.ndarray) -> np.ndarray:
-        return np.outer(vec, vec.conj())
 
     # Spin projectors on the full space.
     P = {

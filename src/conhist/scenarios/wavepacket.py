@@ -41,6 +41,7 @@ from .base import (
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    proj,
     with_rest,
 )
 
@@ -199,7 +200,7 @@ def build_wavepacket(
     phib_mid_cell = source + (t_a + 1)
     phib = np.zeros(n_part, dtype=np.complex128)
     phib[p_idx(phib_mid_cell, _RIGHT)] = 1.0
-    P["phib.AB"] = Projector(Operator(np.outer(np.kron(phib, ready), np.kron(phib, ready).conj())))
+    P["phib.AB"] = Projector(Operator(proj(np.kron(phib, ready))))
 
     # -- decompositions --------------------------------------------------------
 

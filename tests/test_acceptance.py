@@ -185,7 +185,7 @@ def test_criterion_08_spacelike_commutators():
         assert len(pairs) == count
         for e, g in pairs:
             result = commutation_check(scn, e, g)
-            assert result.applicable
+            assert result.spacelike
             worst = max(worst, result.norm)
             total += 1
     _report(

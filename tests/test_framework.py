@@ -248,7 +248,7 @@ class TestCommonRefinement:
         built = []
         real = DecompositionOfIdentity.trivial
         monkeypatch.setattr(DecompositionOfIdentity, "trivial", staticmethod(
-            lambda dim, label="I": built.append(dim) or real(dim, label)))
+            lambda dim: built.append(dim) or real(dim)))
         f = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC], name="F")
         g = Family.pure(ps, (0, 2), Z_PLUS, [X_DEC], name="G")
         assert common_refinement(f, g).classification == CLASS_COMMON

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,7 @@ from conhist.histories import (
     _analyze,
     pure_families,
 )
+from conhist.scenarios import build
 
 Z_PLUS = Ket(np.array([1, 0]), "z+")
 Z_MINUS = Ket(np.array([0, 1]), "z-")
@@ -556,16 +558,27 @@ class TestProbabilities:
             weight(("z+", "nope"), fam)
 
     def test_weight_agrees_with_the_table_row_by_row(self):
-        # the mixed-radix position in weight() must name the enumeration's row,
-        # whichever slot is anchored and whatever the initial condition
+        # weight() is, bit for bit, the analysis's weight at the history's
+        # mixed-radix position (first slot most significant), whichever slot
+        # is anchored and whatever the initial condition; a pinned slot's
+        # complement weighs 0.0
         fam = random_family(5, dim=3, n_times=4)
         back_anchor = DecompositionOfIdentity.from_projector(Z_PLUS.projector(), "psi")
         backward = Family(trivial_ps(3), (0, 1, 2), (X_DEC, Z_DEC, back_anchor),
                           PureInitial(Z_PLUS, "psi"), 2)
         mixed = Family.general(trivial_ps(3), (0, 2), [Z_DEC, X_DEC])
-        for f in (fam, backward, mixed):
-            for alpha, w in weight_table(f).entries:
-                assert weight(alpha, f) == w
+        bundled = [f for name in ("spin-half", "epr", "hardy") for f in build(name).families.values()]
+        for f in (fam, backward, mixed, *bundled):
+            weights = _analyze(f).weights
+            for alpha in itertools.product(*(d.labels for d in f.decompositions)):
+                row = 0
+                for slot, label in enumerate(alpha):
+                    labels = f.slot_labels(slot)
+                    if label not in labels:
+                        row = None
+                        break
+                    row = row * len(labels) + labels.index(label)
+                assert weight(alpha, f) == (0.0 if row is None else float(weights[row]))
 
     def test_event_probability_unknown_label(self):
         ps = trivial_ps(2)

@@ -107,6 +107,32 @@ def flat_event(eid, cell, t, entangled_with=None):
     return TaggedEvent.entangled(eid, regions)
 
 
+class TestInputRules:
+    """The geometry types refuse input that a conversion would silently reread."""
+
+    SURFACE = Hypersurface.flat(0.0, -5, 5)
+
+    @pytest.mark.parametrize("cells", [[1.5, 2.9], [2.0], [True], [1, True], ["7"], [float("inf")]],
+                             ids=["fractions", "integral-float", "true", "true-beside-1", "string", "inf"])
+    def test_region_refuses_non_integer_cell(self, cells):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Region.at(cells, self.SURFACE)
+
+    def test_region_accepts_numpy_integers(self):
+        assert Region.at(np.array([3, 1]), self.SURFACE).cells == {1, 3}
+
+    @pytest.mark.parametrize("xs,ts", [((True, 1), (0, 0)), ((0, 1), (0, "0")), ((np.bool_(False), 1), (0, 0))],
+                             ids=["x-true", "t-string", "x-numpy-bool"])
+    def test_hypersurface_refuses_bool_or_string(self, xs, ts):
+        with pytest.raises(ValueError, match="is not a number"):
+            Hypersurface(xs, ts)
+
+    @pytest.mark.parametrize("event_id", [5, None, ("a",)], ids=["int", "none", "tuple"])
+    def test_event_refuses_non_string_id(self, event_id):
+        with pytest.raises(ValueError, match="is not a string"):
+            TaggedEvent(event_id, (Region.at([0], self.SURFACE),))
+
+
 class TestCausalPrecedence:
     def test_spacelike_events_unordered(self):
         g = causal_precedence([flat_event("a", 0, 0), flat_event("b", 9, 1)])

@@ -228,7 +228,7 @@ class TestSpacelikeCommutation:
         assert len(pairs) == count
         for e, g in pairs:
             result = commutation_check(scn, e, g)
-            assert result.applicable
+            assert result.spacelike
             assert result.norm < 1e-12
 
     def test_inapplicable_for_timelike_pair(self):
@@ -236,7 +236,7 @@ class TestSpacelikeCommutation:
         result = commutation_check(
             scn, scn.events["a-z+-t1"], scn.events["a-z+-t2"]
         )
-        assert not result.applicable
+        assert not result.spacelike
 
     def test_identity_projector_commutes_with_anything(self):
         scn = SCENARIOS["epr"]
