@@ -360,7 +360,7 @@ def _events_from_json(payload) -> list[TaggedEvent]:
                 )
             )
         return events
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad events file: {exc}") from None
 
 
@@ -384,8 +384,7 @@ def cmd_embed(args) -> int:
         else:
             _emit(args, "embed", results, [{"witness": exc.witness}], started)
         return EXIT_NEGATIVE
-    except (ValueError, OverflowError) as exc:
-        # no events, repeated ids, cyclic causality, or a cell beyond float range
+    except ValueError as exc:  # no events, repeated ids, or cyclic causality
         raise InputError(str(exc)) from None
     results = {"embedded": True, **result.to_dict()}
     rows = []

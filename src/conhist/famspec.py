@@ -65,7 +65,6 @@ from .hilbert import (
     NotAProjectorError,
     Operator,
     Projector,
-    TOL_NORM,
     TOL_PROJ,
     projector_onto_span,
     unitarity_defect,
@@ -290,17 +289,17 @@ class _Parser:
             self.error(f"{tok.text!r} is a reserved keyword, not a valid {what}")
         return self.advance()
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.text != word:
-            self.expected(repr(word))
-        return self.advance()
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``; a keyword or a
+        punctuation mark is known by its text alone."""
+        if self.peek().text != text:
+            return False
+        self.pos += 1
+        return True
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.text != ch:
-            self.expected(repr(ch))
-        return self.advance()
+    def expect(self, text: str):
+        if not self.accept(text):
+            self.expected(repr(text))
 
     def expect_number(self, what: str = "number") -> tuple[complex, _Token]:
         tok = self.peek()
@@ -334,28 +333,28 @@ class _Parser:
                 name_tok,
             )
 
-    def parse_complex_list(self) -> tuple[complex, ...]:
-        self.expect_punct("[")
-        values = [self.expect_number("amplitude")[0]]
-        while self.peek().text == ",":
-            self.advance()
-            values.append(self.expect_number("amplitude")[0])
-        self.expect_punct("]")
+    def parse_list(self, open_ch: str, close_ch: str, item: Callable[[], object]) -> tuple:
+        """``open item {"," item} close``: ket amplitudes, span kets,
+        decomposition members and grid times."""
+        self.expect(open_ch)
+        values = [item()]
+        while self.accept(","):
+            values.append(item())
+        self.expect(close_ch)
         return tuple(values)
 
     def parse_matrix(self, space: SpaceDecl, name_tok: _Token) -> np.ndarray:
         """A dense or sparse matrix literal as a read-only row-major array."""
         self.charge(1, space, name_tok)
-        if self.peek().kind == "NAME" and self.peek().text == "sparse":
-            self.advance()
+        if self.accept("sparse"):
             entries = self.parse_sparse(space.dim)
         else:
             n = space.dim * space.dim
-            self.expect_punct("[")
+            self.expect("[")
             values = []
             while self.peek().kind == "NUM":
                 values.append(self.expect_number("matrix entry")[0])
-            self.expect_punct("]")
+            self.expect("]")
             if len(values) != n:
                 self.error(f"matrix has {len(values)} entries, expected {n}", name_tok)
             entries = np.array(values, dtype=np.complex128)
@@ -363,7 +362,7 @@ class _Parser:
         return entries
 
     def parse_sparse(self, dim: int) -> np.ndarray:
-        self.expect_punct("[")
+        self.expect("[")
         indices: list[int] = []
         values: list[complex] = []
         if self.peek().text != "]":
@@ -383,25 +382,15 @@ class _Parser:
                         "entries must be in strictly increasing row-major order",
                         i_tok,
                     )
-                self.expect_punct(":")
+                self.expect(":")
                 indices.append(k)
                 values.append(self.expect_number("matrix entry")[0])
-                if self.peek().text != ",":
+                if not self.accept(","):
                     break
-                self.advance()
-        self.expect_punct("]")
+        self.expect("]")
         entries = np.zeros(dim * dim, dtype=np.complex128)
         entries[indices] = values
         return entries
-
-    def parse_name_list(self, open_ch: str, close_ch: str, what: str) -> tuple[str, ...]:
-        self.expect_punct(open_ch)
-        names = [self.expect_name(what).text]
-        while self.peek().text == ",":
-            self.advance()
-            names.append(self.expect_name(what).text)
-        self.expect_punct(close_ch)
-        return tuple(names)
 
     def parse_document(self) -> SpecDocument:
         doc = SpecDocument({}, {}, {}, {}, {}, {}, {})
@@ -423,30 +412,40 @@ class _Parser:
             if name in table:
                 self.error(f"name {name!r} is already declared", name_tok)
 
-    def _space_of(self, doc: SpecDocument, name: str, tok: _Token) -> SpaceDecl:
-        if name not in doc.spaces:
-            self.error(f"space {name!r} is not declared", tok)
-        return doc.spaces[name]
+    def _lookup(self, table: dict, kind: str, name: str, tok: _Token, space: str | None = None):
+        """The declaration of ``name`` in ``table``; refused at ``tok`` when it
+        is missing, or when it lives on another space than ``space``."""
+        if name not in table:
+            self.error(f"{kind} {name!r} is not declared", tok)
+        decl = table[name]
+        if space is not None and decl.space != space:
+            self.error(f"{kind} {name!r} lives on space {decl.space!r}", tok)
+        return decl
+
+    def _header(self, doc: SpecDocument, kind: str, preposition: str) -> tuple[_Token, SpaceDecl]:
+        """``KIND NAME in|on SPACE =``: the declared name's token and its space."""
+        self.advance()
+        name_tok = self.expect_name(f"{kind} name")
+        self._declare(doc, name_tok)
+        self.expect(preposition)
+        space_tok = self.expect_name("space name")
+        space = self._lookup(doc.spaces, "space", space_tok.text, space_tok)
+        self.expect("=")
+        return name_tok, space
 
     def parse_space(self, doc: SpecDocument):
         self.advance()
         name_tok = self.expect_name("space name")
         self._declare(doc, name_tok)
-        self.expect_keyword("dim")
+        self.expect("dim")
         dim, dim_tok = self.expect_int("dimension")
         if not (1 <= dim <= _MAX_DIM):
             self.error(f"dimension must lie in 1..{_MAX_DIM}", dim_tok)
         doc.spaces[name_tok.text] = SpaceDecl(name_tok.text, dim)
 
     def parse_ket(self, doc: SpecDocument):
-        self.advance()
-        name_tok = self.expect_name("ket name")
-        self._declare(doc, name_tok)
-        self.expect_keyword("in")
-        space_tok = self.expect_name("space name")
-        space = self._space_of(doc, space_tok.text, space_tok)
-        self.expect_punct("=")
-        amps = self.parse_complex_list()
+        name_tok, space = self._header(doc, "ket", "in")
+        amps = self.parse_list("[", "]", lambda: self.expect_number("amplitude")[0])
         if len(amps) != space.dim:
             self.error(
                 f"ket has {len(amps)} amplitudes, space {space.name!r} has dimension {space.dim}",
@@ -457,13 +456,7 @@ class _Parser:
         doc.kets[decl.name] = Ket(np.array(amps, dtype=np.complex128), decl.name)
 
     def parse_unitary(self, doc: SpecDocument):
-        self.advance()
-        name_tok = self.expect_name("unitary name")
-        self._declare(doc, name_tok)
-        self.expect_keyword("on")
-        space_tok = self.expect_name("space name")
-        space = self._space_of(doc, space_tok.text, space_tok)
-        self.expect_punct("=")
+        name_tok, space = self._header(doc, "unitary", "on")
         entries = self.parse_matrix(space, name_tok)
         op = Operator(entries.reshape(space.dim, space.dim))
         defect = unitarity_defect(op)
@@ -478,26 +471,14 @@ class _Parser:
         doc.unitaries[decl.name] = op
 
     def parse_proj(self, doc: SpecDocument):
-        self.advance()
-        name_tok = self.expect_name("projector name")
-        self._declare(doc, name_tok)
-        self.expect_keyword("on")
-        space_tok = self.expect_name("space name")
-        space = self._space_of(doc, space_tok.text, space_tok)
-        self.expect_punct("=")
-        if self.peek().kind == "NAME" and self.peek().text == "span":
-            self.advance()
-            names = self.parse_name_list("(", ")", "ket name")
-            kets = []
+        name_tok, space = self._header(doc, "projector", "on")
+        if self.accept("span"):
+            names = self.parse_list("(", ")", lambda: self.expect_name("ket name").text)
             for n in names:
-                if n not in doc.kets:
-                    self.error(f"ket {n!r} is not declared", name_tok)
-                if doc.ket_decls[n].space != space.name:
-                    self.error(f"ket {n!r} lives on space {doc.ket_decls[n].space!r}", name_tok)
-                kets.append(doc.kets[n])
+                self._lookup(doc.ket_decls, "ket", n, name_tok, space.name)
             self.charge(1, space, name_tok)
             try:
-                proj = projector_onto_span(kets)
+                proj = projector_onto_span([doc.kets[n] for n in names])
             except ValueError as exc:
                 self.error(f"cannot build projector {name_tok.text!r}: {exc}", name_tok)
             decl = ProjDecl(name_tok.text, space.name, names, None)
@@ -520,23 +501,12 @@ class _Parser:
         doc.projectors[decl.name] = proj
 
     def parse_decomp(self, doc: SpecDocument):
-        self.advance()
-        name_tok = self.expect_name("decomposition name")
-        self._declare(doc, name_tok)
-        self.expect_keyword("on")
-        space_tok = self.expect_name("space name")
-        space = self._space_of(doc, space_tok.text, space_tok)
-        self.expect_punct("=")
-        members = self.parse_name_list("{", "}", "projector name")
-        projs = []
+        name_tok, space = self._header(doc, "decomposition", "on")
+        members = self.parse_list("{", "}", lambda: self.expect_name("projector name").text)
         for n in members:
-            if n not in doc.projectors:
-                self.error(f"projector {n!r} is not declared", name_tok)
-            if doc.proj_decls[n].space != space.name:
-                self.error(f"projector {n!r} lives on space {doc.proj_decls[n].space!r}", name_tok)
-            projs.append((n, doc.projectors[n]))
+            self._lookup(doc.proj_decls, "projector", n, name_tok, space.name)
         try:
-            dec = DecompositionOfIdentity(tuple(projs))
+            dec = DecompositionOfIdentity(tuple((n, doc.projectors[n]) for n in members))
         except ValueError as exc:
             self.error(f"invalid decomposition {name_tok.text!r}: {exc}", name_tok)
         decl = DecompDecl(name_tok.text, space.name, members)
@@ -547,94 +517,80 @@ class _Parser:
         self.advance()
         name_tok = self.expect_name("time grid name")
         self._declare(doc, name_tok)
-        self.expect_punct("=")
-        self.expect_punct("[")
-        values = [self.expect_real("time")[0]]
-        while self.peek().text == ",":
-            self.advance()
-            values.append(self.expect_real("time")[0])
-        self.expect_punct("]")
+        self.expect("=")
+        values = self.parse_list("[", "]", lambda: self.expect_real("time")[0])
         if any(b <= a for a, b in zip(values, values[1:])):
             self.error("times must be strictly increasing", name_tok)
-        doc.times_decls[name_tok.text] = TimesDecl(name_tok.text, tuple(values))
+        doc.times_decls[name_tok.text] = TimesDecl(name_tok.text, values)
 
     def parse_family(self, doc: SpecDocument):
         self.advance()
         name_tok = self.expect_name("family name")
         self._declare(doc, name_tok)
-        self.expect_keyword("times")
+        self.expect("times")
         times_tok = self.expect_name("time grid name")
-        if times_tok.text not in doc.times_decls:
-            self.error(f"time grid {times_tok.text!r} is not declared", times_tok)
-        times_decl = doc.times_decls[times_tok.text]
+        times_decl = self._lookup(doc.times_decls, "time grid", times_tok.text, times_tok)
+        try:
+            grid = TimeGrid(times_decl.values)
+        except ValueError as exc:  # times that print alike, such as 1.0000001 and 1.0000002
+            self.error(f"time grid {times_decl.name!r} cannot serve a family: {exc}", times_tok)
         initial = None
-        if self.peek().kind == "NAME" and self.peek().text == "initial":
-            self.advance()
+        if self.accept("initial"):
             initial_tok = self.expect_name("initial state name")
             initial = initial_tok.text
             if initial not in doc.kets and initial not in doc.projectors:
                 self.error(
                     f"initial {initial!r} names neither a ket nor a projector", initial_tok
                 )
-        self.expect_punct("{")
+        self.expect("{")
         ats: list[FamilyAt] = []
-        while self.peek().kind == "NAME" and self.peek().text == "at":
-            self.advance()
+        indices: list[int] = []
+        while self.accept("at"):
             t, t_tok = self.expect_real("time")
-            self.expect_punct(":")
-            tok = self.peek()
-            if tok.kind == "NAME" and tok.text == "identity":
-                self.advance()
-                dec_name = None
-            else:
+            self.expect(":")
+            dec_name = None  # the identity keyword
+            if not self.accept("identity"):
                 dec_tok = self.expect_name("decomposition name")
-                if dec_tok.text not in doc.decompositions:
-                    self.error(f"decomposition {dec_tok.text!r} is not declared", dec_tok)
+                self._lookup(doc.decomp_decls, "decomposition", dec_tok.text, dec_tok)
                 dec_name = dec_tok.text
             try:
-                TimeGrid(times_decl.values).index_of_value(t)
+                indices.append(grid.index_of_value(t))
             except KeyError:
                 self.error(
                     f"time {t:g} is not on grid {times_decl.name!r} {times_decl.values}",
                     t_tok,
                 )
             ats.append(FamilyAt(t, dec_name))
-        self.expect_punct("}")
+        self.expect("}")
         if not ats:
             self.error("a family needs at least one `at` entry", name_tok)
         if any(b.time <= a.time for a, b in zip(ats, ats[1:])):
             self.error("`at` entries must be in strictly increasing time order", name_tok)
-        self.expect_keyword("steps")
-        self.expect_punct("{")
+        self.expect("steps")
+        self.expect("{")
         steps = []
         while self.peek().kind == "NAME" and self.peek().text not in _DECLARATIONS:
             step_tok = self.advance()
-            if step_tok.text not in doc.unitaries:
-                self.error(f"unitary {step_tok.text!r} is not declared", step_tok)
-            steps.append(step_tok.text)
-        self.expect_punct("}")
-        if len(steps) != len(times_decl.values) - 1:
+            steps.append(self._lookup(doc.unitary_decls, "unitary", step_tok.text, step_tok).name)
+        self.expect("}")
+        if len(steps) != len(grid) - 1:
             self.error(
-                f"grid {times_decl.name!r} has {len(times_decl.values)} times, so the "
-                f"family needs {len(times_decl.values) - 1} steps, got {len(steps)}",
+                f"grid {times_decl.name!r} has {len(grid)} times, so the "
+                f"family needs {len(grid) - 1} steps, got {len(steps)}",
                 name_tok,
             )
         decl = FamilyDecl(name_tok.text, times_decl.name, initial, tuple(ats), tuple(steps))
-        self._build_family(doc, decl, name_tok)
+        self._build_family(doc, decl, name_tok, grid, tuple(indices))
         doc.family_decls[decl.name] = decl
 
-    def _build_family(self, doc: SpecDocument, decl: FamilyDecl, name_tok: _Token):
-        spaces = set()
-        for s in decl.steps:
-            spaces.add(doc.unitary_decls[s].space)
-        for at in decl.ats:
-            if at.decomp is not None:
-                spaces.add(doc.decomp_decls[at.decomp].space)
+    def _build_family(
+        self, doc: SpecDocument, decl: FamilyDecl, name_tok: _Token,
+        grid: TimeGrid, indices: tuple[int, ...],
+    ):
+        spaces = {doc.unitary_decls[s].space for s in decl.steps}
+        spaces |= {doc.decomp_decls[at.decomp].space for at in decl.ats if at.decomp is not None}
         if decl.initial is not None:
-            if decl.initial in doc.ket_decls:
-                spaces.add(doc.ket_decls[decl.initial].space)
-            else:
-                spaces.add(doc.proj_decls[decl.initial].space)
+            spaces.add((doc.ket_decls.get(decl.initial) or doc.proj_decls[decl.initial]).space)
         if len(spaces) > 1:
             self.error(
                 f"family {decl.name!r} mixes spaces {sorted(spaces)}", name_tok
@@ -643,7 +599,6 @@ class _Parser:
             self.error(f"family {decl.name!r} determines no space", name_tok)
         space = doc.spaces[spaces.pop()]
 
-        grid = TimeGrid(doc.times_decls[decl.times].values)
         key = (decl.times, decl.steps, space.name)
         pure = decl.initial in doc.kets
         # identity decompositions (a pure state's first slot is its own pair)
@@ -663,15 +618,8 @@ class _Parser:
             )
         ps = self.propagator_sets[key]
 
-        indices = tuple(grid.index_of_value(at.time) for at in decl.ats)
         rho = None
         if pure:
-            ket = doc.kets[decl.initial]
-            if abs(ket.norm() - 1.0) >= TOL_NORM:
-                self.error(
-                    f"initial state {decl.initial!r} has norm {ket.norm():.12g}, expected 1",
-                    name_tok,
-                )
             if decl.ats[0].decomp is not None:
                 self.error(
                     "with a pure initial state the first `at` entry must be `identity` "
@@ -694,7 +642,7 @@ class _Parser:
         try:
             if pure:
                 if decl.initial not in self.pure_by_ket:
-                    self.pure_by_ket[decl.initial] = pure_families(ket)
+                    self.pure_by_ket[decl.initial] = pure_families(doc.kets[decl.initial])
                 fam = self.pure_by_ket[decl.initial](ps, indices, decs, name=decl.name)
             else:
                 fam = Family.general(ps, indices, decs, rho=rho, name=decl.name)

@@ -154,7 +154,10 @@ class Family:
             if isinstance(self.initial, PureInitial):
                 ket = self.initial.ket
                 if abs(ket.norm() - 1.0) >= TOL_NORM:
-                    raise ValueError("initial state must have unit norm")
+                    raise ValueError(
+                        f"initial state {self.initial.label!r} has norm {ket.norm():.12g}, "
+                        "expected 1"
+                    )
                 if len(decs[slot]) > 2:
                     raise ValueError(
                         "the anchored decomposition must be {initial, complement}"
@@ -472,9 +475,6 @@ class ConsistencyReport:
     consistent: bool
     violations: Violations
     max_normalized_overlap: float
-    eps_abs: float = EPS_ABS
-    eps_rel: float = EPS_REL
-    mode: str = "complex"
 
     def __bool__(self) -> bool:
         return self.consistent
@@ -483,7 +483,7 @@ class ConsistencyReport:
         return {
             "consistent": self.consistent,
             "max_normalized_overlap": self.max_normalized_overlap,
-            "mode": self.mode,
+            "mode": "complex",  # the full condition, not only its real part
             "violations": [
                 {"alpha": list(a), "beta": list(b), "overlap": o}
                 for a, b, o in self.violations
@@ -492,26 +492,20 @@ class ConsistencyReport:
 
 
 def consistency_check(
-    f: Family,
-    eps_abs: float = EPS_ABS,
-    eps_rel: float = EPS_REL,
-    mode: str = "complex",
+    f: Family, eps_abs: float = EPS_ABS, eps_rel: float = EPS_REL
 ) -> ConsistencyReport:
     """Evaluate all distinct chain-operator pairs for mutual orthogonality.
 
-    A pair violates when its (full complex) inner product exceeds
+    A pair violates when the modulus of its complex inner product exceeds
     ``eps_abs + eps_rel * sqrt(W_a W_b)``.  Histories of zero weight have
-    vanishing chain operators and never violate.  ``mode="real"`` tests only
-    the real part (the weaker variant some authors adopt); the default tests
-    the full condition.  Non-finite or negative tolerances raise
-    ``ValueError``: they would make every comparison meaningless.
+    vanishing chain operators and never violate.  Non-finite or negative
+    tolerances raise ``ValueError``: they would make every comparison
+    meaningless.
     """
-    if mode not in ("complex", "real"):
-        raise ValueError(f"mode must be 'complex' or 'real', got {mode!r}")
-    return _report(_analyze(f), eps_abs, eps_rel, mode)
+    return _report(_analyze(f), eps_abs, eps_rel)
 
 
-def _report(analysis: _Analysis, eps_abs: float, eps_rel: float, mode: str) -> ConsistencyReport:
+def _report(analysis: _Analysis, eps_abs: float, eps_rel: float) -> ConsistencyReport:
     """The check over the upper triangle of the Gram matrix, a block of rows at a time.
 
     A block is never a single row, which numpy multiplies as a matrix-vector
@@ -530,7 +524,7 @@ def _report(analysis: _Analysis, eps_abs: float, eps_rel: float, mode: str) -> C
     for i in range(0, n - 1, step):
         j = min(i + step, n)
         gram = (flat[i:j] @ adjoint)[:, i + 1:]
-        overlap = np.abs(gram.real if mode == "real" else gram)
+        overlap = np.abs(gram)
         scale = np.sqrt(w[i:j, None] * w[None, i + 1:])
         upper = np.arange(i + 1, n) > np.arange(i, j)[:, None]
         max_norm = max(max_norm, float((overlap / scale)[upper].max()))
@@ -549,9 +543,6 @@ def _report(analysis: _Analysis, eps_abs: float, eps_rel: float, mode: str) -> C
         consistent=not len(overlaps),
         violations=Violations(analysis.alphas, pairs[:, order], overlaps[order]),
         max_normalized_overlap=max_norm,
-        eps_abs=eps_abs,
-        eps_rel=eps_rel,
-        mode=mode,
     )
 
 
@@ -580,9 +571,6 @@ class WeightTable:
     def items(self) -> tuple[tuple[tuple[str, ...], float], ...]:
         """(alpha, probability) pairs in enumeration order."""
         return tuple((a, w / self.normalization) for a, w in self.entries)
-
-    def total_weight(self) -> float:
-        return float(sum(w for _, w in self.entries))
 
     def event(self, subset: Iterable[tuple[str, ...]]) -> float:
         """Probability of an event: a set of the table's histories."""
@@ -628,7 +616,7 @@ def probabilities(f: Family, eps_abs: float = EPS_ABS, eps_rel: float = EPS_REL)
     consistent framework.  The family is analysed once for both.
     """
     analysis = _analyze(f)
-    report = _report(analysis, eps_abs, eps_rel, "complex")
+    report = _report(analysis, eps_abs, eps_rel)
     if not report.consistent:
         raise InconsistentFamilyError(report, f.name)
     return _table(analysis)

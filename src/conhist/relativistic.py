@@ -95,8 +95,11 @@ class Hypersurface:
             # float() would read True as 1.0 and "0" as 0.0
             if isinstance(v, (bool, np.bool_, str)):
                 raise ValueError(f"breakpoint coordinate {v!r} is not a number")
-        xs = tuple(float(v) for v in self.xs)
-        ts = tuple(float(v) for v in self.ts)
+        try:
+            xs = tuple(float(v) for v in self.xs)
+            ts = tuple(float(v) for v in self.ts)
+        except OverflowError:  # an int beyond float range
+            raise ValueError("breakpoints must be finite") from None
         if len(xs) != len(ts) or not xs:
             raise ValueError("need matching, nonempty breakpoint coordinates")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -164,18 +167,6 @@ class FoliationReport:
     def __bool__(self) -> bool:
         return self.valid
 
-    def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "slope_violations": [
-                {"surface": i, "piece": j, "slope": s} for i, j, s in self.slope_violations
-            ],
-            "ordering_violations": [
-                {"lower_surface": i, "x": x, "tau_lower": a, "tau_upper": b}
-                for i, x, a, b in self.ordering_violations
-            ],
-        }
-
 
 def validate_foliation(f: Foliation) -> FoliationReport:
     """Report non-spacelike pieces and ordering violations between neighbors.
@@ -215,6 +206,10 @@ class Region:
             # int() would truncate 1.5 to 1 and read True as 1
             if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
                 raise ValueError(f"cell {c!r} is not an integer")
+            try:
+                float(c)  # corner_points reads cells as coordinates
+            except OverflowError:
+                raise ValueError("a cell lies beyond float range") from None
         cells = frozenset(int(c) for c in cells)
         if not cells:
             raise ValueError("a region needs at least one cell")
@@ -252,6 +247,11 @@ class TaggedEvent:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise ValueError(f"event id {self.id!r} is not a string")
+        if self.projector is not None and not isinstance(self.projector, str):
+            raise ValueError(f"projector {self.projector!r} is not a string")
+        index = self.time_index
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer, type(None))):
+            raise ValueError(f"time index {index!r} is not an integer")
         regions = tuple(self.regions)
         if not regions:
             raise ValueError("an event needs at least one region")
@@ -658,8 +658,8 @@ def covariance_check(scn: "Scenario", maps: CovarianceMap, primed: "Scenario") -
     for name in sorted(scn.families):
         # one pass per side serves both the weights and the verdict
         a0, a1 = _analyze(scn.families[name]), _analyze(primed.families[name])
-        agree = (_report(a0, EPS_ABS, EPS_REL, "complex").consistent
-                 == _report(a1, EPS_ABS, EPS_REL, "complex").consistent)
+        agree = (_report(a0, EPS_ABS, EPS_REL).consistent
+                 == _report(a1, EPS_ABS, EPS_REL).consistent)
         family_results.append((name, float(np.abs(a0.weights - a1.weights).max()), agree))
     passed = residual < 1e-10 and all(d < 1e-9 and ok for _, d, ok in family_results)
     return CovarianceReport(passed, residual, tuple(family_results))

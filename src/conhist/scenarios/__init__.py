@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .base import (
-    Expectation,
-    ExpectationResult,
-    Scenario,
-    spacelike_local_event_pairs,
-)
+from .base import Expectation, ExpectationResult, Scenario
 from .epr import build_epr
 from .hardy import build_hardy
 from .spin_half import build_spin_half
@@ -43,5 +38,4 @@ __all__ = [
     "build_hardy",
     "build_spin_half",
     "build_wavepacket",
-    "spacelike_local_event_pairs",
 ]

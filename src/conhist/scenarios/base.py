@@ -19,7 +19,7 @@ import numpy as np
 from ..dynamics import PropagatorSet
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import Family
-from ..relativistic import SPACELIKE, TaggedEvent, classify_interval
+from ..relativistic import TaggedEvent
 
 PROVENANCE_PAPER = "paper"
 PROVENANCE_DERIVED = "derived"
@@ -115,27 +115,3 @@ def with_rest(*members: tuple[str, Projector]) -> DecompositionOfIdentity:
     if np.linalg.norm(rest) > 1e-12:
         members += (("rest", Projector(Operator(rest))),)
     return DecompositionOfIdentity(members)
-
-
-def spacelike_local_event_pairs(
-    scn: Scenario, count: int, seed: int = 0
-) -> list[tuple[TaggedEvent, TaggedEvent]]:
-    """Deterministically sample spacelike-separated local event pairs."""
-    locals_ = [
-        e for e in scn.events.values()
-        if e.is_local and e.projector is not None and e.time_index is not None
-    ]
-    pairs = []
-    for i, e in enumerate(locals_):
-        for g in locals_[i + 1:]:
-            if all(
-                classify_interval(p, q) == SPACELIKE
-                for p in e.points()
-                for q in g.points()
-            ):
-                pairs.append((e, g))
-    if not pairs:
-        return []
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(pairs), size=count)
-    return [pairs[i] for i in idx]

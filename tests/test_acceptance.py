@@ -41,7 +41,7 @@ from conhist.relativistic import (
     validate_foliation,
     SpacetimePoint,
 )
-from conhist.scenarios import BUILDERS, spacelike_local_event_pairs
+from conhist.scenarios import BUILDERS
 
 SCN = {name: builder() for name, builder in BUILDERS.items()}
 
@@ -176,7 +176,7 @@ def test_criterion_07_compatibility_classifications():
     )
 
 
-def test_criterion_08_spacelike_commutators():
+def test_criterion_08_spacelike_commutators(spacelike_local_event_pairs):
     worst = 0.0
     total = 0
     for name, count in (("epr", 100), ("wavepacket", 100)):
@@ -247,7 +247,7 @@ def test_criterion_11_structural_properties():
     for scn in SCN.values():
         for fam in scn.families.values():
             if consistency_check(fam).consistent:
-                if abs(probabilities(fam).total_weight() - 1.0) > 1e-9:
+                if abs(probabilities(fam).normalization - 1.0) > 1e-9:
                     norm_ok = False
             rev = time_reverse(fam)
             fwd = dict(weight_table(fam).entries)

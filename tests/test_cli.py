@@ -129,6 +129,12 @@ class TestCheck:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "524288 histories" in err
 
+    def test_unnormalized_initial_ket_is_input_error(self, capsys):
+        path = DATA / "unnormalized_initial.fam"
+        code, out, err = run(capsys, "check", "--file", str(path), "--family", "split")
+        assert (code, out) == (3, "")
+        assert "12:8: error: invalid family 'split': initial state 'half' has norm 0.5" in err
+
     def test_tolerance_flags_change_verdict(self, capsys):
         code, _, _ = run(capsys, "check", "--scenario", "hardy", "--family", "blocker")
         assert code == 1
@@ -403,8 +409,10 @@ class TestEmbed:
         ('"xs": [-10, 10]', '"xs": [true, 10]'),
         ('"ts": [0, 0]', '"ts": [0, "0"]'),
         ('"xs": [-10, 10]', f'"xs": [-1{"0" * 400}, 10]'),
+        ('"id": "src"', '"id": "src", "time_index": "x"'),
+        ('"id": "src"', '"id": "src", "projector": 5'),
     ], ids=["cell-1e400", "cell-1.5", "cell-true", "cell-string", "cell-10**400", "id-number",
-            "x-true", "t-string", "x-minus-10**400"])
+            "x-true", "t-string", "x-minus-10**400", "time-index-string", "projector-number"])
     def test_malformed_event_is_input_error(self, capsys, tmp_path, old, new):
         # not read as another cell or id, and no traceback
         path = tmp_path / "events.json"

@@ -166,7 +166,7 @@ class TestWeights:
     def test_weights_sum_to_one(self, seed, dim, n_times):
         fam = random_family(seed, dim=dim, n_times=n_times)
         table = weight_table(fam)
-        assert table.total_weight() == pytest.approx(1.0, abs=1e-9)
+        assert table.normalization == pytest.approx(1.0, abs=1e-9)
 
     def test_reference_index_independence(self):
         # the Heisenberg chain operators give the engine's weights on the
@@ -258,7 +258,7 @@ class TestDecoherenceMatrixOracle:
             )
         # total weight for a unit-trace initial condition is one
         assert sum(v.real for (a, b), v in oracle.items() if a == b) == pytest.approx(1.0)
-        assert weight_table(fam).total_weight() == pytest.approx(1.0, abs=1e-9)
+        assert weight_table(fam).normalization == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEngineAgainstHeisenbergOracle:
@@ -355,20 +355,18 @@ class TestConsistency:
         assert report.consistent
         assert report.violations == ()
 
-    def test_real_mode_is_weaker(self):
+    def test_purely_imaginary_overlap_violates(self):
         # z+ (.) {y+-} (.) {x+-} has purely imaginary off-diagonals +-i/4
         # (hand expansion: <z+|y+><y+|x+><x+|y-><y-|z+> = (1/2)(1-i)^2/4 = -i/4),
-        # so it passes the real-part variant but fails the full condition.
+        # so a test of the real part alone would pass it; the full condition fails it.
         ps = trivial_ps(3)
         y_plus = Ket(np.array([1, 1j]) / np.sqrt(2), "y+")
         y_minus = Ket(np.array([1, -1j]) / np.sqrt(2), "y-")
         y_dec = DecompositionOfIdentity.from_basis([y_plus, y_minus], ["y+", "y-"])
         fam = Family.pure(ps, (0, 1, 2), Z_PLUS, [y_dec, X_DEC])
-        full = consistency_check(fam, mode="complex")
-        real = consistency_check(fam, mode="real")
-        assert not full.consistent
-        assert full.violations[0][2] == pytest.approx(0.25)
-        assert real.consistent
+        report = consistency_check(fam)
+        assert not report.consistent
+        assert report.violations[0][2] == pytest.approx(0.25)
 
     def test_violations_in_enumeration_order(self):
         # each pair reads (earlier, later) in enumeration order; the list runs
@@ -384,7 +382,7 @@ class TestConsistency:
             assert keys == sorted(keys)
 
     @staticmethod
-    def whole_matrix_check(fam, mode):
+    def whole_matrix_check(fam):
         """Violations and max normalized overlap from the whole Gram matrix,
         one row at a time."""
         analysis = _analyze(fam)
@@ -392,26 +390,25 @@ class TestConsistency:
         names = [analysis.alphas[k] for k in analysis.nonzero]
         found, max_norm = [], 0.0
         for a in range(len(w) - 1):
-            overlap = np.abs(gram[a, a + 1:].real if mode == "real" else gram[a, a + 1:])
+            overlap = np.abs(gram[a, a + 1:])
             scale = np.sqrt(w[a] * w[a + 1:])
             max_norm = max(max_norm, float((overlap / scale).max()))
             found += [(names[a], names[a + 1 + b], float(overlap[b]))
                       for b in np.flatnonzero(overlap > EPS_ABS + EPS_REL * scale)]
         return tuple(sorted(found, key=lambda v: -v[2])), max_norm
 
-    @pytest.mark.parametrize("mode", ["complex", "real"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_gram_row_blocks_match_the_whole_matrix(self, monkeypatch, seed, mode):
+    def test_gram_row_blocks_match_the_whole_matrix(self, monkeypatch, seed):
         # 8 chains: blocks of 2 and of 3 rows both leave one row over, which
         # joins the last block instead of forming a one-row block.  Reversed,
         # the last two chains differ next to the state, so they overlap.
         fam = time_reverse(random_family(seed, dim=2, n_times=4))
-        violations, max_norm = self.whole_matrix_check(fam, mode)
+        violations, max_norm = self.whole_matrix_check(fam)
         assert len(fam.alphas()) == 8 and violations
         for rows in (None, 2, 3):
             if rows:
                 monkeypatch.setattr(histories, "_GRAM_BLOCK_BYTES", rows * 16 * 8)
-            report = consistency_check(fam, mode=mode)
+            report = consistency_check(fam)
             assert not report.consistent
             assert tuple(report.violations) == violations
             assert report.max_normalized_overlap == max_norm

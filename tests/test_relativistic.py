@@ -132,6 +132,32 @@ class TestInputRules:
         with pytest.raises(ValueError, match="is not a string"):
             TaggedEvent(event_id, (Region.at([0], self.SURFACE),))
 
+    @pytest.mark.parametrize("cell", [10**400, -10**400], ids=["above", "below"])
+    def test_region_refuses_cell_beyond_float_range(self, cell):
+        with pytest.raises(ValueError, match="beyond float range"):
+            Region.at([0, cell], self.SURFACE)
+
+    @pytest.mark.parametrize("xs,ts", [((0, 10**400), (0, 0)), ((0, 1), (-10**400, 0))],
+                             ids=["x", "t"])
+    def test_hypersurface_refuses_int_beyond_float_range(self, xs, ts):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            Hypersurface(xs, ts)
+
+    @pytest.mark.parametrize("index", ["x", True, 1.0], ids=["string", "bool", "float"])
+    def test_event_refuses_non_integer_time_index(self, index):
+        with pytest.raises(ValueError, match="time index .* is not an integer"):
+            TaggedEvent("a", (Region.at([0], self.SURFACE),), time_index=index)
+
+    def test_event_accepts_integer_time_index(self):
+        for index in (None, 2, np.int64(2)):
+            event = TaggedEvent("a", (Region.at([0], self.SURFACE),), time_index=index)
+            assert event.time_index == index
+
+    @pytest.mark.parametrize("projector", [5, ("p",)], ids=["int", "tuple"])
+    def test_event_refuses_non_string_projector(self, projector):
+        with pytest.raises(ValueError, match="projector .* is not a string"):
+            TaggedEvent("a", (Region.at([0], self.SURFACE),), projector=projector)
+
 
 class TestCausalPrecedence:
     def test_spacelike_events_unordered(self):
@@ -242,7 +268,7 @@ class TestEmbedding:
                 events.append(flat_event(f"e{k}", cell, t))
             result = embed_events(events)
             report = validate_foliation(result.foliation)
-            assert report.valid, (trial, report.to_dict())
+            assert report.valid, (trial, report)
             # every constrained point sits on its assigned surface
             for e in events:
                 surf = result.foliation.surfaces[result.layer_of[e.id]]

@@ -23,7 +23,7 @@ from conhist.relativistic import (
     transform_scenario,
     validate_foliation,
 )
-from conhist.scenarios import BUILDERS, spacelike_local_event_pairs
+from conhist.scenarios import BUILDERS
 
 SCENARIOS = {name: builder() for name, builder in BUILDERS.items()}
 
@@ -62,7 +62,7 @@ def test_weight_normalization_on_consistent_families(name):
     for fam in scn.families.values():
         if consistency_check(fam).consistent:
             table = probabilities(fam)
-            assert table.total_weight() == pytest.approx(1.0, abs=1e-9)
+            assert table.normalization == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -222,7 +222,7 @@ def test_covariance_check_flags_wrong_map(mutate):
 
 class TestSpacelikeCommutation:
     @pytest.mark.parametrize("name,count", [("epr", 100), ("wavepacket", 100)])
-    def test_random_spacelike_pairs_commute(self, name, count):
+    def test_random_spacelike_pairs_commute(self, name, count, spacelike_local_event_pairs):
         scn = SCENARIOS[name]
         pairs = spacelike_local_event_pairs(scn, count, seed=2024)
         assert len(pairs) == count
