@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hilbert import DecompositionOfIdentity, Operator, Projector, TOL_PROJ, _product
+from .hilbert import DecompositionOfIdentity, Operator, Projector, TOL_PROJ, _product, _products
 from .histories import (
     ConsistencyReport,
     Family,
@@ -267,12 +267,12 @@ def common_refinement(f: Family, g: Family) -> CompatibilityVerdict:
         members = []
         for la, p in dec_f.members:
             for lb, q in dec_g.members:
-                comm = p.op.commutator_norm(q.op)
+                pq, qp = _products(p.mat, q.mat)
+                comm = np.linalg.norm(pq - qp)
                 if comm >= COMMUTE_TOL:
                     witness = KinematicWitness(grid.labels[idx], la, lb, float(comm))
                     return CompatibilityVerdict(False, CLASS_KINEMATIC, witness=witness)
-                prod = _product(p.mat, q.mat)
-                prod = (prod + prod.conj().T) / 2.0
+                prod = (pq + pq.conj().T) / 2.0
                 if np.linalg.norm(prod) < TOL_PROJ:
                     continue
                 members.append((f"{la}&{lb}", Projector(Operator(prod))))

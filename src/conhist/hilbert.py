@@ -61,13 +61,15 @@ def _frob_sq(mat: np.ndarray) -> float:
 # symmetrized nonzero pattern: an entry of a product that links two
 # components is a sum of terms with an exact-zero factor.  The checks below
 # therefore multiply block by block, which changes only the order in which
-# the Frobenius norms are summed.  ``_product`` multiplies the same way for
-# commutator norms, compatibility products, propagators, the Heisenberg
-# conversion and the wavepacket build; on permutations and 0/1 diagonals it
-# is bit-identical to ``@``.  Finding the blocks costs about 0.1 ms, so dense
-# products stay in use for small or dense inputs: blocks are used from
-# dimension _BLOCK_MIN_DIM up when at most 1/_BLOCK_MAX_FILL of the pattern's
-# entries are nonzero and the pattern splits into more than one component.
+# the Frobenius norms are summed.  The hermiticity and completeness defects
+# are formed per block and scattered into a zero matrix, so they equal the
+# dense formulas bit for bit.  ``_product`` and ``_products`` multiply the
+# same way for commutator norms, compatibility products, propagators, the
+# Heisenberg conversion and the wavepacket build; on permutations and 0/1
+# diagonals they are bit-identical to ``@``.  Finding the blocks costs about
+# 0.1 ms, so dense products stay in use for small or dense inputs: blocks
+# are used from dimension _BLOCK_MIN_DIM up when at most 1/_BLOCK_MAX_FILL of
+# the pattern's entries are nonzero and it splits into more than one component.
 # Measured with one BLAS thread on block-diagonal inputs under a random
 # permutation: one projector or unitary breaks even near dimension 80, is
 # 1.4-2x faster at 96 and 3-5x at 196; a 9-member decomposition is already
@@ -123,16 +125,32 @@ def _gather(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return mat[idx[:, :, None], idx[:, None, :]]
 
 
+def _scatter(dim: int, groups: list[np.ndarray], blocks) -> np.ndarray:
+    """Zero outside the diagonal blocks, one ``(n, s, s)`` array per group."""
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for idx, b in zip(groups, blocks):
+        out[idx[:, :, None], idx[:, None, :]] = b
+    return out
+
+
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` of two complex square matrices, block by block under the
     rule above."""
     groups = _blocks(a, b)
     if groups is None:
         return a @ b
-    out = np.zeros(a.shape, dtype=np.complex128)
-    for idx in groups:
-        out[idx[:, :, None], idx[:, None, :]] = _gather(a, idx) @ _gather(b, idx)
-    return out
+    return _scatter(len(a), groups, (_gather(a, idx) @ _gather(b, idx) for idx in groups))
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a @ b, b @ a)``, the same arrays as two ``_product`` calls, from one
+    block search (the joint pattern of ``a, b`` is that of ``b, a``)."""
+    groups = _blocks(a, b)
+    if groups is None:
+        return a @ b, b @ a
+    pairs = [(_gather(a, idx), _gather(b, idx)) for idx in groups]
+    ab = _scatter(len(a), groups, (x @ y for x, y in pairs))
+    return ab, _scatter(len(a), groups, (y @ x for x, y in pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +235,7 @@ class Operator:
         """Frobenius norm of ``[self, other]``."""
         if self.dim != other.dim:
             raise DimensionMismatchError("operator dimensions differ")
-        return _frob(_product(self.mat, other.mat) - _product(other.mat, self.mat))
+        return _frob(np.subtract(*_products(self.mat, other.mat)))
 
 
 def unitarity_defect(u: Operator) -> float:
@@ -246,12 +264,14 @@ class ProjectorCheck:
 
 def is_projector(p: Operator) -> ProjectorCheck:
     """Test whether ``p`` is an orthogonal projector within ``TOL_PROJ`` (Frobenius)."""
-    herm = _frob(p.mat - p.mat.conj().T)
     groups = _blocks(p.mat)
     if groups is None:
+        herm = _frob(p.mat - p.mat.conj().T)
         idem = _frob(p.mat - p.mat @ p.mat)
     else:
-        blocks = (_gather(p.mat, idx) for idx in groups)
+        blocks = [_gather(p.mat, idx) for idx in groups]
+        skew = (b - b.conj().transpose(0, 2, 1) for b in blocks)
+        herm = _frob(_scatter(p.dim, groups, skew))
         idem = math.sqrt(sum(_frob_sq(b - b @ b) for b in blocks))
     return ProjectorCheck(herm < TOL_PROJ and idem < TOL_PROJ, herm, idem)
 
@@ -434,14 +454,11 @@ class DecompositionOfIdentity:
 def validate_decomposition(d: DecompositionOfIdentity) -> DecompositionReport:
     """Report completeness defect ``||sum P - I||`` and max pairwise ``||P_a P_b||``."""
     dim = d.dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for _, proj in d.members:
-        total += proj.mat
-    completeness = _frob(total - np.eye(dim))
     max_overlap = 0.0
     mats = [proj.mat for _, proj in d.members]
     groups = _blocks(*mats)
     if groups is None:
+        completeness = _frob(sum(mats) - np.eye(dim))
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 max_overlap = max(max_overlap, _frob(mats[i] @ mats[j]))
@@ -450,10 +467,13 @@ def validate_decomposition(d: DecompositionOfIdentity) -> DecompositionReport:
         # within that of the members
         pairs = list(itertools.combinations(range(len(mats)), 2))
         squares = [0.0] * len(pairs)
+        residuals = []
         for idx in groups:
             blocks = [_gather(m, idx) for m in mats]
+            residuals.append(sum(blocks) - np.eye(idx.shape[1]))
             for k, (i, j) in enumerate(pairs):
                 squares[k] += _frob_sq(blocks[i] @ blocks[j])
+        completeness = _frob(_scatter(dim, groups, residuals))
         max_overlap = math.sqrt(max(squares, default=0.0))
     return DecompositionReport(
         valid=(completeness < TOL_PROJ and max_overlap < TOL_PROJ),

@@ -36,6 +36,8 @@ from .hilbert import (
     Ket,
     Operator,
     TOL_NORM,
+    TOL_PROJ,
+    _frob,
 )
 
 # Consistency thresholds: a pair (alpha, beta) violates when
@@ -164,7 +166,9 @@ class Family:
                     )
                 member = decs[slot].projector(self.initial.label)
                 psi = ket.normalized().amps
-                if not member.op.allclose(Operator(np.outer(psi, psi.conj()))):
+                if ket.dim != member.dim or (
+                    _frob(member.mat - np.outer(psi, psi.conj())) >= TOL_PROJ
+                ):
                     raise ValueError(
                         "anchored decomposition member does not project onto the initial state"
                     )

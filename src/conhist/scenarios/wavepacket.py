@@ -134,8 +134,8 @@ def build_wavepacket(
 
     steps = []
     for v0, v1 in zip(master_values, master_values[1:]):
-        u = np.eye(dim, dtype=np.complex128)
-        for t in range(v0, v1):
+        u = lattice_steps[v0]
+        for t in range(v0 + 1, v1):
             u = _product(lattice_steps[t], u)
         steps.append(Operator(u))
     ps = PropagatorSet(grid, tuple(steps))
@@ -165,31 +165,31 @@ def build_wavepacket(
         for c in interval:
             interval_of[c] = k
 
+    # 0/1 diagonal projectors, from the diagonals of their particle, detector
+    # A and detector B factors; a detector's e2[0] is ready, e2[1] triggered
+    def diagonal(particle, a, b) -> Projector:
+        return Projector(Operator(np.diag(np.kron(particle, np.kron(a, b)))))
+
     P: dict[str, Projector] = {}
-    i4 = np.eye(4, dtype=np.complex128)
+    e2, ones2, ones_p = np.eye(2), np.ones(2), np.ones(n_part)
     for k, interval in enumerate(intervals):
         diag = np.zeros(n_part)
         for c in interval:
             diag[p_idx(c, _LEFT)] = 1.0
             diag[p_idx(c, _RIGHT)] = 1.0
-        P[f"int{k}"] = Projector(Operator(np.kron(np.diag(diag), i4)))
+        P[f"int{k}"] = diagonal(diag, ones2, ones2)
     abs_diag = np.zeros(n_part)
     abs_diag[absorbed] = 1.0
-    P["abs"] = Projector(Operator(np.kron(np.diag(abs_diag), i4)))
+    P["abs"] = diagonal(abs_diag, ones2, ones2)
 
-    ip = np.eye(n_part, dtype=np.complex128)
     for lab, a_state, b_state in (
         ("AB", 0, 0), ("A*B", 1, 0), ("AB*", 0, 1), ("A*B*", 1, 1),
     ):
-        da = np.zeros(2)
-        da[a_state] = 1.0
-        db = np.zeros(2)
-        db[b_state] = 1.0
-        P[lab] = Projector(Operator(np.kron(ip, np.kron(np.diag(da), np.diag(db)))))
-    P["A"] = Projector(Operator(np.kron(ip, np.kron(np.diag([1.0, 0]), i2))))
-    P["A*"] = Projector(Operator(np.kron(ip, np.kron(np.diag([0, 1.0]), i2))))
-    P["B"] = Projector(Operator(np.kron(ip, np.kron(i2, np.diag([1.0, 0])))))
-    P["B*"] = Projector(Operator(np.kron(ip, np.kron(i2, np.diag([0, 1.0])))))
+        P[lab] = diagonal(ones_p, e2[a_state], e2[b_state])
+    P["A"] = diagonal(ones_p, e2[0], ones2)
+    P["A*"] = diagonal(ones_p, e2[1], ones2)
+    P["B"] = diagonal(ones_p, ones2, e2[0])
+    P["B*"] = diagonal(ones_p, ones2, e2[1])
 
     kets = {"Psi0": psi0}
     for v in master_values:

@@ -1,6 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
+from conhist import framework, hilbert
 from conhist.dynamics import PropagatorSet, TimeGrid
 from conhist.framework import (
     CLASS_COMMON,
@@ -16,6 +19,7 @@ from conhist.framework import (
 )
 from conhist.hilbert import DecompositionOfIdentity, Ket, Operator, projector_onto_span
 from conhist.histories import Family, weight_table
+from conhist.scenarios import build
 
 Z_PLUS = Ket(np.array([1, 0]), "z+")
 Z_MINUS = Ket(np.array([0, 1]), "z-")
@@ -258,3 +262,71 @@ class TestCommonRefinement:
         g = Family.pure(ps, (0, 1, 2), Z_PLUS, [IDENT, Z_DEC], name="G")
         assert common_refinement(f, g).classification == CLASS_DYNAMIC
         assert built == []
+
+
+def commutator_by_two_products(p, q):
+    return float(np.linalg.norm(hilbert._product(p, q) - hilbert._product(q, p)))
+
+
+class TestOneBlockSearchPerPair:
+    """At d = 196 each (P, Q) pair costs one block search: the commutator and
+    the ``P Q`` member come from the same one."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Block searches by the ids of their matrices, outside the
+        refinement test that precedes the product loop."""
+        counts, paused = collections.Counter(), []
+        real_blocks, real_refines = hilbert._blocks, framework._refines
+
+        def counting(*mats):
+            if not paused:
+                counts[tuple(id(m) for m in mats)] += 1
+            return real_blocks(*mats)
+
+        def refines(columns):
+            paused.append(True)
+            try:
+                return real_refines(columns)
+            finally:
+                paused.pop()
+
+        monkeypatch.setattr(hilbert, "_blocks", counting)
+        monkeypatch.setattr(framework, "_refines", refines)
+        return counts
+
+    def test_product_loop_and_commutator_norm(self, searches):
+        scn = build("wavepacket")
+        f, g = scn.families["F1"], scn.families["G1"]
+        columns = framework._aligned((f, g))[1]
+        # the columns that reach the product loop: distinct and nontrivial
+        pairs = [
+            (p, q)
+            for dec_f, dec_g in columns
+            if min(len(dec_f), len(dec_g)) > 1 and not framework._same_decomposition(dec_f, dec_g)
+            for _, p in dec_f.members
+            for _, q in dec_g.members
+        ]
+        assert len(pairs) == 27  # the nine intervals against G1's three members
+        searches.clear()
+        assert common_refinement(f, g).classification == CLASS_COMMON
+        for p, q in pairs:
+            pq, qp = (id(p.mat), id(q.mat)), (id(q.mat), id(p.mat))
+            assert searches[pq] + searches[qp] == 1
+        for p, q in pairs:
+            searches.clear()
+            norm = p.op.commutator_norm(q.op)
+            assert sum(searches.values()) == 1
+            assert norm == commutator_by_two_products(p.mat, q.mat)
+
+    def test_witness_norm_is_the_two_product_formula(self):
+        scn = build("wavepacket")
+        f, g = scn.families["F0"], scn.families["F1"]
+        witness = common_refinement(f, g).witness
+        assert isinstance(witness, KinematicWitness)
+        idx = f.time_indices.index(f.propagators.grid.labels.index(witness.time_label))
+        p = f.decompositions[idx].projector(witness.label_a)
+        q = g.decompositions[idx].projector(witness.label_b)
+        assert witness.commutator_norm == commutator_by_two_products(p.mat, q.mat) > 0
+        assert witness.commutator_norm == p.op.commutator_norm(q.op)
+

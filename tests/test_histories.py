@@ -90,6 +90,14 @@ class TestPureAnchor:
         # a global phase is not a different state
         Family(trivial_ps(2), (0, 1), (anchor, X_DEC), PureInitial(Ket(1j * Z_PLUS.amps), "psi"))
 
+    @pytest.mark.parametrize("amps", [[1.0], [1.0, 0.0, 0.0]])
+    def test_anchor_of_another_dimension_is_refused(self, amps):
+        # a 1-dim ket's outer product would broadcast against the member,
+        # a 3-dim one would raise numpy's broadcasting error
+        anchor = DecompositionOfIdentity.from_basis([Z_PLUS, Z_MINUS], ["psi", "other"])
+        with pytest.raises(ValueError, match="does not project onto the initial state"):
+            Family(trivial_ps(2), (0, 1), (anchor, X_DEC), PureInitial(Ket(np.array(amps)), "psi"))
+
     def test_families_share_one_anchor(self):
         pure = pure_families(X_PLUS)
         f, g = pure(trivial_ps(2), (0, 1), [Z_DEC], name="f"), pure(trivial_ps(3), (0, 2), [Z_DEC])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -279,6 +280,70 @@ class TestWavepacketGeometry:
         ][:12]
         result = embed_events(locals_)
         assert validate_foliation(result.foliation).valid
+
+
+class TestWavepacketBuild:
+    """The build's matrices against their plain dense constructions, byte for
+    byte (default geometry: 24 cells, source 12, detectors at 6 and 21)."""
+
+    N_PART = 2 * 24 + 1  # (cell, direction) pairs and the absorbed marker
+
+    def test_diagonal_projectors_are_the_kron_forms(self):
+        scn = SCENARIOS["wavepacket"]
+        i2, i4, ip = (np.eye(n, dtype=complex) for n in (2, 4, self.N_PART))
+        ready, fired = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        particle = np.arange(self.N_PART)  # 2 * cell + direction; 48 is absorbed
+        # interval k holds cells 3k..3k+2, so particle indices 6k..6k+5
+        want = {f"int{k}": np.kron(np.diag(1.0 * (particle // 6 == k)), i4) for k in range(8)}
+        want["abs"] = np.kron(np.diag(1.0 * (particle == 48)), i4)
+        detectors = {
+            "AB": (ready, ready), "A*B": (fired, ready), "AB*": (ready, fired),
+            "A*B*": (fired, fired), "A": (ready, i2), "A*": (fired, i2),
+            "B": (i2, ready), "B*": (i2, fired),
+        }
+        for lab, (a, b) in detectors.items():
+            want[lab] = np.kron(ip, np.kron(a, b))
+        for lab, mat in want.items():
+            assert scn.projectors[lab].mat.tobytes() == mat.astype(complex).tobytes(), lab
+
+    @staticmethod
+    def lattice_steps():
+        """The ten lattice steps as dense permutation matrices: the shift,
+        preceded by detector A's swap at step 5 and B's at step 8."""
+        n_cells, absorbed, dim = 24, 48, 196
+
+        def index(particle, a, b):
+            return (particle * 2 + a) * 2 + b
+
+        shift = np.zeros((dim, dim), dtype=complex)
+        for cell, direction, a, b in itertools.product(range(n_cells), (0, 1), (0, 1), (0, 1)):
+            moved = (cell + (1 if direction else -1)) % n_cells
+            shift[index(2 * moved + direction, a, b), index(2 * cell + direction, a, b)] = 1
+        for a, b in itertools.product((0, 1), (0, 1)):
+            shift[index(absorbed, a, b), index(absorbed, a, b)] = 1
+
+        def swap(pairs):
+            u = np.eye(dim, dtype=complex)
+            for i, j in pairs:
+                u[[i, j]] = u[[j, i]]
+            return u
+
+        swap_a = swap((index(2 * 6, 0, o), index(absorbed, 1, o)) for o in (0, 1))
+        swap_b = swap((index(2 * 21 + 1, o, 0), index(absorbed, o, 1)) for o in (0, 1))
+        steps = [shift] * 10
+        steps[5], steps[8] = swap_a @ shift, swap_b @ shift
+        return steps
+
+    def test_steps_are_dense_products_of_lattice_steps(self):
+        ps = SCENARIOS["wavepacket"].propagators
+        lattice = self.lattice_steps()
+        values = [int(v) for v in ps.grid.values]
+        assert len(ps.steps) == len(values) - 1
+        for step, v0, v1 in zip(ps.steps, values, values[1:]):
+            u = np.eye(196, dtype=complex)
+            for t in range(v0, v1):
+                u = lattice[t] @ u
+            assert step.mat.tobytes() == u.tobytes(), (v0, v1)
 
 
 class TestGeometryPreconditions:
