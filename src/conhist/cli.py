@@ -27,6 +27,8 @@ from . import __version__
 from .famspec import FamSpecError, parse as famspec_parse
 from .framework import FamilyMismatchError, common_refinement
 from .histories import (
+    EPS_ABS,
+    EPS_REL,
     EPS_SUPPORT,
     Family,
     FamilyTooLargeError,
@@ -155,15 +157,6 @@ def _parse_predicate(text: str) -> dict[str, str]:
     return out
 
 
-def _tolerances(args) -> dict:
-    kw = {}
-    if args.tol_abs is not None:
-        kw["eps_abs"] = args.tol_abs
-    if args.tol_rel is not None:
-        kw["eps_rel"] = args.tol_rel
-    return kw
-
-
 def _tolerance(text: str) -> float:
     """argparse type for ``--tol-abs``/``--tol-rel``: a finite, non-negative number."""
     try:
@@ -181,7 +174,7 @@ def _tolerance(text: str) -> float:
 def cmd_check(args) -> int:
     started = time.monotonic()
     fam = _pick_family(_load_families(args), args.family)
-    report = consistency_check(fam, **_tolerances(args))
+    report = consistency_check(fam, args.tol_abs, args.tol_rel)
     if args.format == "text":
         verdict = "consistent" if report.consistent else "INCONSISTENT"
         print(f"family {args.family}: {verdict}")
@@ -205,7 +198,7 @@ def cmd_probs(args) -> int:
     started = time.monotonic()
     fam = _pick_family(_load_families(args), args.family)
     try:
-        table = probabilities(fam, **_tolerances(args))
+        table = probabilities(fam, args.tol_abs, args.tol_rel)
     except InconsistentFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -442,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_probs.add_argument("--all", action="store_true", help="print zero-probability rows")
     p_probs.set_defaults(handler=cmd_probs)
     for p in (p_check, p_probs):  # the commands that apply the consistency thresholds
-        p.add_argument("--tol-rel", type=_tolerance, metavar="EPS",
+        p.add_argument("--tol-rel", type=_tolerance, default=EPS_REL, metavar="EPS",
                        help="relative consistency threshold")
-        p.add_argument("--tol-abs", type=_tolerance, metavar="EPS",
+        p.add_argument("--tol-abs", type=_tolerance, default=EPS_ABS, metavar="EPS",
                        help="absolute consistency threshold")
 
     p_compat = sub.add_parser("compat", help="compatibility classification")

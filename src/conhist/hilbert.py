@@ -46,49 +46,54 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return mat
 
 
-def _frob(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat))
-
-
 def _frob_sq(mat: np.ndarray) -> float:
-    """Squared Frobenius norm, summed as ``np.linalg.norm`` sums it."""
-    re, im = mat.real.ravel(), mat.imag.ravel()
-    return float(re @ re + im @ im)
+    """Squared Frobenius norm, summed as ``np.linalg.norm`` sums it: the
+    strided real and imaginary views of the raveled array, each dotted
+    with itself."""
+    flat = mat.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return float(re.dot(re) + im.dot(im))
 
 
-# The idempotency, unitarity and pairwise-overlap checks multiply matrices
-# that are exactly block diagonal on the connected components of their joint
-# symmetrized nonzero pattern: an entry of a product that links two
-# components is a sum of terms with an exact-zero factor.  The checks below
-# therefore multiply block by block, which changes only the order in which
-# the Frobenius norms are summed.  The hermiticity and completeness defects
-# are formed per block and scattered into a zero matrix, so they equal the
-# dense formulas bit for bit.  ``_product`` and ``_products`` multiply the
-# same way for commutator norms, compatibility products, propagators, the
-# Heisenberg conversion and the wavepacket build; on permutations and 0/1
-# diagonals they are bit-identical to ``@``.  Finding the blocks costs about
-# 0.1 ms, so dense products stay in use for small or dense inputs: blocks
-# are used from dimension _BLOCK_MIN_DIM up when at most 1/_BLOCK_MAX_FILL of
-# the pattern's entries are nonzero and it splits into more than one component.
+def _frob(mat: np.ndarray) -> float:
+    """Frobenius norm, equal to ``np.linalg.norm(mat)`` bit for bit."""
+    return math.sqrt(_frob_sq(mat))
+
+
+# Every product and check below works block by block on the connected
+# components of its operands' joint symmetrized nonzero pattern.  The
+# matrices are exactly block diagonal there: an entry of a product that
+# links two components is a sum of terms with an exact-zero factor, so only
+# the summation order of a Frobenius norm changes.  The hermiticity and
+# completeness defects are scattered into a zero matrix before the norm, so
+# they equal the dense formulas bit for bit; products of permutations and
+# 0/1 diagonals are bit-identical to ``@``.  When a search does not pay or
+# the pattern does not split, the whole matrix is the one block (the group
+# ``arange(dim)[None]``, gathered as the view ``mat[None]``), and each
+# formula is then the dense one, bit for bit.  Finding the blocks costs
+# about 0.1 ms, so they are searched from dimension _BLOCK_MIN_DIM up and
+# used when at most 1/_BLOCK_MAX_FILL of the pattern's entries are nonzero.
 # Measured with one BLAS thread on block-diagonal inputs under a random
 # permutation: one projector or unitary breaks even near dimension 80, is
 # 1.4-2x faster at 96 and 3-5x at 196; a 9-member decomposition is already
 # 2x faster at 32 and 40x at 196.  A connected pattern under the fill bound
-# pays the search on top of the dense product (+0.1-0.4 ms at 96-196).
+# pays the search on top of the one-block product (+0.1-0.4 ms at 96-196).
 _BLOCK_MIN_DIM = 96
 _BLOCK_MAX_FILL = 8
 
 
-def _blocks(*mats: np.ndarray) -> list[np.ndarray] | None:
+def _blocks(*mats: np.ndarray) -> list[np.ndarray]:
     """Components of the joint symmetrized nonzero pattern of ``mats``.
 
     Returns one ``(n, s)`` index array per component size ``s`` (ascending
-    indices within each component), or ``None`` when the dense products are
-    the cheaper way to run the check.
+    indices within each component), or the one whole-matrix group
+    ``[arange(dim)[None]]`` when the pattern does not split or a search
+    would not pay.
     """
     dim = mats[0].shape[0]
+    whole = [np.arange(dim)[None]]
     if dim < _BLOCK_MIN_DIM:
-        return None
+        return whole
     pattern = np.zeros((dim, dim), dtype=bool)
     for m in mats:
         # a complex entry is nonzero when either of its two float halves is;
@@ -97,7 +102,7 @@ def _blocks(*mats: np.ndarray) -> list[np.ndarray] | None:
     pattern = pattern | pattern.T
     nonzero = np.flatnonzero(pattern)
     if _BLOCK_MAX_FILL * nonzero.size > dim * dim:
-        return None
+        return whole
     rows, cols = np.divmod(nonzero, dim)
     # Label every index with an index of its component: hook the tree of
     # each row onto the smallest label among the row's neighbours, then jump
@@ -111,8 +116,6 @@ def _blocks(*mats: np.ndarray) -> list[np.ndarray] | None:
         if np.array_equal(label, before):
             break
     size = np.bincount(label)[label]
-    if size[0] == dim:
-        return None  # one component: its block is the whole matrix
     # components by size, then by label; indices ascending within each
     order = np.lexsort((label, size))
     cuts = np.flatnonzero(np.diff(size[order])) + 1
@@ -121,12 +124,18 @@ def _blocks(*mats: np.ndarray) -> list[np.ndarray] | None:
 
 def _gather(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The diagonal blocks ``mat[c][:, c]`` for the rows ``c`` of ``idx``,
-    stacked as an ``(n, s, s)`` array."""
+    stacked as an ``(n, s, s)`` array; the whole-matrix group's is the view
+    ``mat[None]``."""
+    if idx.shape[1] == len(mat):
+        return mat[None]
     return mat[idx[:, :, None], idx[:, None, :]]
 
 
-def _scatter(dim: int, groups: list[np.ndarray], blocks) -> np.ndarray:
-    """Zero outside the diagonal blocks, one ``(n, s, s)`` array per group."""
+def _scatter(dim: int, groups: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:
+    """Zero outside the diagonal blocks, one ``(n, s, s)`` array per group;
+    the whole-matrix group's one block is returned as it is."""
+    if groups[0].shape[1] == dim:
+        return blocks[0][0]
     out = np.zeros((dim, dim), dtype=np.complex128)
     for idx, b in zip(groups, blocks):
         out[idx[:, :, None], idx[:, None, :]] = b
@@ -134,23 +143,18 @@ def _scatter(dim: int, groups: list[np.ndarray], blocks) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of two complex square matrices, block by block under the
-    rule above."""
+    """``a @ b`` of two complex square matrices, block by block."""
     groups = _blocks(a, b)
-    if groups is None:
-        return a @ b
-    return _scatter(len(a), groups, (_gather(a, idx) @ _gather(b, idx) for idx in groups))
+    return _scatter(len(a), groups, [_gather(a, idx) @ _gather(b, idx) for idx in groups])
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(a @ b, b @ a)``, the same arrays as two ``_product`` calls, from one
     block search (the joint pattern of ``a, b`` is that of ``b, a``)."""
     groups = _blocks(a, b)
-    if groups is None:
-        return a @ b, b @ a
     pairs = [(_gather(a, idx), _gather(b, idx)) for idx in groups]
-    ab = _scatter(len(a), groups, (x @ y for x, y in pairs))
-    return ab, _scatter(len(a), groups, (y @ x for x, y in pairs))
+    ab = _scatter(len(a), groups, [x @ y for x, y in pairs])
+    return ab, _scatter(len(a), groups, [y @ x for x, y in pairs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +244,8 @@ class Operator:
 
 def unitarity_defect(u: Operator) -> float:
     """``||U^dag U - I||_F``; zero for exact unitaries."""
-    groups = _blocks(u.mat)
-    if groups is None:
-        return _frob(u.mat.conj().T @ u.mat - np.eye(u.dim))
     total = 0.0
-    for idx in groups:
+    for idx in _blocks(u.mat):
         b = _gather(u.mat, idx)
         total += _frob_sq(b.conj().transpose(0, 2, 1) @ b - np.eye(idx.shape[1]))
     return math.sqrt(total)
@@ -265,14 +266,10 @@ class ProjectorCheck:
 def is_projector(p: Operator) -> ProjectorCheck:
     """Test whether ``p`` is an orthogonal projector within ``TOL_PROJ`` (Frobenius)."""
     groups = _blocks(p.mat)
-    if groups is None:
-        herm = _frob(p.mat - p.mat.conj().T)
-        idem = _frob(p.mat - p.mat @ p.mat)
-    else:
-        blocks = [_gather(p.mat, idx) for idx in groups]
-        skew = (b - b.conj().transpose(0, 2, 1) for b in blocks)
-        herm = _frob(_scatter(p.dim, groups, skew))
-        idem = math.sqrt(sum(_frob_sq(b - b @ b) for b in blocks))
+    blocks = [_gather(p.mat, idx) for idx in groups]
+    skew = [b - b.conj().transpose(0, 2, 1) for b in blocks]
+    herm = _frob(_scatter(p.dim, groups, skew))
+    idem = math.sqrt(sum(_frob_sq(b - b @ b) for b in blocks))
     return ProjectorCheck(herm < TOL_PROJ and idem < TOL_PROJ, herm, idem)
 
 
@@ -453,28 +450,20 @@ class DecompositionOfIdentity:
 
 def validate_decomposition(d: DecompositionOfIdentity) -> DecompositionReport:
     """Report completeness defect ``||sum P - I||`` and max pairwise ``||P_a P_b||``."""
-    dim = d.dim
-    max_overlap = 0.0
     mats = [proj.mat for _, proj in d.members]
     groups = _blocks(*mats)
-    if groups is None:
-        completeness = _frob(sum(mats) - np.eye(dim))
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                max_overlap = max(max_overlap, _frob(mats[i] @ mats[j]))
-    else:
-        # one size group's blocks of every member at a time, so memory stays
-        # within that of the members
-        pairs = list(itertools.combinations(range(len(mats)), 2))
-        squares = [0.0] * len(pairs)
-        residuals = []
-        for idx in groups:
-            blocks = [_gather(m, idx) for m in mats]
-            residuals.append(sum(blocks) - np.eye(idx.shape[1]))
-            for k, (i, j) in enumerate(pairs):
-                squares[k] += _frob_sq(blocks[i] @ blocks[j])
-        completeness = _frob(_scatter(dim, groups, residuals))
-        max_overlap = math.sqrt(max(squares, default=0.0))
+    # one size group's blocks of every member at a time, so memory stays
+    # within that of the members
+    pairs = list(itertools.combinations(range(len(mats)), 2))
+    squares = [0.0] * len(pairs)
+    residuals = []
+    for idx in groups:
+        blocks = [_gather(m, idx) for m in mats]
+        residuals.append(sum(blocks) - np.eye(idx.shape[1]))
+        for k, (i, j) in enumerate(pairs):
+            squares[k] += _frob_sq(blocks[i] @ blocks[j])
+    completeness = _frob(_scatter(d.dim, groups, residuals))
+    max_overlap = math.sqrt(max(squares, default=0.0))
     return DecompositionReport(
         valid=(completeness < TOL_PROJ and max_overlap < TOL_PROJ),
         completeness_defect=completeness,

@@ -164,6 +164,11 @@ class Family:
                     raise ValueError(
                         "the anchored decomposition must be {initial, complement}"
                     )
+                if self.initial.label not in decs[slot].labels:
+                    raise ValueError(
+                        f"initial state {self.initial.label!r} is not a member of the "
+                        f"anchored decomposition {list(decs[slot].labels)}"
+                    )
                 member = decs[slot].projector(self.initial.label)
                 psi = ket.normalized().amps
                 if ket.dim != member.dim or (
@@ -638,10 +643,7 @@ def slot_predicate(f: Family, spec: Mapping[str, str | Iterable[str]] | Predicat
             options = frozenset(member.split("|"))
         else:
             options = frozenset(member)
-        known = set(f.decompositions[slot].labels)
-        if isinstance(f.initial, PureInitial) and slot == f.initial_slot:
-            known.add(f.initial.label)
-        unknown = options - known
+        unknown = options - set(f.decompositions[slot].labels)
         if unknown:
             raise UnknownLabelError(
                 f"labels {sorted(unknown)} not in the decomposition at {time_label}"
@@ -684,10 +686,7 @@ def event_probability(f: Family, subset: Iterable[Sequence[str]]) -> float:
 def histories_with_slots(f: Family, labels: Iterable[str]) -> tuple[tuple[str, ...], ...]:
     """All histories whose slot labels include every given label."""
     need = list(labels)
-    all_known = set()
-    for slot in range(len(f)):
-        all_known.update(f.slot_labels(slot))
-        all_known.update(f.decompositions[slot].labels)
+    all_known = {lab for d in f.decompositions for lab in d.labels}
     for lab in need:
         if lab not in all_known:
             raise UnknownLabelError(f"label {lab!r} not used anywhere in the family")

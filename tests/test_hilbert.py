@@ -1,4 +1,5 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,8 +212,9 @@ class TestInvariantguards:
 
 # -- block-wise checks against the dense formulas -------------------------------
 #
-# The oracles are the plain dense formulas.  On the dense path (small or
-# dense inputs) the checks must reproduce them bit for bit.  On the block path only the order of
+# The oracles are the plain dense formulas.  With the one whole-matrix block
+# (small or dense inputs, or a pattern that does not split) the checks must
+# reproduce them bit for bit.  With more blocks only the order of
 # summation changes, so they must agree within the rounding bound of a
 # reordered product, ``2 eps * largest block * sum of squared Frobenius
 # norms`` (a few ulps of the products' scale; the observed differences stay
@@ -246,15 +248,19 @@ def dense_max_overlap(mats):
 
 def assert_matches_dense(got, want, mats):
     """``got`` is a block-wise defect of ``mats`` and ``want`` its dense oracle."""
-    groups = hilbert._blocks(*mats)
-    if groups is None:
+    largest = max(idx.shape[1] for idx in hilbert._blocks(*mats))
+    if largest == len(mats[0]):  # the one whole-matrix block
         assert got == want
         return
-    largest = max(idx.shape[1] for idx in groups)
     bound = 2 * EPS * largest * sum(float(np.linalg.norm(m)) ** 2 for m in mats)
     assert abs(got - want) <= bound
     if abs(want - TOL_PROJ) > bound:
         assert (got < TOL_PROJ) == (want < TOL_PROJ)
+
+
+def one_block(*mats):
+    """Whether ``_blocks`` gives ``mats`` the one whole-matrix group."""
+    return hilbert._blocks(*mats)[0].shape[1] == len(mats[0])
 
 
 def haar_unitary(rng, n):
@@ -314,6 +320,26 @@ def assert_checks_match_dense(members, unitary):
     assert_matches_dense(unitarity_defect(Operator(unitary)), dense_unitarity(unitary), [unitary])
 
 
+class TestFrobSq:
+    """``_frob_sq`` sums as ``np.linalg.norm`` does, so the one-block checks
+    equal the dense formulas bit for bit, and ``_frob`` is its root."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_root_is_the_frobenius_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 40))
+        n, s = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        u = haar_unitary(rng, 12)
+        x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        near = u + TOL_PROJ * (x + x.conj().T) / np.linalg.norm(x)
+        for m in (
+            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+            rng.normal(size=(n, s, s)) + 1j * rng.normal(size=(n, s, s)),
+            near.conj().T @ near - np.eye(12),  # a d = 12 near-unitary residual
+        ):
+            assert math.sqrt(hilbert._frob_sq(m)) == float(np.linalg.norm(m)) == hilbert._frob(m)
+
+
 class TestBlockwiseChecks:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -336,7 +362,7 @@ class TestBlockwiseChecks:
         members = block_members(rng, dim, blocks, m=int(rng.integers(2, 6)))
         unitary = sum(mat * np.exp(2j * np.pi * rng.random()) for mat in members)
         # the rule: blocks from dimension 96 up, when the pattern splits
-        assert (hilbert._blocks(*members) is None) == (dim < 96 or len(blocks) == 1)
+        assert one_block(*members) == (dim < 96 or len(blocks) == 1)
         if kind != "exact":
             members[0] = members[0] + perturbation(rng, dim, blocks, kind)
             unitary = unitary + perturbation(rng, dim, blocks, kind)
@@ -357,12 +383,12 @@ class TestBlockwiseChecks:
             members = block_members(rng, dim, blocks, m=int(rng.integers(2, 6)))
             a = sum(mat * np.exp(2j * np.pi * rng.random()) for mat in members)
             b = members[0]
-            assert (hilbert._blocks(a, b) is None) == (dim < 96 or len(blocks) == 1)
+            assert one_block(a, b) == (dim < 96 or len(blocks) == 1)
             if kind != "exact":
                 a = a + perturbation(rng, dim, blocks, kind)
                 b = b + perturbation(rng, dim, blocks, kind)
         got = hilbert._product(a, b)
-        if hilbert._blocks(a, b) is None:
+        if one_block(a, b):
             assert got.tobytes() == (a @ b).tobytes()
         assert_matches_dense(float(np.linalg.norm(got)), float(np.linalg.norm(a @ b)), [a, b])
         assert_matches_dense(float(np.linalg.norm(got - a @ b)), 0.0, [a, b])
@@ -379,8 +405,16 @@ class TestBlockwiseChecks:
             perm[:, part] = perm[:, rng.permutation(part)]
         diag = np.diag(rng.integers(0, 2, size=dim).astype(complex))
         for a, b in itertools.product([perm, perm.T, diag], repeat=2):
-            assert hilbert._blocks(a, b) is not None
+            assert not one_block(a, b)
             assert hilbert._product(a, b).tobytes() == (a @ b).tobytes()
+
+    def test_one_block_is_gathered_and_scattered_without_a_copy(self):
+        m = random_operator(12).mat
+        (whole,) = hilbert._blocks(m)
+        assert whole.tolist() == [list(range(12))]
+        assert np.shares_memory(hilbert._gather(m, whole), m)
+        block = np.ones((1, 12, 12), dtype=complex)
+        assert np.shares_memory(hilbert._scatter(12, [whole], [block]), block)
 
     @pytest.mark.parametrize("kind", ["imaginary link", "long cycles", "zero"])
     def test_edge_patterns_match_dense_formulas(self, kind):
@@ -401,7 +435,7 @@ class TestBlockwiseChecks:
             members[1] -= members[0]
         members = [m[np.ix_(perm, perm)] for m in members]
         unitary = unitary[np.ix_(perm, perm)]
-        assert hilbert._blocks(*members, unitary) is not None
+        assert not one_block(*members, unitary)
         assert_checks_match_dense(members, unitary)
         assert is_projector(Operator(members[0]))
         assert unitarity_defect(Operator(unitary)) < TOL_PROJ

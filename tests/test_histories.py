@@ -98,6 +98,12 @@ class TestPureAnchor:
         with pytest.raises(ValueError, match="does not project onto the initial state"):
             Family(trivial_ps(2), (0, 1), (anchor, X_DEC), PureInitial(Ket(np.array(amps)), "psi"))
 
+    def test_initial_label_must_be_an_anchor_member(self):
+        anchor = DecompositionOfIdentity.from_basis([Z_PLUS, Z_MINUS], ["psi", "other"])
+        message = r"initial state 'up' is not a member of the anchored decomposition \['psi', 'other'\]"
+        with pytest.raises(ValueError, match=message):
+            Family(trivial_ps(2), (0, 1), (anchor, X_DEC), PureInitial(Z_PLUS, "up"))
+
     def test_families_share_one_anchor(self):
         pure = pure_families(X_PLUS)
         f, g = pure(trivial_ps(2), (0, 1), [Z_DEC], name="f"), pure(trivial_ps(3), (0, 2), [Z_DEC])
