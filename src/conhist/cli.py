@@ -6,12 +6,15 @@ compatibility classification), ``scenario`` (run a built-in scenario's
 expected-results suite), ``embed`` (embed tagged events into a foliation).
 
 Families come either from a built-in scenario (``--scenario NAME``) or from
-a famspec document (``--file PATH``).  Reports are deterministic: numeric
-fields are printed with 17 significant digits and the ``results`` object
-carries no timestamps, so identical inputs produce byte-identical results.
+a famspec document (``--file PATH``).  Each command returns its exit code and
+a ``results`` dict, which the JSON report carries and the text and CSV
+outputs only view.  Reports are deterministic: numeric fields are printed
+with 17 significant digits and ``results`` carries no timestamps, so
+identical inputs produce byte-identical results.
 
 Exit codes: 0 success/affirmative verdict, 1 negative verdict, 2 usage
-error, 3 input/parse error or a family too large to analyse.
+error, 3 input/parse error or a family too large to analyse; ``main`` alone
+maps a refused input to its code.
 """
 
 from __future__ import annotations
@@ -91,46 +94,54 @@ def _to_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _emit(args, command: str, results: dict, rows: list[dict], started: float) -> None:
+def _emit(args, results: dict, wall_time_s: float) -> None:
+    """Print ``results`` in the ``--format`` the command was given."""
+    text_view, csv_view = args.views
     if args.format == "json":
-        report = {
+        print(_to_json({
             "schema": 1,
             "engine": {"name": "conhist", "version": __version__},
-            "command": command,
+            "command": args.command,
             "results": results,
-            "wall_time_s": time.monotonic() - started,
-        }
-        print(_to_json(report))
+            "wall_time_s": wall_time_s,
+        }))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
+        rows = csv_view(results)
         if rows:
-            header = list(rows[0])
-            writer.writerow(header)
+            writer = csv.writer(sys.stdout)
+            writer.writerow(rows[0].keys())
             for row in rows:
-                writer.writerow([_format_number(row[k]) for k in header])
-    # text output is printed by the command handlers as they go
+                writer.writerow([_format_number(v) for v in row.values()])
+    else:
+        for line in text_view(results):
+            print(line)
+
+
+def _scenario(name: str):
+    from . import scenarios
+
+    try:
+        return scenarios.build(name)
+    except KeyError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _load_families(args) -> dict[str, Family]:
-    if getattr(args, "scenario", None):
-        from . import scenarios
-
+    if args.scenario:
+        return dict(_scenario(args.scenario).families)
+    if args.file:
         try:
-            scn = scenarios.build(args.scenario)
-        except KeyError as exc:
-            raise InputError(str(exc)) from None
-        return dict(scn.families)
-    if getattr(args, "file", None):
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.file}: {exc}") from None
-        try:
-            doc = famspec_parse(text)
+            return dict(famspec_parse(_read(args.file)).families)
         except FamSpecError as exc:
             raise InputError(f"{args.file}: {exc}") from None
-        return dict(doc.families)
     raise InputError("provide --scenario NAME or --file PATH")
 
 
@@ -168,60 +179,61 @@ def _tolerance(text: str) -> float:
     return value
 
 
-# -- commands -------------------------------------------------------------------
+# -- commands: each returns (exit code, results); its text view (lines) and CSV
+# view (rows) read only those results --------------------------------------------
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
+def cmd_check(args) -> tuple[int, dict]:
     fam = _pick_family(_load_families(args), args.family)
     report = consistency_check(fam, args.tol_abs, args.tol_rel)
-    if args.format == "text":
-        verdict = "consistent" if report.consistent else "INCONSISTENT"
-        print(f"family {args.family}: {verdict}")
-        print(f"  max normalized overlap: {_format_number(report.max_normalized_overlap)}")
-        for a, b, o in report.violations[:10]:
-            print(f"  violation: ({' '.join(a)}) vs ({' '.join(b)}): {_format_number(o)}")
-        if len(report.violations) > 10:
-            print(f"  ... and {len(report.violations) - 10} more")
-    elif args.format == "json":
-        _emit(args, "check", {"family": args.family, **report.to_dict()}, [], started)
-    else:
-        rows = [
-            {"alpha": " ".join(a), "beta": " ".join(b), "overlap": o}
-            for a, b, o in report.violations
-        ] or [{"alpha": "", "beta": "", "overlap": 0.0}]
-        _emit(args, "check", {}, rows, started)
-    return EXIT_OK if report.consistent else EXIT_NEGATIVE
+    return (EXIT_OK if report.consistent else EXIT_NEGATIVE), {
+        "family": args.family, **report.to_dict(),
+    }
 
 
-def cmd_probs(args) -> int:
-    started = time.monotonic()
+def _check_text(r: dict) -> list[str]:
+    violations = r["violations"]
+    lines = [
+        f"family {r['family']}: {'consistent' if r['consistent'] else 'INCONSISTENT'}",
+        f"  max normalized overlap: {_format_number(r['max_normalized_overlap'])}",
+    ]
+    lines += [
+        f"  violation: ({' '.join(v['alpha'])}) vs ({' '.join(v['beta'])}): "
+        f"{_format_number(v['overlap'])}"
+        for v in violations[:10]
+    ]
+    if len(violations) > 10:
+        lines.append(f"  ... and {len(violations) - 10} more")
+    return lines
+
+
+def _check_rows(r: dict) -> list[dict]:
+    return [
+        {"alpha": " ".join(v["alpha"]), "beta": " ".join(v["beta"]), "overlap": v["overlap"]}
+        for v in r["violations"]
+    ] or [{"alpha": "", "beta": "", "overlap": 0.0}]
+
+
+def cmd_probs(args) -> tuple[int, dict]:
     fam = _pick_family(_load_families(args), args.family)
-    try:
-        table = probabilities(fam, args.tol_abs, args.tol_rel)
-    except InconsistentFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    entries = [(a, p) for a, p in table.items()]
-    entries.sort(key=lambda ap: -ap[1])
+    table = probabilities(fam, args.tol_abs, args.tol_rel)
     results: dict = {
         "family": args.family,
         "normalization": table.normalization,
         "probabilities": [
-            {"history": list(a), "probability": p} for a, p in entries
+            {"history": list(a), "probability": p}
+            for a, p in sorted(table.items(), key=lambda ap: -ap[1])
         ],
     }
-    rows = [{"history": " ".join(a), "probability": p} for a, p in entries]
-    conditional = None
     if args.given or args.target:
         if not (args.given and args.target):
             raise InputError("conditional queries need both --target and --given")
-        conditional = table.conditional(
-            slot_predicate(fam, _parse_predicate(args.target)),
-            slot_predicate(fam, _parse_predicate(args.given)),
-        )
         results["conditional"] = {
-            "target": args.target, "given": args.given, "probability": conditional,
+            "target": args.target, "given": args.given,
+            "probability": table.conditional(
+                slot_predicate(fam, _parse_predicate(args.target)),
+                slot_predicate(fam, _parse_predicate(args.given)),
+            ),
         }
     events = []
     for spec in args.event or []:
@@ -230,169 +242,145 @@ def cmd_probs(args) -> int:
         events.append({"labels": labels, "probability": prob})
     if events:
         results["events"] = events
-    if args.format == "text":
-        print(f"family {args.family} (normalization {_format_number(table.normalization)})")
-        for a, p in entries:
-            if p > EPS_SUPPORT or args.all:
-                print(f"  {_format_number(p):<24} {' '.join(a)}")
-        if conditional is not None:
-            print(f"  Pr({args.target} | {args.given}) = {_format_number(conditional)}")
-        for ev in events:
-            print(f"  Pr(event {','.join(ev['labels'])}) = {_format_number(ev['probability'])}")
-    else:
-        _emit(args, "probs", results, rows, started)
-    return EXIT_OK
+    return EXIT_OK, results
 
 
-def cmd_compat(args) -> int:
-    started = time.monotonic()
-    families = _load_families(args)
-    fam_a = _pick_family(families, args.family_a)
-    fam_b = _pick_family(families, args.family_b)
-    try:
-        verdict = common_refinement(fam_a, fam_b)
-    except FamilyMismatchError as exc:
-        raise InputError(str(exc)) from None
-    results = {
-        "family_a": args.family_a,
-        "family_b": args.family_b,
-        **verdict.to_dict(),
-    }
-    rows = [{
-        "family_a": args.family_a,
-        "family_b": args.family_b,
-        "classification": verdict.classification,
-        "compatible": verdict.compatible,
-    }]
-    if args.format == "text":
-        print(f"{args.family_a} vs {args.family_b}: {verdict.classification}")
-        if verdict.witness is not None and hasattr(verdict.witness, "time_label"):
-            w = verdict.witness
-            print(
-                f"  witness: at {w.time_label}, [{w.label_a}, {w.label_b}] has "
-                f"norm {_format_number(w.commutator_norm)}"
-            )
-    else:
-        _emit(args, "compat", results, rows, started)
-    return EXIT_OK if verdict.compatible else EXIT_NEGATIVE
-
-
-def cmd_scenario(args) -> int:
-    started = time.monotonic()
-    from . import scenarios
-
-    try:
-        scn = scenarios.build(args.name)
-    except KeyError as exc:
-        raise InputError(str(exc)) from None
-    if not args.suite:
-        results = {
-            "name": scn.name,
-            "dimension": scn.dim,
-            "times": list(scn.propagators.grid.values),
-            "families": sorted(scn.families),
-            "kets": sorted(scn.kets),
-            "events": sorted(scn.events),
-            "description": scn.description,
-        }
-        if args.format == "text":
-            print(f"scenario {scn.name}: dimension {scn.dim}")
-            print(f"  {scn.description}")
-            print(f"  times: {list(scn.propagators.grid.values)}")
-            print(f"  families: {', '.join(sorted(scn.families))}")
-        else:
-            _emit(args, "scenario", results, [], started)
-        return EXIT_OK
-    outcomes = scn.run_expected()
-    all_pass = all(r.passed for r in outcomes)
-    results = {
-        "name": scn.name,
-        "passed": all_pass,
-        "checks": [r.to_dict() for r in outcomes],
-    }
-    rows = [
-        {
-            "status": "pass" if r.passed else "FAIL",
-            "provenance": r.provenance,
-            "expected": r.expected,
-            "measured": r.measured,
-            "description": r.description,
-        }
-        for r in outcomes
+def _probs_text(r: dict) -> list[str]:
+    lines = [f"family {r['family']} (normalization {_format_number(r['normalization'])})"]
+    lines += [
+        f"  {_format_number(e['probability']):<24} {' '.join(e['history'])}"
+        for e in r["probabilities"] if e["probability"] > EPS_SUPPORT
     ]
-    if args.format == "text":
-        for r in outcomes:
-            mark = "pass" if r.passed else "FAIL"
-            print(
-                f"[{mark}] [{r.provenance}] {r.description}: "
-                f"measured {_format_number(r.measured)}, expected "
-                f"{_format_number(r.expected)}"
-            )
-        print(f"{scn.name}: {sum(r.passed for r in outcomes)}/{len(outcomes)} checks passed")
-    else:
-        _emit(args, "scenario", results, rows, started)
-    return EXIT_OK if all_pass else EXIT_NEGATIVE
+    if "conditional" in r:
+        c = r["conditional"]
+        lines.append(f"  Pr({c['target']} | {c['given']}) = {_format_number(c['probability'])}")
+    lines += [
+        f"  Pr(event {','.join(e['labels'])}) = {_format_number(e['probability'])}"
+        for e in r.get("events", ())
+    ]
+    return lines
+
+
+def _probs_rows(r: dict) -> list[dict]:
+    return [
+        {"history": " ".join(e["history"]), "probability": e["probability"]}
+        for e in r["probabilities"]
+    ]
+
+
+def cmd_compat(args) -> tuple[int, dict]:
+    families = _load_families(args)
+    verdict = common_refinement(
+        _pick_family(families, args.family_a), _pick_family(families, args.family_b)
+    )
+    return (EXIT_OK if verdict.compatible else EXIT_NEGATIVE), {
+        "family_a": args.family_a, "family_b": args.family_b, **verdict.to_dict(),
+    }
+
+
+def _compat_text(r: dict) -> list[str]:
+    lines = [f"{r['family_a']} vs {r['family_b']}: {r['classification']}"]
+    w = r.get("witness")
+    if w is not None and "time" in w:  # a kinematic witness, not a consistency report
+        lines.append(
+            f"  witness: at {w['time']}, [{w['projector_a']}, {w['projector_b']}] has "
+            f"norm {_format_number(w['commutator_norm'])}"
+        )
+    return lines
+
+
+def _compat_rows(r: dict) -> list[dict]:
+    return [{k: r[k] for k in ("family_a", "family_b", "classification", "compatible")}]
+
+
+def cmd_scenario(args) -> tuple[int, dict]:
+    scn = _scenario(args.name)
+    if not args.suite:
+        return EXIT_OK, {
+            "name": scn.name, "dimension": scn.dim, "description": scn.description,
+            "times": list(scn.propagators.grid.values), "families": sorted(scn.families),
+            "kets": sorted(scn.kets), "events": sorted(scn.events),
+        }
+    checks = [r.to_dict() for r in scn.run_expected()]
+    passed = all(c["passed"] for c in checks)
+    return (EXIT_OK if passed else EXIT_NEGATIVE), {
+        "name": scn.name, "passed": passed, "checks": checks,
+    }
+
+
+def _scenario_text(r: dict) -> list[str]:
+    if "checks" not in r:
+        return [
+            f"scenario {r['name']}: dimension {r['dimension']}",
+            f"  {r['description']}",
+            f"  times: {r['times']}",
+            f"  families: {', '.join(r['families'])}",
+        ]
+    checks = r["checks"]
+    return [
+        f"[{'pass' if c['passed'] else 'FAIL'}] [{c['provenance']}] {c['description']}: "
+        f"measured {_format_number(c['measured'])}, expected {_format_number(c['expected'])}"
+        for c in checks
+    ] + [f"{r['name']}: {sum(c['passed'] for c in checks)}/{len(checks)} checks passed"]
+
+
+def _scenario_rows(r: dict) -> list[dict]:
+    keys = ("provenance", "expected", "measured", "description")
+    return [
+        {"status": "pass" if c["passed"] else "FAIL", **{k: c[k] for k in keys}}
+        for c in r.get("checks", ())
+    ]
 
 
 def _events_from_json(payload) -> list[TaggedEvent]:
     try:
-        raw_events = payload["events"]
         events = []
-        for raw in raw_events:
+        for raw in payload["events"]:
             regions = []
             for reg in raw["regions"]:
                 surf = reg["surface"]
                 surface = Hypersurface(tuple(surf["xs"]), tuple(surf["ts"]))
                 regions.append(Region.at(reg["cells"], surface))
-            events.append(
-                TaggedEvent(
-                    raw["id"],
-                    tuple(regions),
-                    raw.get("projector"),
-                    raw.get("time_index"),
-                )
-            )
+            events.append(TaggedEvent(
+                raw["id"], tuple(regions), raw.get("projector"), raw.get("time_index")
+            ))
         return events
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad events file: {exc}") from None
 
 
-def cmd_embed(args) -> int:
-    started = time.monotonic()
+def cmd_embed(args) -> tuple[int, dict]:
     try:
-        with open(args.events_file, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.events_file}: {exc}") from None
+        payload = json.loads(_read(args.events_file))
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.events_file} is not valid JSON: {exc}") from None
-    events = _events_from_json(payload)
     try:
-        result = embed_events(events)
+        result = embed_events(_events_from_json(payload))
     except EmbeddingImpossibleError as exc:
-        results = {"embedded": False, "witness": exc.witness, "detail": exc.detail}
-        if args.format == "text":
-            print(f"embedding impossible: {exc.detail}")
-            print(f"  witness event: {exc.witness}")
-        else:
-            _emit(args, "embed", results, [{"witness": exc.witness}], started)
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE, {"embedded": False, "witness": exc.witness, "detail": exc.detail}
     except ValueError as exc:  # no events, repeated ids, or cyclic causality
         raise InputError(str(exc)) from None
-    results = {"embedded": True, **result.to_dict()}
-    rows = []
-    for i, surf in enumerate(result.foliation.surfaces):
-        for x, t in zip(surf.xs, surf.ts):
-            rows.append({"surface": i, "x": x, "t": t})
-    if args.format == "text":
-        for i, (layer, surf) in enumerate(
-            zip(result.layers, result.foliation.surfaces)
-        ):
-            pts = " ".join(f"({x:g},{t:g})" for x, t in zip(surf.xs, surf.ts))
-            print(f"surface {i} [{', '.join(layer)}]: {pts}")
-    else:
-        _emit(args, "embed", results, rows, started)
-    return EXIT_OK
+    return EXIT_OK, {"embedded": True, **result.to_dict()}
+
+
+def _embed_text(r: dict) -> list[str]:
+    if not r["embedded"]:
+        return [f"embedding impossible: {r['detail']}", f"  witness event: {r['witness']}"]
+    return [
+        f"surface {i} [{', '.join(layer)}]: "
+        + " ".join(f"({x:g},{t:g})" for x, t in zip(surf["xs"], surf["ts"]))
+        for i, (layer, surf) in enumerate(zip(r["layers"], r["foliation"]["surfaces"]))
+    ]
+
+
+def _embed_rows(r: dict) -> list[dict]:
+    if not r["embedded"]:
+        return [{"witness": r["witness"]}]
+    return [
+        {"surface": i, "x": x, "t": t}
+        for i, surf in enumerate(r["foliation"]["surfaces"])
+        for x, t in zip(surf["xs"], surf["ts"])
+    ]
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -421,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="consistency verdict for one family")
     _add_source_flags(p_check)
     p_check.add_argument("--family", required=True, metavar="NAME")
-    p_check.set_defaults(handler=cmd_check)
+    p_check.set_defaults(handler=cmd_check, views=(_check_text, _check_rows))
 
     p_probs = sub.add_parser("probs", help="probability table and queries")
     _add_source_flags(p_probs)
@@ -432,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--event", action="append", metavar="LABELS",
         help="slot labels (comma-joined) selecting an event; repeatable",
     )
-    p_probs.add_argument("--all", action="store_true", help="print zero-probability rows")
-    p_probs.set_defaults(handler=cmd_probs)
+    p_probs.set_defaults(handler=cmd_probs, views=(_probs_text, _probs_rows))
     for p in (p_check, p_probs):  # the commands that apply the consistency thresholds
         p.add_argument("--tol-rel", type=_tolerance, default=EPS_REL, metavar="EPS",
                        help="relative consistency threshold")
@@ -444,36 +431,46 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p_compat)
     p_compat.add_argument("family_a", metavar="FAMILY_A")
     p_compat.add_argument("family_b", metavar="FAMILY_B")
-    p_compat.set_defaults(handler=cmd_compat)
+    p_compat.set_defaults(handler=cmd_compat, views=(_compat_text, _compat_rows))
 
     p_scn = sub.add_parser("scenario", help="inspect or verify a built-in scenario")
     p_scn.add_argument("name", metavar="NAME")
     p_scn.add_argument("--suite", action="store_true",
                        help="run the scenario's expected-results registry")
     _add_source_flags(p_scn, scenario_only=True)
-    p_scn.set_defaults(handler=cmd_scenario)
+    p_scn.set_defaults(handler=cmd_scenario, views=(_scenario_text, _scenario_rows))
 
     p_embed = sub.add_parser("embed", help="embed tagged events into a foliation")
     p_embed.add_argument("events_file", metavar="EVENTS_JSON")
     _add_source_flags(p_embed, scenario_only=True)
-    p_embed.set_defaults(handler=cmd_embed)
+    p_embed.set_defaults(handler=cmd_embed, views=(_embed_text, _embed_rows))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
+    # the one map from a refused input to its exit code, printed as one line
+    exit_codes = {
+        InconsistentFamilyError: EXIT_NEGATIVE,  # probs of an inconsistent family
+        FamilyMismatchError: EXIT_INPUT,
+        FamilyTooLargeError: EXIT_INPUT,
+        InputError: EXIT_INPUT,
+        UnknownLabelError: EXIT_INPUT,
+        ZeroConditionProbabilityError: EXIT_INPUT,
+    }
+    started = time.monotonic()
     try:
-        return args.handler(args)
-    except (InputError, UnknownLabelError, ZeroConditionProbabilityError,
-            FamilyTooLargeError) as exc:
+        code, results = args.handler(args)
+    except tuple(exit_codes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(c for cls, c in exit_codes.items() if isinstance(exc, cls))
+    _emit(args, results, time.monotonic() - started)
+    return code
 
 
 if __name__ == "__main__":

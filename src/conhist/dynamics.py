@@ -35,7 +35,10 @@ class TimeGrid:
             raise ValueError("grid times must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"grid times must be strictly increasing: {values}")
-        labels = tuple(self.labels) or tuple(f"t{v:g}" for v in values)
+        # t{v:g} unless that reads back as another time, as 1.0000001 would
+        labels = tuple(self.labels) or tuple(
+            f"t{v:g}" if float(f"{v:g}") == v else f"t{v!r}" for v in values
+        )
         if len(labels) != len(values):
             raise ValueError("one label per grid time")
         if len(set(labels)) != len(labels):
@@ -91,6 +94,8 @@ class PropagatorSet:
         for u in steps:
             acc = _product(u.mat, acc)
             cumulative.append(acc)
+        for mat in cumulative:
+            mat.flags.writeable = False
         object.__setattr__(self, "_cumulative", tuple(cumulative))
 
     @classmethod

@@ -530,10 +530,7 @@ class _Parser:
         self.expect("times")
         times_tok = self.expect_name("time grid name")
         times_decl = self._lookup(doc.times_decls, "time grid", times_tok.text, times_tok)
-        try:
-            grid = TimeGrid(times_decl.values)
-        except ValueError as exc:  # times that print alike, such as 1.0000001 and 1.0000002
-            self.error(f"time grid {times_decl.name!r} cannot serve a family: {exc}", times_tok)
+        grid = TimeGrid(times_decl.values)
         initial = None
         if self.accept("initial"):
             initial_tok = self.expect_name("initial state name")

@@ -447,6 +447,7 @@ class Violations(Sequence):
     __slots__ = ("_alphas", "_pairs", "_overlaps")
 
     def __init__(self, alphas: Sequence[tuple[str, ...]], pairs: np.ndarray, overlaps: np.ndarray):
+        pairs.flags.writeable = overlaps.flags.writeable = False
         self._alphas, self._pairs, self._overlaps = alphas, pairs, overlaps
 
     def __len__(self) -> int:
@@ -631,18 +632,13 @@ def probabilities(f: Family, eps_abs: float = EPS_ABS, eps_rel: float = EPS_REL)
     return _table(analysis)
 
 
-def slot_predicate(f: Family, spec: Mapping[str, str | Iterable[str]] | Predicate) -> Predicate:
-    """Build a history predicate from {time_label: member_label(s)} or pass
-    through a callable.  String values may offer alternatives joined by '|'."""
-    if callable(spec):
-        return spec
+def slot_predicate(f: Family, spec: Mapping[str, str]) -> Predicate:
+    """Build a history predicate from {time_label: member_label}; a label may
+    offer alternatives joined by '|'."""
     wanted: list[tuple[int, frozenset[str]]] = []
     for time_label, member in spec.items():
         slot = f.slot_of_time_label(time_label)
-        if isinstance(member, str):
-            options = frozenset(member.split("|"))
-        else:
-            options = frozenset(member)
+        options = frozenset(member.split("|"))
         unknown = options - set(f.decompositions[slot].labels)
         if unknown:
             raise UnknownLabelError(
@@ -657,9 +653,7 @@ def slot_predicate(f: Family, spec: Mapping[str, str | Iterable[str]] | Predicat
 
 
 def conditional_probability(
-    f: Family,
-    target: Mapping[str, str | Iterable[str]] | Predicate,
-    given: Mapping[str, str | Iterable[str]] | Predicate,
+    f: Family, target: Mapping[str, str], given: Mapping[str, str]
 ) -> float:
     """``Pr(target | given)`` over a consistent family's sample space."""
     table = probabilities(f)

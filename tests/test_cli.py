@@ -5,8 +5,9 @@ import pytest
 
 from conhist import hilbert, histories
 from conhist.cli import main
-from conhist.famspec import scenario_to_famspec
-from conhist.scenarios import build_hardy
+from conhist.famspec import parse, scenario_to_famspec
+from conhist.histories import consistency_check, probabilities
+from conhist.scenarios import build, build_hardy
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,6 +26,22 @@ family split times tg initial up {
   at 1: xbasis
   at 2: xbasis
 } steps { idq idq }
+"""
+
+# z and x measurements alternating over four times: 56 violating pairs
+ALTERNATING = MINIMAL + """
+ket down in q = [0, 1]
+proj pup on q = span(up)
+proj pdown on q = span(down)
+decomp zbasis on q = {pup, pdown}
+times tg4 = [0, 1, 2, 3, 4]
+family alt times tg4 initial up {
+  at 0: identity
+  at 1: xbasis
+  at 2: zbasis
+  at 3: xbasis
+  at 4: zbasis
+} steps { idq idq idq idq }
 """
 
 EVENTS_OK = {
@@ -134,6 +151,47 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--file", str(path), "--family", "split")
         assert (code, out) == (3, "")
         assert "12:8: error: invalid family 'split': initial state 'half' has norm 0.5" in err
+
+    def test_text_lists_ten_violations_and_counts_the_rest(self, capsys, tmp_path):
+        path = tmp_path / "alt.fam"
+        path.write_text(ALTERNATING)
+        violations = consistency_check(parse(ALTERNATING).family("alt")).violations
+        code, out, _ = run(capsys, "check", "--file", str(path), "--family", "alt")
+        assert code == 1 and len(violations) > 10
+        lines = out.splitlines()
+        assert lines[0] == "family alt: INCONSISTENT"
+        assert lines[2:12] == [
+            f"  violation: ({' '.join(a)}) vs ({' '.join(b)}): {o:.17g}"
+            for a, b, o in violations[:10]
+        ]
+        assert lines[12:] == [f"  ... and {len(violations) - 10} more"]
+
+    def test_csv_rows_are_the_violations(self, capsys, tmp_path):
+        path = tmp_path / "alt.fam"
+        path.write_text(ALTERNATING)
+        violations = consistency_check(parse(ALTERNATING).family("alt")).violations
+        code, out, _ = run(
+            capsys, "check", "--file", str(path), "--family", "alt", "--format", "csv"
+        )
+        assert code == 1
+        assert out.splitlines() == ["alpha,beta,overlap"] + [
+            f"{' '.join(a)},{' '.join(b)},{o:.17g}" for a, b, o in violations
+        ]
+
+    def test_csv_of_a_consistent_family_is_one_placeholder_row(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--scenario", "spin-half", "--family", "F1", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines() == ["alpha,beta,overlap", ",,0"]
+
+    def test_file_that_is_not_utf8_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.fam"
+        path.write_bytes(b"\xff\xfe")
+        for argv in (("check", "--file", str(path), "--family", "f"), ("embed", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: cannot read {path}:") and err.count("\n") == 1
 
     def test_tolerance_flags_change_verdict(self, capsys):
         code, _, _ = run(capsys, "check", "--scenario", "hardy", "--family", "blocker")
@@ -264,6 +322,26 @@ class TestProbs:
         assert lines[0].startswith("history,probability")
         assert any("0.5" in line for line in lines[1:])
 
+    def test_csv_rows_are_the_whole_table(self, capsys):
+        # zero-probability rows included, as in the JSON report
+        code, out, _ = run(
+            capsys, "probs", "--scenario", "hardy", "--family", "arm-pair", "--format", "csv"
+        )
+        table = probabilities(build("hardy").family("arm-pair")).items()
+        table = sorted(table, key=lambda ap: -ap[1])
+        assert code == 0
+        assert out.splitlines() == ["history,probability"] + [
+            f"{' '.join(a)},{p:.17g}" for a, p in table
+        ]
+        assert any(p <= histories.EPS_SUPPORT for _, p in table)
+
+    def test_all_flag_is_gone(self, capsys):
+        code, out, err = run(
+            capsys, "probs", "--scenario", "hardy", "--family", "arm-pair", "--all"
+        )
+        assert (code, out) == (2, "")
+        assert "--all" in err
+
 
 class TestCompat:
     def test_kinematic_pair(self, capsys):
@@ -355,6 +433,18 @@ class TestScenario:
         assert code == 0
         assert "families" in out
 
+    def test_summary_json_and_csv(self, capsys):
+        scn = build("hardy")
+        code, out, _ = run(capsys, "scenario", "hardy", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"] == {
+            "name": "hardy", "dimension": scn.dim, "description": scn.description,
+            "times": list(scn.propagators.grid.values), "families": sorted(scn.families),
+            "kets": sorted(scn.kets), "events": sorted(scn.events),
+        }
+        # a summary has no rows, so its CSV view prints nothing
+        assert run(capsys, "scenario", "hardy", "--format", "csv") == (0, "", "")
+
     def test_unknown_scenario(self, capsys):
         code, _, err = run(capsys, "scenario", "nope", "--suite")
         assert code == 3
@@ -383,6 +473,17 @@ class TestEmbed:
         code, out, _ = run(capsys, "embed", str(path))
         assert code == 1
         assert "psi-" in out
+
+    def test_refused_embedding_json_and_csv(self, capsys):
+        path = str(DATA / "crossing_events.json")
+        code, out, _ = run(capsys, "embed", path, "--format", "json")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["embedded"] is False and results["witness"].startswith("psi-")
+        assert set(results) == {"embedded", "witness", "detail"}
+        code, out, _ = run(capsys, "embed", path, "--format", "csv")
+        assert code == 1
+        assert out.splitlines() == ["witness", results["witness"]]
 
     def test_no_events_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "events.json"

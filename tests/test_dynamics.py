@@ -21,6 +21,20 @@ class TestTimeGrid:
         grid = TimeGrid((0.0, 1.5, 3.0))
         assert grid.labels == ("t0", "t1.5", "t3")
 
+    def test_times_that_print_alike_keep_distinct_labels(self):
+        # both would label as t1 under :g
+        assert TimeGrid((1.0000001, 1.0000002)).labels == ("t1.0000001", "t1.0000002")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6, unique=True))
+    def test_every_label_reads_back_as_its_time(self, times):
+        grid = TimeGrid(tuple(sorted(times)))
+        assert [float(label[1:]) for label in grid.labels] == list(grid.values)
+        short = [f"t{v:g}" for v in grid.values]
+        assert [a for a, b in zip(grid.labels, short) if a != b] == [
+            f"t{v!r}" for v in grid.values if float(f"{v:g}") != v
+        ]
+
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             TimeGrid((0.0, 0.0))
@@ -64,6 +78,12 @@ class TestPropagatorComposition:
     def test_non_unitary_step_rejected(self):
         with pytest.raises(ValueError):
             PropagatorSet(TimeGrid((0, 1)), (Operator(np.diag([1.0, 2.0])),))
+
+    def test_cumulative_propagators_are_read_only(self):
+        assert len(self.ps._cumulative) == 6
+        for mat in self.ps._cumulative:
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 0
 
     def test_fresh_set_is_safe_to_share_between_threads(self):
         # four threads compose on a set nobody has touched yet

@@ -3,7 +3,8 @@ that a name lookup, a declaration head, a list or a family check makes."""
 
 import pytest
 
-from conhist.famspec import try_parse
+from conhist.famspec import parse, serialize, try_parse
+from conhist.histories import consistency_check, probabilities
 
 # Twelve lines of declarations; each case below adds line 13.
 PREFIX = """\
@@ -107,11 +108,17 @@ def test_diagnostic_is_pinned(line, message, column):
     assert [(d.message, d.line, d.column) for d in diags] == [(message, 13, column)]
 
 
-def test_grid_whose_times_print_alike_is_refused():
-    # both times label as t1, and a family's grid needs distinct labels
-    line = "times near = [1.0000001, 1.0000002] family f times near { at 1.0000001: zb }"
+def test_grid_whose_times_print_alike_parses_and_analyses():
+    # both times print as t1 under :g; the grid labels them by their repr instead
+    line = ("times near = [1.0000001, 1.0000002] family f times near initial up "
+            "{ at 1.0000001: identity at 1.0000002: zb } steps { idq }")
     doc, diags = try_parse(PREFIX + line)
-    assert doc is None
-    assert [(d.message, d.line, d.column) for d in diags] == [
-        ("time grid 'near' cannot serve a family: grid labels must be unique", 13, 52)
-    ]
+    assert diags == ()
+    fam = doc.family("f")
+    assert fam.time_labels == ("t1.0000001", "t1.0000002")
+    assert consistency_check(fam).consistent
+    want = {("up", "pup"): 1.0, ("up", "pdown"): 0.0}
+    assert dict(probabilities(fam).items()) == pytest.approx(want)
+    again = parse(serialize(doc)).family("f")
+    assert again.propagators.grid.values == fam.propagators.grid.values
+    assert again.time_labels == fam.time_labels

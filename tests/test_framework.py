@@ -17,8 +17,10 @@ from conhist.framework import (
     extend,
     is_refinement,
 )
-from conhist.hilbert import DecompositionOfIdentity, Ket, Operator, projector_onto_span
-from conhist.histories import Family, weight_table
+from conhist.hilbert import (
+    DecompositionOfIdentity, DensityOperator, Ket, Operator, projector_onto_span,
+)
+from conhist.histories import Family, consistency_check, weight_table
 from conhist.scenarios import build
 
 Z_PLUS = Ket(np.array([1, 0]), "z+")
@@ -34,6 +36,10 @@ IDENT = DecompositionOfIdentity.trivial(2)
 @pytest.fixture
 def ps():
     return PropagatorSet.trivial(TimeGrid((0, 1, 2, 3)), 2)
+
+
+def density(ket):
+    return DensityOperator.from_projector(ket.projector())
 
 
 def same_weights(a, b):
@@ -241,6 +247,42 @@ class TestCommonRefinement:
         verdict = common_refinement(f, g)
         assert verdict.compatible
         assert verdict.classification == CLASS_REFINEMENT
+
+    def test_finer_family_first_is_refinement_classified(self, ps):
+        f = Family.pure(ps, (0, 1, 2), Z_PLUS, [X_DEC, X_DEC])
+        g = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC])
+        verdict = common_refinement(f, g)
+        assert verdict.classification == CLASS_REFINEMENT
+        assert verdict.refinement is f
+
+    @pytest.mark.parametrize("finer_first", [False, True])
+    def test_inconsistent_finer_family_is_dynamic_incompatible(self, finer_first):
+        # F1-remerge refines the family that keeps only its anchor, but is
+        # inconsistent: the verdict carries F1-remerge's own report
+        remerge = build("spin-half").family("F1-remerge")
+        trivial = (DecompositionOfIdentity.trivial(remerge.dim),) * (len(remerge) - 1)
+        anchor_only = Family(remerge.propagators, remerge.time_indices,
+                             remerge.decompositions[:1] + trivial, remerge.initial, 0, "anchor")
+        pair = (remerge, anchor_only) if finer_first else (anchor_only, remerge)
+        verdict = common_refinement(*pair)
+        assert verdict.classification == CLASS_DYNAMIC
+        assert not verdict.compatible and verdict.refinement is None
+        assert not verdict.witness.consistent
+        assert verdict.witness == consistency_check(remerge)
+
+    def test_same_density_operator_is_comparable(self, ps):
+        # two equal density operators built apart from each other
+        f = Family.general(ps, (0, 1), [IDENT, X_DEC], rho=density(Z_PLUS))
+        g = Family.general(ps, (0, 2), [IDENT, X_DEC], rho=density(Z_PLUS))
+        verdict = common_refinement(f, g)
+        assert verdict.classification == CLASS_COMMON
+        assert verdict.refinement.initial is f.initial
+
+    def test_different_density_operator_rejected(self, ps):
+        f = Family.general(ps, (0, 1), [IDENT, X_DEC], rho=density(Z_PLUS))
+        g = Family.general(ps, (0, 1), [IDENT, X_DEC], rho=density(X_PLUS))
+        with pytest.raises(FamilyMismatchError, match="same initial density operator"):
+            common_refinement(f, g)
 
     def test_initial_mismatch_rejected(self, ps):
         f = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC])

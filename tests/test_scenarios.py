@@ -57,6 +57,43 @@ def test_all_steps_unitary(name):
             assert unitarity_defect(step) < TOL_UNITARY
 
 
+def reachable_arrays(root):
+    """Every numpy array reachable from ``root`` through containers, instance
+    attributes and slots (functions, such as expectation queries, are not
+    followed)."""
+    seen, stack, found = set(), [root], []
+    leaves = (str, int, float, complex, type(None))
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or callable(obj) or isinstance(obj, leaves):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(vars(obj).values() if hasattr(obj, "__dict__") else ())
+            slots = (s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ()))
+            stack.extend(getattr(obj, s) for s in slots if hasattr(obj, s))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_no_reachable_array_is_writeable(name):
+    # the scenario, and each family's consistency report and weight table,
+    # share their arrays with every caller, so none may be changed in place:
+    # this covers PropagatorSet's cumulative propagators and the (pairs,
+    # overlaps) arrays that a report's Violations view hashes over
+    scn = SCENARIOS[name]
+    families = scn.families.values()
+    reports = [consistency_check(fam) for fam in families]
+    found = reachable_arrays([scn, reports, [weight_table(fam) for fam in families]])
+    assert found and [a.shape for a in found if a.flags.writeable] == []
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_weight_normalization_on_consistent_families(name):
     scn = SCENARIOS[name]
