@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Sequence
 
 from . import __version__
 from .famspec import FamSpecError, parse as famspec_parse
@@ -78,11 +79,6 @@ def _to_json(obj, indent: int = 0) -> str:
         for key in sorted(obj):
             items.append(f'{inner}"{key}": ' + _to_json(obj[key], indent + 1))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + _to_json(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -91,7 +87,14 @@ def _to_json(obj, indent: int = 0) -> str:
         return _format_number(obj)
     if isinstance(obj, int):
         return str(obj)
-    return json.dumps(str(obj))
+    # Sequence comes last (after list and tuple): a check against an ABC costs
+    # as much as ten plain ones
+    if isinstance(obj, str) or not isinstance(obj, (list, tuple, Sequence)):
+        return json.dumps(str(obj))
+    if not obj:
+        return "[]"
+    items = [inner + _to_json(v, indent + 1) for v in obj]
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
 def _emit(args, results: dict, wall_time_s: float) -> None:
@@ -123,7 +126,7 @@ def _scenario(name: str):
     try:
         return scenarios.build(name)
     except KeyError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(exc.args[0]) from None
 
 
 def _read(path: str) -> str:
@@ -164,6 +167,10 @@ def _parse_predicate(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise InputError(f"bad predicate {part!r}: empty time or label")
+        if key in out:
+            raise InputError(
+                f"bad predicate {text!r}: time {key!r} given twice; join its labels with '|'"
+            )
         out[key] = value
     return out
 
@@ -238,6 +245,8 @@ def cmd_probs(args) -> tuple[int, dict]:
     events = []
     for spec in args.event or []:
         labels = [s.strip() for s in spec.split(",") if s.strip()]
+        if not labels:
+            raise InputError(f"bad event {spec!r}: expected slot labels joined by commas")
         prob = table.event(histories_with_slots(fam, labels))
         events.append({"labels": labels, "probability": prob})
     if events:
@@ -467,7 +476,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, results = args.handler(args)
     except tuple(exit_codes) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return next(c for cls, c in exit_codes.items() if isinstance(exc, cls))
     _emit(args, results, time.monotonic() - started)
     return code

@@ -494,11 +494,34 @@ class ConsistencyReport:
             "consistent": self.consistent,
             "max_normalized_overlap": self.max_normalized_overlap,
             "mode": "complex",  # the full condition, not only its real part
-            "violations": [
-                {"alpha": list(a), "beta": list(b), "overlap": o}
-                for a, b, o in self.violations
-            ],
+            "violations": ViolationRecords(self.violations),
         }
+
+
+class ViolationRecords(Sequence):
+    """A read-only view of :class:`Violations` as ``{"alpha", "beta",
+    "overlap"}`` dicts that builds only the dicts read."""
+
+    __slots__ = ("_violations",)
+
+    def __init__(self, violations: Violations):
+        self._violations = violations
+
+    def __len__(self) -> int:
+        return len(self._violations)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(_record, self._violations[k]))
+        return _record(self._violations[k])
+
+    def __iter__(self):
+        return map(_record, self._violations)
+
+
+def _record(violation: tuple) -> dict:
+    alpha, beta, overlap = violation
+    return {"alpha": list(alpha), "beta": list(beta), "overlap": overlap}
 
 
 def consistency_check(

@@ -5,7 +5,8 @@ Each built-in scenario exposes everything the engine needs to reproduce its
 model's analytic numbers as executable checks: the dynamics, the named
 kets/projectors, the families, tagged spacetime events for the geometric
 checks, and an ``expected`` list whose entries re-derive each number through
-the public API and compare against the registered value.
+the public API and compare against the registered value.  The queries that
+more than one entry asks are built here from family names and labels.
 """
 
 from __future__ import annotations
@@ -17,8 +18,17 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..dynamics import PropagatorSet
+from ..framework import CLASS_KINEMATIC, common_refinement
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
-from ..histories import Family
+from ..histories import (
+    Family,
+    conditional_probability,
+    consistency_check,
+    event_probability,
+    histories_with_slots,
+    probabilities,
+    support,
+)
 from ..relativistic import TaggedEvent
 
 PROVENANCE_PAPER = "paper"
@@ -115,3 +125,52 @@ def with_rest(*members: tuple[str, Projector]) -> DecompositionOfIdentity:
     if np.linalg.norm(rest) > 1e-12:
         members += (("rest", Projector(Operator(rest))),)
     return DecompositionOfIdentity(members)
+
+
+def dec(projectors: Mapping[str, Projector], *labels: str) -> DecompositionOfIdentity:
+    """The named projectors, plus a ``"rest"`` member when they do not sum to I."""
+    return with_rest(*((lab, projectors[lab]) for lab in labels))
+
+
+# -- the queries that expectations share: each takes family names and labels --
+
+Query = Callable[[Scenario], float]
+
+
+def prob(fam: str, *alpha: str) -> Query:
+    """Probability of the history ``alpha``."""
+    return lambda s: probabilities(s.family(fam)).probability(alpha)
+
+
+def cond(fam: str, target: Mapping[str, str], given: Mapping[str, str]) -> Query:
+    """``Pr(target | given)``, each a ``{time label: member label}`` map."""
+    return lambda s: conditional_probability(s.family(fam), target, given)
+
+
+def joint(fam: str, *labels: str) -> Query:
+    """Probability of the histories that carry every one of ``labels``."""
+    return lambda s: event_probability(
+        s.family(fam), histories_with_slots(s.family(fam), labels)
+    )
+
+
+def support_size(fam: str) -> Query:
+    """Number of histories of probability above ``EPS_SUPPORT``."""
+    return lambda s: float(len(support(s.family(fam))))
+
+
+def consistent(fam: str) -> Query:
+    """1.0 for a consistent family, 0.0 otherwise."""
+    return lambda s: float(consistency_check(s.family(fam)).consistent)
+
+
+def max_overlap(fam: str) -> Query:
+    """The family's largest normalized off-diagonal overlap."""
+    return lambda s: consistency_check(s.family(fam)).max_normalized_overlap
+
+
+def kinematic(f: str, g: str) -> Query:
+    """1.0 when the two families are kinematically incompatible, 0.0 otherwise."""
+    return lambda s: float(
+        common_refinement(s.family(f), s.family(g)).classification == CLASS_KINEMATIC
+    )

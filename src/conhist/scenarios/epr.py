@@ -19,14 +19,7 @@ import numpy as np
 
 from ..dynamics import PropagatorSet, TimeGrid
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
-from ..histories import (
-    pure_families,
-    conditional_probability,
-    event_probability,
-    probabilities,
-    support,
-)
-from ..framework import CLASS_KINEMATIC, common_refinement
+from ..histories import pure_families, event_probability, support
 from ..relativistic import Hypersurface, Region, TaggedEvent, commutation_check
 from .base import (
     Expectation,
@@ -34,9 +27,13 @@ from .base import (
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    cond,
+    dec,
+    kinematic,
     kron,
+    prob,
     proj,
-    with_rest,
+    support_size,
 )
 
 
@@ -86,15 +83,12 @@ def build_epr() -> Scenario:
     ident = Operator(np.eye(12, dtype=np.complex128))
     ps = PropagatorSet(grid, (ident, ident, ident, Operator(measure), ident))
 
-    def dec(*labels: str) -> DecompositionOfIdentity:
-        return with_rest(*((lab, P[lab]) for lab in labels))
-
-    zz = dec("z+z+", "z+z-", "z-z+", "z-z-")
-    zx = dec("z+x+", "z+x-", "z-x+", "z-x-")
-    s0d = dec("s0")
-    g1_ready = dec("z+z-Z", "z-z+Z")
-    g_out = dec("z+z-Z+", "z-z+Z-")
-    g4_out = dec("z+x+Z+", "z+x-Z+", "z-x+Z-", "z-x-Z-")
+    zz = dec(P, "z+z+", "z+z-", "z-z+", "z-z-")
+    zx = dec(P, "z+x+", "z+x-", "z-x+", "z-x-")
+    s0d = dec(P, "s0")
+    g1_ready = dec(P, "z+z-Z", "z-z+Z")
+    g_out = dec(P, "z+z-Z+", "z-z+Z-")
+    g4_out = dec(P, "z+x+Z+", "z+x-Z+", "z-x+Z-", "z-x-Z-")
 
     xx_members = []
     for la in ("x+", "x-"):
@@ -112,8 +106,8 @@ def build_epr() -> Scenario:
         "F3": pure(ps, (0, 1, 2, 3), [xx] * 3, name="F3"),
         "F4": pure(ps, (0, 1, 2, 3), [zx] * 3, name="F4"),
         "G1": pure(ps, (0, 3, 4, 5), [g1_ready, g_out, g_out], name="G1"),
-        "G2": pure(ps, (0, 3, 4, 5), [dec("s0Z"), g_out, g_out], name="G2"),
-        "G4": pure(ps, (0, 3, 4, 5), [dec("s0Z"), g4_out, g4_out], name="G4"),
+        "G2": pure(ps, (0, 3, 4, 5), [dec(P, "s0Z"), g_out, g_out], name="G2"),
+        "G4": pure(ps, (0, 3, 4, 5), [dec(P, "s0Z"), g4_out, g4_out], name="G4"),
     }
 
     # Flight geometry: particle a at x = -t, particle b at x = +t; the
@@ -155,100 +149,39 @@ def build_epr() -> Scenario:
             anticorrelated,
             1.0,
         ),
-        Expectation(
-            "F1: the (z+a, z-b) history has probability 1/2",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F1")).probability(
-                ("Psi0", "z+z-", "z+z-", "z+z-")
-            ),
-            0.5,
-        ),
-        Expectation(
-            "F4 support holds exactly four histories",
-            PROVENANCE_PAPER,
-            lambda s: float(len(support(s.family("F4")))),
-            4.0,
-        ),
+        Expectation("F1: the (z+a, z-b) history has probability 1/2",
+                    PROVENANCE_PAPER, prob("F1", "Psi0", "z+z-", "z+z-", "z+z-"), 0.5),
+        Expectation("F4 support holds exactly four histories",
+                    PROVENANCE_PAPER, support_size("F4"), 4.0),
         Expectation(
             "F4: every joint history has probability 1/4",
             PROVENANCE_PAPER,
             lambda s: max(abs(p - 0.25) for _, p in support(s.family("F4"))),
             0.0,
         ),
-        Expectation(
-            "F4: S_bx is uncorrelated with S_az",
-            PROVENANCE_PAPER,
-            lambda s: conditional_probability(
-                s.family("F4"), {"t1": "z+x+"}, {"t1": "z+x+|z+x-"}
-            ),
-            0.5,
-        ),
-        Expectation(
-            "F3: x-basis anticorrelation mirrors the z-basis one",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F3")).probability(
-                ("Psi0", "x+x-", "x+x-", "x+x-")
-            ),
-            0.5,
-        ),
-        Expectation(
-            "F0: the singlet unitary history has probability one",
-            PROVENANCE_TRIVIAL,
-            lambda s: probabilities(s.family("F0")).probability(("Psi0", "s0", "s0", "s0")),
-            1.0,
-        ),
-        Expectation(
-            "G1: outcome Z+ pairs with (z+a, z-b) at probability 1/2",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("G1")).probability(
-                ("Psi0", "z+z-Z", "z+z-Z+", "z+z-Z+")
-            ),
-            0.5,
-        ),
-        Expectation(
-            "G2: collapse-style branches are equiprobable",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("G2")).probability(
-                ("Psi0", "s0Z", "z+z-Z+", "z+z-Z+")
-            ),
-            0.5,
-        ),
-        Expectation(
-            "G4: outcome-correlated x_b histories carry 1/4 each",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("G4")).probability(
-                ("Psi0", "s0Z", "z+x+Z+", "z+x+Z+")
-            ),
-            0.25,
-        ),
-        Expectation(
-            "G1 retrodiction: outcome Z+ implies z+a before the measurement",
-            PROVENANCE_DERIVED,
-            lambda s: conditional_probability(
-                s.family("G1"), {"t3": "z+z-Z"}, {"t5": "z+z-Z+"}
-            ),
-            1.0,
-        ),
-        Expectation(
-            "F1 and F3 are kinematically incompatible",
-            PROVENANCE_DERIVED,
-            lambda s: float(
-                common_refinement(s.family("F1"), s.family("F3")).classification
-                == CLASS_KINEMATIC
-            ),
-            1.0,
-            tolerance=0.0,
-        ),
-        Expectation(
-            "F0 and F1 are kinematically incompatible",
-            PROVENANCE_DERIVED,
-            lambda s: float(
-                common_refinement(s.family("F0"), s.family("F1")).classification
-                == CLASS_KINEMATIC
-            ),
-            1.0,
-            tolerance=0.0,
-        ),
+        Expectation("F4: S_bx is uncorrelated with S_az",
+                    PROVENANCE_PAPER,
+                    cond("F4", {"t1": "z+x+"}, {"t1": "z+x+|z+x-"}), 0.5),
+        Expectation("F3: x-basis anticorrelation mirrors the z-basis one",
+                    PROVENANCE_PAPER, prob("F3", "Psi0", "x+x-", "x+x-", "x+x-"), 0.5),
+        Expectation("F0: the singlet unitary history has probability one",
+                    PROVENANCE_TRIVIAL, prob("F0", "Psi0", "s0", "s0", "s0"), 1.0),
+        Expectation("G1: outcome Z+ pairs with (z+a, z-b) at probability 1/2",
+                    PROVENANCE_PAPER,
+                    prob("G1", "Psi0", "z+z-Z", "z+z-Z+", "z+z-Z+"), 0.5),
+        Expectation("G2: collapse-style branches are equiprobable",
+                    PROVENANCE_PAPER,
+                    prob("G2", "Psi0", "s0Z", "z+z-Z+", "z+z-Z+"), 0.5),
+        Expectation("G4: outcome-correlated x_b histories carry 1/4 each",
+                    PROVENANCE_PAPER,
+                    prob("G4", "Psi0", "s0Z", "z+x+Z+", "z+x+Z+"), 0.25),
+        Expectation("G1 retrodiction: outcome Z+ implies z+a before the measurement",
+                    PROVENANCE_DERIVED,
+                    cond("G1", {"t3": "z+z-Z"}, {"t5": "z+z-Z+"}), 1.0),
+        Expectation("F1 and F3 are kinematically incompatible",
+                    PROVENANCE_DERIVED, kinematic("F1", "F3"), 1.0, tolerance=0.0),
+        Expectation("F0 and F1 are kinematically incompatible",
+                    PROVENANCE_DERIVED, kinematic("F0", "F1"), 1.0, tolerance=0.0),
         Expectation(
             "the post-measurement MQS state does not commute with the Z+ projector",
             PROVENANCE_DERIVED,

@@ -26,15 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..dynamics import PropagatorSet, TimeGrid
-from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
-from ..histories import (
-    pure_families,
-    conditional_probability,
-    consistency_check,
-    event_probability,
-    histories_with_slots,
-    support,
-)
+from ..hilbert import Ket, Operator, Projector
+from ..histories import pure_families
 from ..relativistic import Hypersurface, Region, TaggedEvent, causal_precedence
 from .base import (
     Expectation,
@@ -42,8 +35,14 @@ from .base import (
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    cond,
+    consistent,
+    dec,
+    joint,
     kron,
+    max_overlap,
     proj,
+    support_size,
 )
 
 _SPLITTER = np.array([[1, -1], [1, 1]], dtype=np.complex128) / np.sqrt(2)
@@ -80,13 +79,10 @@ def build_hardy() -> Scenario:
     ps_bfirst = PropagatorSet(TimeGrid((0, 1, 2, 3)), (bs_b, ident, bs_a))
     ps_afirst = PropagatorSet(TimeGrid((0, 1, 2, 3)), (bs_a, ident, bs_b))
 
-    def dec(*labels: str) -> DecompositionOfIdentity:
-        return DecompositionOfIdentity(tuple((lab, P[lab]) for lab in labels))
-
-    arm_a = dec("c", "d")
-    arm_b = dec("cbar", "dbar")
-    out_a = dec("e", "f")
-    out_b = dec("ebar", "fbar")
+    arm_a = dec(P, "c", "d")
+    arm_b = dec(P, "cbar", "dbar")
+    out_a = dec(P, "e", "f")
+    out_b = dec(P, "ebar", "fbar")
 
     pure = pure_families(psi0)
     fam = {
@@ -116,10 +112,6 @@ def build_hardy() -> Scenario:
         ),
     }
 
-    def joint(s: Scenario, fam_name: str, labels: tuple[str, ...]) -> float:
-        f = s.family(fam_name)
-        return event_probability(f, histories_with_slots(f, labels))
-
     def precedence_flags(s: Scenario) -> float:
         g = causal_precedence([s.events["d1"], s.events["E2"], s.events["Ebar2"]])
         ordered = g.has_edge("d1", "E2")
@@ -127,67 +119,26 @@ def build_hardy() -> Scenario:
         return float(ordered and unordered)
 
     expected = (
-        Expectation(
-            "joint detection (e, ebar) occurs with probability 1/12",
-            PROVENANCE_PAPER,
-            lambda s: joint(s, "unitary-output", ("e", "ebar")),
-            1.0 / 12.0,
-        ),
-        Expectation(
-            "if b is detected in ebar early, a is in the d arm",
-            PROVENANCE_PAPER,
-            lambda s: conditional_probability(
-                s.family("b-first-inference"), {"t2": "d"}, {"t1": "ebar"}
-            ),
-            1.0,
-        ),
-        Expectation(
-            "if a is detected in e early, b is in the dbar arm",
-            PROVENANCE_PAPER,
-            lambda s: conditional_probability(
-                s.family("a-first-inference"), {"t2": "dbar"}, {"t1": "e"}
-            ),
-            1.0,
-        ),
-        Expectation(
-            "the joint arm event (d, dbar) never occurs",
-            PROVENANCE_PAPER,
-            lambda s: joint(s, "arm-pair", ("d", "dbar")),
-            0.0,
-            tolerance=1e-12,
-        ),
-        Expectation(
-            "an arm event plus that particle's later outcome event is inconsistent",
-            PROVENANCE_PAPER,
-            lambda s: float(consistency_check(s.family("blocker")).consistent),
-            0.0,
-            tolerance=0.0,
-        ),
-        Expectation(
-            "blocker family: normalized overlap is far above threshold",
-            PROVENANCE_DERIVED,
-            lambda s: consistency_check(s.family("blocker")).max_normalized_overlap,
-            0.1,
-            kind="greater",
-        ),
-        Expectation(
-            "joint detection (e, fbar) occurs with probability 1/12",
-            PROVENANCE_DERIVED,
-            lambda s: joint(s, "unitary-output", ("e", "fbar")),
-            1.0 / 12.0,
-        ),
-        Expectation(
-            "joint detection (f, fbar) occurs with probability 3/4",
-            PROVENANCE_DERIVED,
-            lambda s: joint(s, "unitary-output", ("f", "fbar")),
-            0.75,
-        ),
-        Expectation(
-            "unitary-output support holds all four outcome pairs",
-            PROVENANCE_TRIVIAL,
-            lambda s: float(len(support(s.family("unitary-output")))),
-            4.0,
-        ),
+        Expectation("joint detection (e, ebar) occurs with probability 1/12",
+                    PROVENANCE_PAPER, joint("unitary-output", "e", "ebar"), 1.0 / 12.0),
+        Expectation("if b is detected in ebar early, a is in the d arm",
+                    PROVENANCE_PAPER,
+                    cond("b-first-inference", {"t2": "d"}, {"t1": "ebar"}), 1.0),
+        Expectation("if a is detected in e early, b is in the dbar arm",
+                    PROVENANCE_PAPER,
+                    cond("a-first-inference", {"t2": "dbar"}, {"t1": "e"}), 1.0),
+        Expectation("the joint arm event (d, dbar) never occurs",
+                    PROVENANCE_PAPER, joint("arm-pair", "d", "dbar"), 0.0, tolerance=1e-12),
+        Expectation("an arm event plus that particle's later outcome event is inconsistent",
+                    PROVENANCE_PAPER, consistent("blocker"), 0.0, tolerance=0.0),
+        Expectation("blocker family: normalized overlap is far above threshold",
+                    PROVENANCE_DERIVED, max_overlap("blocker"), 0.1, kind="greater"),
+        Expectation("joint detection (e, fbar) occurs with probability 1/12",
+                    PROVENANCE_DERIVED, joint("unitary-output", "e", "fbar"), 1.0 / 12.0),
+        Expectation("joint detection (f, fbar) occurs with probability 3/4",
+                    PROVENANCE_DERIVED, joint("unitary-output", "f", "fbar"), 0.75),
+        Expectation("unitary-output support holds all four outcome pairs",
+                    PROVENANCE_TRIVIAL, support_size("unitary-output"), 4.0),
         Expectation(
             "state after b's splitter matches the b-first amplitudes",
             PROVENANCE_PAPER,

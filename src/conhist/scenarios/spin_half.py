@@ -22,24 +22,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..dynamics import PropagatorSet, TimeGrid
-from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
-from ..histories import (
-    pure_families,
-    conditional_probability,
-    consistency_check,
-    probabilities,
-    support,
-)
-from ..framework import CLASS_KINEMATIC, common_refinement
+from ..hilbert import Ket, Operator, Projector
+from ..histories import pure_families
 from .base import (
     Expectation,
     PROVENANCE_DERIVED,
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    cond,
+    consistent,
+    dec,
+    kinematic,
     kron,
+    max_overlap,
+    prob,
     proj,
-    with_rest,
+    support_size,
 )
 
 # Apparatus basis order: ready, plus outcome, minus outcome.
@@ -86,13 +85,10 @@ def build_spin_half() -> Scenario:
     ident = Operator(np.eye(6, dtype=np.complex128))
     ps = PropagatorSet(grid, (ident, ident, ident, Operator(measure), ident))
 
-    def dec(*labels: str) -> DecompositionOfIdentity:
-        return with_rest(*((lab, P[lab]) for lab in labels))
-
-    z_spin = dec("z+", "z-")
-    x_spin = dec("x+", "x-")
-    g_ready = dec("x+X", "x-X")
-    g_outcome = dec("x+X+", "x-X-")
+    z_spin = dec(P, "z+", "z-")
+    x_spin = dec(P, "x+", "x-")
+    g_ready = dec(P, "x+X", "x-X")
+    g_outcome = dec(P, "x+X+", "x-X-")
 
     pure = pure_families(psi0)
     fam = {
@@ -100,85 +96,34 @@ def build_spin_half() -> Scenario:
         "F1": pure(ps, (0, 1, 2, 3), [x_spin] * 3, name="F1"),
         "F2": pure(ps, (0, 1, 2, 3), [z_spin, x_spin, x_spin], name="F2"),
         "F1-remerge": pure(ps, (0, 1, 2, 3), [x_spin, x_spin, z_spin], name="F1-remerge"),
-        "G0": pure(ps, (0, 3, 4, 5), [dec("z+X"), dec("S"), dec("S")], name="G0"),
+        "G0": pure(ps, (0, 3, 4, 5), [dec(P, "z+X"), dec(P, "S"), dec(P, "S")], name="G0"),
         "G1": pure(ps, (0, 3, 4, 5), [g_ready, g_outcome, g_outcome], name="G1"),
-        "G2": pure(ps, (0, 2, 3, 4), [dec("z+X"), g_ready, g_outcome], name="G2"),
+        "G2": pure(ps, (0, 2, 3, 4), [dec(P, "z+X"), g_ready, g_outcome], name="G2"),
     }
 
     expected = (
-        Expectation(
-            "F1: the x+ branch has probability 1/2",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F1")).probability(("z+X", "x+", "x+", "x+")),
-            0.5,
-        ),
-        Expectation(
-            "F1: the x- branch has probability 1/2",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F1")).probability(("z+X", "x-", "x-", "x-")),
-            0.5,
-        ),
-        Expectation(
-            "F1 support holds exactly two histories",
-            PROVENANCE_TRIVIAL,
-            lambda s: float(len(support(s.family("F1")))),
-            2.0,
-        ),
-        Expectation(
-            "re-merging the split branches onto the z basis violates consistency",
-            PROVENANCE_PAPER,
-            lambda s: float(consistency_check(s.family("F1-remerge")).consistent),
-            0.0,
-            tolerance=0.0,
-        ),
-        Expectation(
-            "re-merge family: normalized off-diagonal overlap is maximal",
-            PROVENANCE_DERIVED,
-            lambda s: consistency_check(s.family("F1-remerge")).max_normalized_overlap,
-            1.0,
-        ),
-        Expectation(
-            "G1 retrodiction: outcome X+ implies x+ before the measurement",
-            PROVENANCE_PAPER,
-            lambda s: conditional_probability(
-                s.family("G1"), {"t3": "x+X"}, {"t5": "x+X+"}
-            ),
-            1.0,
-        ),
-        Expectation(
-            "F0: the unitary history has probability one",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F0")).probability(("z+X", "z+", "z+", "z+")),
-            1.0,
-        ),
-        Expectation(
-            "G0: unitary evolution into the MQS state has probability one",
-            PROVENANCE_TRIVIAL,
-            lambda s: probabilities(s.family("G0")).probability(("z+X", "z+X", "S", "S")),
-            1.0,
-        ),
-        Expectation(
-            "G1 branches are equiprobable",
-            PROVENANCE_DERIVED,
-            lambda s: probabilities(s.family("G1")).probability(
-                ("z+X", "x+X", "x+X+", "x+X+")
-            ),
-            0.5,
-        ),
-        Expectation(
-            "G2 collapse-style branches are equiprobable",
-            PROVENANCE_DERIVED,
-            lambda s: probabilities(s.family("G2")).probability(
-                ("z+X", "z+X", "x+X", "x+X+")
-            ),
-            0.5,
-        ),
-        Expectation(
-            "F2 split at the later time: branches are equiprobable",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F2")).probability(("z+X", "z+", "x+", "x+")),
-            0.5,
-        ),
+        Expectation("F1: the x+ branch has probability 1/2",
+                    PROVENANCE_PAPER, prob("F1", "z+X", "x+", "x+", "x+"), 0.5),
+        Expectation("F1: the x- branch has probability 1/2",
+                    PROVENANCE_PAPER, prob("F1", "z+X", "x-", "x-", "x-"), 0.5),
+        Expectation("F1 support holds exactly two histories",
+                    PROVENANCE_TRIVIAL, support_size("F1"), 2.0),
+        Expectation("re-merging the split branches onto the z basis violates consistency",
+                    PROVENANCE_PAPER, consistent("F1-remerge"), 0.0, tolerance=0.0),
+        Expectation("re-merge family: normalized off-diagonal overlap is maximal",
+                    PROVENANCE_DERIVED, max_overlap("F1-remerge"), 1.0),
+        Expectation("G1 retrodiction: outcome X+ implies x+ before the measurement",
+                    PROVENANCE_PAPER, cond("G1", {"t3": "x+X"}, {"t5": "x+X+"}), 1.0),
+        Expectation("F0: the unitary history has probability one",
+                    PROVENANCE_PAPER, prob("F0", "z+X", "z+", "z+", "z+"), 1.0),
+        Expectation("G0: unitary evolution into the MQS state has probability one",
+                    PROVENANCE_TRIVIAL, prob("G0", "z+X", "z+X", "S", "S"), 1.0),
+        Expectation("G1 branches are equiprobable",
+                    PROVENANCE_DERIVED, prob("G1", "z+X", "x+X", "x+X+", "x+X+"), 0.5),
+        Expectation("G2 collapse-style branches are equiprobable",
+                    PROVENANCE_DERIVED, prob("G2", "z+X", "z+X", "x+X", "x+X+"), 0.5),
+        Expectation("F2 split at the later time: branches are equiprobable",
+                    PROVENANCE_PAPER, prob("F2", "z+X", "z+", "x+", "x+"), 0.5),
         Expectation(
             "the MQS projector does not commute with the X+ outcome projector",
             PROVENANCE_DERIVED,
@@ -186,26 +131,10 @@ def build_spin_half() -> Scenario:
             0.1,
             kind="greater",
         ),
-        Expectation(
-            "F0 and F1 are kinematically incompatible",
-            PROVENANCE_DERIVED,
-            lambda s: float(
-                common_refinement(s.family("F0"), s.family("F1")).classification
-                == CLASS_KINEMATIC
-            ),
-            1.0,
-            tolerance=0.0,
-        ),
-        Expectation(
-            "F1 and F2 are kinematically incompatible",
-            PROVENANCE_DERIVED,
-            lambda s: float(
-                common_refinement(s.family("F1"), s.family("F2")).classification
-                == CLASS_KINEMATIC
-            ),
-            1.0,
-            tolerance=0.0,
-        ),
+        Expectation("F0 and F1 are kinematically incompatible",
+                    PROVENANCE_DERIVED, kinematic("F0", "F1"), 1.0, tolerance=0.0),
+        Expectation("F1 and F2 are kinematically incompatible",
+                    PROVENANCE_DERIVED, kinematic("F1", "F2"), 1.0, tolerance=0.0),
     )
 
     return Scenario(

@@ -26,14 +26,7 @@ import numpy as np
 
 from ..dynamics import PropagatorSet, TimeGrid
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector, _product
-from ..histories import (
-    pure_families,
-    conditional_probability,
-    consistency_check,
-    probabilities,
-    support,
-)
-from ..framework import CLASS_KINEMATIC, common_refinement
+from ..histories import pure_families
 from ..relativistic import Hypersurface, Region, TaggedEvent, commutation_check
 from .base import (
     Expectation,
@@ -41,7 +34,13 @@ from .base import (
     PROVENANCE_PAPER,
     PROVENANCE_TRIVIAL,
     Scenario,
+    cond,
+    consistent,
+    kinematic,
+    max_overlap,
+    prob,
     proj,
+    support_size,
     with_rest,
 )
 
@@ -302,111 +301,40 @@ def build_wavepacket(
     g1_b = ("Psi0", "b1.AB", "AB", "AB*")
 
     expected = (
-        Expectation(
-            "F1 support holds exactly the two trajectory histories",
-            PROVENANCE_PAPER,
-            lambda s: float(len(support(s.family("F1")))),
-            2.0,
-        ),
-        Expectation(
-            "F1: the A-bound trajectory has probability 1/2",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F1")).probability(a_branch),
-            0.5,
-        ),
-        Expectation(
-            "F1: the B-bound trajectory has probability 1/2",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F1")).probability(b_branch),
-            0.5,
-        ),
-        Expectation(
-            "F0: the unitary history has probability one",
-            PROVENANCE_TRIVIAL,
-            lambda s: probabilities(s.family("F0")).probability(
-                ("Psi0",) + tuple(f"Psi.{v}" for v in f_times[1:])
-            ),
-            1.0,
-        ),
-        Expectation(
-            "F2: delayed split into trajectories, 1/2 each",
-            PROVENANCE_PAPER,
-            lambda s: probabilities(s.family("F2")).probability(
-                ("Psi0", f"Psi.{f_times[1]}", a_branch[2], a_branch[3])
-            ),
-            0.5,
-        ),
-        Expectation(
-            "re-merging the trajectories onto the superposition is inconsistent",
-            PROVENANCE_PAPER,
-            lambda s: float(consistency_check(s.family("F2-remerge")).consistent),
-            0.0,
-            tolerance=0.0,
-        ),
-        Expectation(
-            "F2-remerge: normalized off-diagonal overlap is maximal",
-            PROVENANCE_DERIVED,
-            lambda s: consistency_check(s.family("F2-remerge")).max_normalized_overlap,
-            1.0,
-        ),
-        Expectation(
-            "G0: unitary evolution through both MQS states has probability one",
-            PROVENANCE_TRIVIAL,
-            lambda s: probabilities(s.family("G0")).probability(
-                ("Psi0",) + tuple(f"Psi.{v}" for v in g_times[1:])
-            ),
-            1.0,
-        ),
-        Expectation(
-            "G1: detection by A caps the A-bound trajectory, probability 1/2",
-            PROVENANCE_DERIVED,
-            lambda s: probabilities(s.family("G1")).probability(g1_a),
-            0.5,
-        ),
-        Expectation(
-            "G1: detection by B caps the B-bound trajectory, probability 1/2",
-            PROVENANCE_DERIVED,
-            lambda s: probabilities(s.family("G1")).probability(g1_b),
-            0.5,
-        ),
-        Expectation(
-            "G1 inference: A untriggered implies the particle headed to B",
-            PROVENANCE_PAPER,
-            lambda s: conditional_probability(
-                s.family("G1"),
-                {tlab[g_times[1]]: "b1.AB"},
-                {tlab[g_times[2]]: "AB"},
-            ),
-            1.0,
-        ),
-        Expectation(
-            "G1 retrodiction: A triggered implies the particle came from the a side",
-            PROVENANCE_PAPER,
-            lambda s: conditional_probability(
-                s.family("G1"),
-                {tlab[g_times[1]]: "a1.AB"},
-                {tlab[g_times[2]]: "A*B"},
-            ),
-            1.0,
-        ),
-        Expectation(
-            "G2: collapse-style branches are equiprobable",
-            PROVENANCE_DERIVED,
-            lambda s: probabilities(s.family("G2")).probability(
-                ("Psi0", f"Psi.{g_times[1]}", "A*B", "A*B")
-            ),
-            0.5,
-        ),
-        Expectation(
-            "F0 and F1 are kinematically incompatible",
-            PROVENANCE_PAPER,
-            lambda s: float(
-                common_refinement(s.family("F0"), s.family("F1")).classification
-                == CLASS_KINEMATIC
-            ),
-            1.0,
-            tolerance=0.0,
-        ),
+        Expectation("F1 support holds exactly the two trajectory histories",
+                    PROVENANCE_PAPER, support_size("F1"), 2.0),
+        Expectation("F1: the A-bound trajectory has probability 1/2",
+                    PROVENANCE_PAPER, prob("F1", *a_branch), 0.5),
+        Expectation("F1: the B-bound trajectory has probability 1/2",
+                    PROVENANCE_PAPER, prob("F1", *b_branch), 0.5),
+        Expectation("F0: the unitary history has probability one",
+                    PROVENANCE_TRIVIAL,
+                    prob("F0", "Psi0", *(f"Psi.{v}" for v in f_times[1:])), 1.0),
+        Expectation("F2: delayed split into trajectories, 1/2 each",
+                    PROVENANCE_PAPER,
+                    prob("F2", "Psi0", f"Psi.{f_times[1]}", a_branch[2], a_branch[3]), 0.5),
+        Expectation("re-merging the trajectories onto the superposition is inconsistent",
+                    PROVENANCE_PAPER, consistent("F2-remerge"), 0.0, tolerance=0.0),
+        Expectation("F2-remerge: normalized off-diagonal overlap is maximal",
+                    PROVENANCE_DERIVED, max_overlap("F2-remerge"), 1.0),
+        Expectation("G0: unitary evolution through both MQS states has probability one",
+                    PROVENANCE_TRIVIAL,
+                    prob("G0", "Psi0", *(f"Psi.{v}" for v in g_times[1:])), 1.0),
+        Expectation("G1: detection by A caps the A-bound trajectory, probability 1/2",
+                    PROVENANCE_DERIVED, prob("G1", *g1_a), 0.5),
+        Expectation("G1: detection by B caps the B-bound trajectory, probability 1/2",
+                    PROVENANCE_DERIVED, prob("G1", *g1_b), 0.5),
+        Expectation("G1 inference: A untriggered implies the particle headed to B",
+                    PROVENANCE_PAPER,
+                    cond("G1", {tlab[g_times[1]]: "b1.AB"}, {tlab[g_times[2]]: "AB"}), 1.0),
+        Expectation("G1 retrodiction: A triggered implies the particle came from the a side",
+                    PROVENANCE_PAPER,
+                    cond("G1", {tlab[g_times[1]]: "a1.AB"}, {tlab[g_times[2]]: "A*B"}), 1.0),
+        Expectation("G2: collapse-style branches are equiprobable",
+                    PROVENANCE_DERIVED,
+                    prob("G2", "Psi0", f"Psi.{g_times[1]}", "A*B", "A*B"), 0.5),
+        Expectation("F0 and F1 are kinematically incompatible",
+                    PROVENANCE_PAPER, kinematic("F0", "F1"), 1.0, tolerance=0.0),
         Expectation(
             "spacelike interval vs detector-ready Heisenberg projectors commute",
             PROVENANCE_DERIVED,

@@ -166,6 +166,30 @@ class TestCheck:
         ]
         assert lines[12:] == [f"  ... and {len(violations) - 10} more"]
 
+    def test_text_builds_at_most_ten_violation_records(self, capsys, monkeypatch, tmp_path):
+        # the text view prints 10 of the 56 violations and a count of the rest
+        path = tmp_path / "alt.fam"
+        path.write_text(ALTERNATING)
+        built, tuples, item = [], histories.Violations._tuples, histories.Violations.__getitem__
+
+        def counted_tuples(self, k=slice(None)):
+            for record in tuples(self, k):
+                built.append(record)
+                yield record
+
+        def counted_item(self, k):
+            record = item(self, k)
+            if not isinstance(k, slice):  # a slice is counted by _tuples
+                built.append(record)
+            return record
+
+        monkeypatch.setattr(histories.Violations, "_tuples", counted_tuples)
+        monkeypatch.setattr(histories.Violations, "__iter__", counted_tuples)
+        monkeypatch.setattr(histories.Violations, "__getitem__", counted_item)
+        code, out, _ = run(capsys, "check", "--file", str(path), "--family", "alt")
+        assert code == 1 and out.splitlines()[-1] == "  ... and 46 more"
+        assert 0 < len(built) <= 10
+
     def test_csv_rows_are_the_violations(self, capsys, tmp_path):
         path = tmp_path / "alt.fam"
         path.write_text(ALTERNATING)
@@ -254,6 +278,25 @@ class TestProbs:
         assert (code, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert "has probability 0.000e+00" in err
+
+    def test_event_without_labels_is_input_error(self, capsys):
+        # "," selects no label, which would make the event every history
+        code, out, err = run(
+            capsys, "probs", "--scenario", "hardy", "--family", "unitary-output",
+            "--event", ",",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bad event ','") and err.count("\n") == 1
+
+    def test_time_given_twice_is_input_error(self, capsys):
+        # the second t3 would replace the first; alternatives are joined by "|"
+        code, out, err = run(
+            capsys, "probs", "--scenario", "spin-half", "--family", "G1",
+            "--target", "t3=x+X,t3=x-X", "--given", "t5=x+X+",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bad predicate 't3=x+X,t3=x-X': time 't3' given twice")
+        assert "'|'" in err and err.count("\n") == 1
 
     def test_hardy_event_query(self, capsys):
         code, out, _ = run(
@@ -536,3 +579,17 @@ class TestEmbed:
         report = json.loads(out)
         assert report["results"]["embedded"] is True
         assert len(report["results"]["foliation"]["surfaces"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("scenario", "nope"),
+     "unknown scenario 'nope'; available: ['epr', 'hardy', 'spin-half', 'wavepacket']"),
+    (("probs", "--scenario", "spin-half", "--family", "G1",
+      "--target", "t9=x+X", "--given", "t5=x+X+"),
+     "family has no time labeled 't9'"),
+    (("probs", "--scenario", "hardy", "--family", "unitary-output", "--event", "zzz"),
+     "label 'zzz' not used anywhere in the family"),
+], ids=["scenario", "time", "label"])
+def test_refusal_from_a_key_error_prints_its_message(capsys, argv, message):
+    # str() of a KeyError would wrap the message in quotes
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")

@@ -6,6 +6,7 @@ import pytest
 
 from conhist import histories, relativistic
 from conhist.dynamics import TOL_UNITARY, PropagatorSet
+from conhist.framework import common_refinement
 from conhist.hilbert import Operator, unitarity_defect
 from conhist.histories import (
     EPS_REL,
@@ -86,11 +87,25 @@ def test_no_reachable_array_is_writeable(name):
     # the scenario, and each family's consistency report and weight table,
     # share their arrays with every caller, so none may be changed in place:
     # this covers PropagatorSet's cumulative propagators and the (pairs,
-    # overlaps) arrays that a report's Violations view hashes over
+    # overlaps) arrays that a report's Violations view hashes over.  So do
+    # the compat verdicts (refinement family, witness report), an embedding
+    # of the local events, the suite results and the relabeled twin.
     scn = SCENARIOS[name]
     families = scn.families.values()
     reports = [consistency_check(fam) for fam in families]
-    found = reachable_arrays([scn, reports, [weight_table(fam) for fam in families]])
+    verdicts = [
+        common_refinement(f, g) for f, g in itertools.combinations(families, 2)
+        if f.propagators.same_dynamics(g.propagators)
+    ]
+    # the local events on the scenario's own time slices
+    local = [e for e in scn.events.values() if e.is_local and e.time_index is not None]
+    embedded = embed_events(local) if local else None
+    twin = transform_scenario(scn, CovarianceMap.seeded(scn.propagators, seed=13), seed=13)
+    found = reachable_arrays([
+        scn, reports, [weight_table(fam) for fam in families],
+        verdicts, embedded, scn.run_expected(), twin,
+    ])
+    assert verdicts and (embedded is not None or name == "spin-half")  # it has no events
     assert found and [a.shape for a in found if a.flags.writeable] == []
 
 
