@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -479,7 +480,13 @@ def main(argv: list[str] | None = None) -> int:
         # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return next(c for cls, c in exit_codes.items() if isinstance(exc, cls))
-    _emit(args, results, time.monotonic() - started)
+    try:
+        _emit(args, results, time.monotonic() - started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): what it did not read is not
+        # wanted, and the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -84,8 +84,9 @@ _MAX_DIM = 4096
 # so the budget is charged before each allocation.  The largest bundled
 # export, the default wavepacket model (dim 196), charges 41 matrices,
 # 25.2 MB; 64 MiB leaves 2.6x headroom for it and admits no single matrix
-# above dimension 2048.  Peak memory is about twice the charge, since each
-# literal is held both as parsed entries and as its operator.
+# above dimension 2048.  A literal's declaration keeps a view of its
+# operator's matrix, so each matrix is held once; while a literal is
+# validated, its parsed entries are a second copy of that one matrix.
 _MATRIX_BUDGET = 64 * 2**20
 
 # The token classes, ASCII only (`\d`, `\s` and `\w` would also admit Unicode
@@ -189,7 +190,7 @@ class KetDecl:
 class UnitaryDecl:
     name: str
     space: str
-    entries: np.ndarray  # read-only, row-major, dim * dim complex
+    entries: np.ndarray  # a read-only, row-major, dim * dim view of the matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +345,7 @@ class _Parser:
         return tuple(values)
 
     def parse_matrix(self, space: SpaceDecl, name_tok: _Token) -> np.ndarray:
-        """A dense or sparse matrix literal as a read-only row-major array."""
+        """A dense or sparse matrix literal as a row-major array."""
         self.charge(1, space, name_tok)
         if self.accept("sparse"):
             entries = self.parse_sparse(space.dim)
@@ -358,7 +359,6 @@ class _Parser:
             if len(values) != n:
                 self.error(f"matrix has {len(values)} entries, expected {n}", name_tok)
             entries = np.array(values, dtype=np.complex128)
-        entries.flags.writeable = False
         return entries
 
     def parse_sparse(self, dim: int) -> np.ndarray:
@@ -466,7 +466,7 @@ class _Parser:
                 f"(threshold {TOL_UNITARY:.0e})",
                 name_tok,
             )
-        decl = UnitaryDecl(name_tok.text, space.name, entries)
+        decl = UnitaryDecl(name_tok.text, space.name, op.mat.ravel())
         doc.unitary_decls[decl.name] = decl
         doc.unitaries[decl.name] = op
 
@@ -496,7 +496,7 @@ class _Parser:
                 )
             except ValueError as exc:  # a trace off an integer by more than the tolerance
                 self.error(f"invalid projector {name_tok.text!r}: {exc}", name_tok)
-            decl = ProjDecl(name_tok.text, space.name, None, entries)
+            decl = ProjDecl(name_tok.text, space.name, None, proj.mat.ravel())
         doc.proj_decls[decl.name] = decl
         doc.projectors[decl.name] = proj
 
@@ -814,7 +814,7 @@ def scenario_to_famspec(scn) -> str:
             ats.append(FamilyAt(times[0], None))
         for t, dec in zip(times[len(ats):], fam.decompositions[len(ats):]):
             target = None  # the identity keyword
-            if len(dec) != 1 or dec.members[0][1].rank != fam.dim:
+            if not dec.is_trivial:
                 members = tuple(export_proj(lab, proj, space) for lab, proj in dec.members)
                 target = _sanitize(f"{fname}.t{t:g}", taken)
                 doc.decomp_decls[target] = DecompDecl(target, space, members)

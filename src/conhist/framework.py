@@ -17,18 +17,10 @@ rather than compared: all descriptions must concern one closed system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
-from .hilbert import DecompositionOfIdentity, Operator, Projector, TOL_PROJ, _product, _products
-from .histories import (
-    ConsistencyReport,
-    Family,
-    MixedInitial,
-    PureInitial,
-    consistency_check,
-)
+from .hilbert import DecompositionOfIdentity, Operator, Projector, TOL_PROJ, _frob, _products
+from .histories import ConsistencyReport, Family, MixedInitial, PureInitial, consistency_check
 
 # Threshold on ||[P, Q]||_F for the slotwise commutation (kinematic) test.
 COMMUTE_TOL = 1e-9
@@ -90,9 +82,7 @@ class CompatibilityVerdict:
             "compatible": self.compatible,
             "classification": self.classification,
         }
-        if isinstance(self.witness, KinematicWitness):
-            out["witness"] = self.witness.to_dict()
-        elif isinstance(self.witness, ConsistencyReport):
+        if self.witness is not None:
             out["witness"] = self.witness.to_dict()
         return out
 
@@ -104,9 +94,7 @@ def _check_comparable(f: Family, g: Family) -> None:
     if (fi is None) != (gi is None) or type(fi) is not type(gi):
         raise FamilyMismatchError("families must share the same initial condition")
     if isinstance(fi, PureInitial):
-        same_time = (
-            f.time_indices[f.initial_slot] == g.time_indices[g.initial_slot]
-        )
+        same_time = f.time_indices[f.initial_slot] == g.time_indices[g.initial_slot]
         same_ket = abs(abs(complex(fi.ket.dagger_apply(gi.ket))) - 1.0) < 1e-9
         if not (same_time and same_ket):
             raise FamilyMismatchError("families must share the same initial state")
@@ -130,18 +118,13 @@ def extend(f: Family, extra_times: list[float]) -> Family:
         if idx in f.time_indices or idx in new_indices:
             raise ValueError(f"time {t} already present in the family")
         new_indices.append(idx)
-    if isinstance(f.initial, PureInitial):
-        anchor_master = f.time_indices[f.initial_slot]
-        if any(idx < anchor_master for idx in new_indices):
-            raise ValueError(
-                "cannot extend a family with a fixed initial state to times "
-                "before that state"
-            )
+    anchor = f.time_indices[f.initial_slot]
+    if isinstance(f.initial, PureInitial) and any(idx < anchor for idx in new_indices):
+        raise ValueError(
+            "cannot extend a family with a fixed initial state to times before that state"
+        )
     merged, columns = _aligned((f,), new_indices)
-    slot = 0
-    if f.initial is not None:
-        anchor_master = f.time_indices[f.initial_slot]
-        slot = merged.index(anchor_master)
+    slot = merged.index(anchor) if f.initial is not None else 0
     return Family(
         f.propagators, tuple(merged), tuple(dec for (dec,) in columns), f.initial, slot, f.name
     )
@@ -162,140 +145,124 @@ def _aligned(
     return union, [tuple(d.get(idx, trivial) for d in by_index) for idx in union]
 
 
-def _member_is_sum(coarse: Projector, fine: DecompositionOfIdentity) -> bool:
-    """Does some subset of ``fine`` members sum to ``coarse``?
+class _Product(NamedTuple):
+    """The slotwise product of two families f and g over their union of times."""
 
-    Uses that fine members are orthogonal: each either lies under the coarse
-    member (QP = Q) or is orthogonal to it (QP = 0); anything else rules the
-    sum out.
+    times: list[int]
+    # per time: a decomposition (a shortcut), else the nonzero (label, P Q) projectors
+    columns: list
+    same: bool  # every column is one decomposition on both sides
+    f_finer: bool  # the product is f's column at every time: f refines g
+    g_finer: bool  # the product is g's column at every time: g refines f
+
+
+def _slotwise_product(f: Family, g: Family) -> _Product | KinematicWitness:
+    """The product of ``f`` and ``g``, in one pass over each aligned column's
+    projector pairs, or the first pair that does not commute.
+
+    Where the two columns are the same decomposition the product is f's, and
+    where one is the trivial {I} it is the other's; every other column makes
+    one ``P Q``, ``Q P`` pair of products per member pair.  A column of g
+    refines f's exactly when each nonzero ``P Q`` is its ``Q``, so a zero
+    member counts for nothing.
     """
-    total = None
-    for _, q in fine.members:
-        qp = _product(q.mat, coarse.mat)
-        if np.linalg.norm(qp - q.mat) < TOL_PROJ:
-            total = q.mat if total is None else total + q.mat
-        elif np.linalg.norm(qp) < TOL_PROJ:
+    times, aligned = _aligned((f, g))
+    labels = f.propagators.grid.labels
+    columns, same, f_finer, g_finer = [], True, True, True
+    for idx, (dec_f, dec_g) in zip(times, aligned):
+        if _same_decomposition(dec_f, dec_g):
+            columns.append(dec_f)
             continue
+        same = False
+        if dec_f.is_trivial:
+            # {I} refines the other column only if that is I and zero members
+            columns.append(dec_g)
+            f_finer = f_finer and max(q.rank for _, q in dec_g.members) == f.dim
+        elif dec_g.is_trivial:
+            columns.append(dec_f)
+            g_finer = g_finer and max(p.rank for _, p in dec_f.members) == f.dim
         else:
-            return False
-    if total is None:
-        return coarse.rank == 0
-    return bool(np.linalg.norm(total - coarse.mat) < TOL_PROJ)
+            members = []
+            for la, p in dec_f.members:
+                for lb, q in dec_g.members:
+                    pq, qp = _products(p.mat, q.mat)
+                    comm = _frob(pq - qp)
+                    if comm >= COMMUTE_TOL:
+                        return KinematicWitness(labels[idx], la, lb, comm)
+                    prod = (pq + pq.conj().T) / 2.0
+                    if _frob(prod) < TOL_PROJ:
+                        continue
+                    f_finer = f_finer and _frob(prod - p.mat) < TOL_PROJ
+                    g_finer = g_finer and _frob(prod - q.mat) < TOL_PROJ
+                    members.append((f"{la}&{lb}", Projector(Operator(prod))))
+            columns.append(members)
+    return _Product(times, columns, same, f_finer, g_finer)
 
 
 def is_refinement(coarse: Family, fine: Family) -> bool:
-    """True iff, after automatic extension to the union of their times, every
-    coarse decomposition member equals a sum of fine members.
+    """True iff, after automatic extension to the union of their times, the
+    slotwise product of the two families is ``fine``: every coarse member is
+    a sum of fine members.
 
     Every family is a refinement of itself.
     """
     _check_comparable(coarse, fine)
-    return _refines(_aligned((coarse, fine))[1])
-
-
-def _refines(columns: Iterable[tuple[DecompositionOfIdentity, ...]]) -> bool:
-    """Every member of each column's first decomposition is a sum of members
-    of its second."""
-    return all(
-        _member_is_sum(p, fine) for coarse, fine in columns for _, p in coarse.members
-    )
+    product = _slotwise_product(coarse, fine)
+    return isinstance(product, _Product) and product.g_finer
 
 
 def _same_decomposition(a: DecompositionOfIdentity, b: DecompositionOfIdentity) -> bool:
+    """Equal length, and each member of ``a`` close to its own member of ``b``."""
     if len(a) != len(b):
         return False
-    used = set()
+    left = [q for _, q in b.members]
     for _, p in a.members:
-        hit = None
-        for j, (_, q) in enumerate(b.members):
-            if j not in used and p.op.allclose(q.op):
-                hit = j
-                break
+        hit = next((j for j, q in enumerate(left) if p.op.allclose(q.op)), None)
         if hit is None:
             return False
-        used.add(hit)
+        del left[hit]
     return True
-
-
-def _families_identical(f: Family, g: Family) -> bool:
-    if f.time_indices != g.time_indices:
-        return False
-    return all(
-        _same_decomposition(df, dg)
-        for df, dg in zip(f.decompositions, g.decompositions)
-    )
 
 
 def common_refinement(f: Family, g: Family) -> CompatibilityVerdict:
     """Attempt the coarsest common refinement: the slotwise product family.
 
-    Classification, in order: identical, refinement (one family refines the
-    other and the finer one is consistent), kinematic-incompatible (a
-    noncommuting slotwise pair, with the offending time and labels as
-    witness), dynamic-incompatible (product family fails the consistency
-    conditions; the report is attached), or common-refinement-found.
+    Classification: identical (the same times and decompositions),
+    kinematic-incompatible (a noncommuting slotwise pair, with the offending
+    time and labels as witness), refinement (the product is one of the two
+    families, g when it is both, and that finer family is consistent),
+    dynamic-incompatible (the finer family or the product family fails the
+    consistency conditions; the report is attached), or
+    common-refinement-found.
     """
     _check_comparable(f, g)
-
-    if _families_identical(f, g):
+    product = _slotwise_product(f, g)
+    if isinstance(product, KinematicWitness):
+        return CompatibilityVerdict(False, CLASS_KINEMATIC, witness=product)
+    if product.same and f.time_indices == g.time_indices:
         return CompatibilityVerdict(True, CLASS_IDENTICAL, refinement=f)
-
-    union, columns = _aligned((f, g))
-    finer = None
-    if _refines(columns):
-        finer = g
-    elif _refines((dec_g, dec_f) for dec_f, dec_g in columns):
-        finer = f
-    if finer is not None:
-        report = consistency_check(finer)
-        if report.consistent:
-            return CompatibilityVerdict(True, CLASS_REFINEMENT, refinement=finer)
-        return CompatibilityVerdict(False, CLASS_DYNAMIC, witness=report)
-
-    grid = f.propagators.grid
-    product_decs = []
-    for idx, (dec_f, dec_g) in zip(union, columns):
-        if _same_decomposition(dec_f, dec_g):
-            product_decs.append(dec_f)
-            continue
-        if len(dec_f) == 1 and dec_f.members[0][1].rank == f.dim:
-            product_decs.append(dec_g)
-            continue
-        if len(dec_g) == 1 and dec_g.members[0][1].rank == g.dim:
-            product_decs.append(dec_f)
-            continue
-        members = []
-        for la, p in dec_f.members:
-            for lb, q in dec_g.members:
-                pq, qp = _products(p.mat, q.mat)
-                comm = np.linalg.norm(pq - qp)
-                if comm >= COMMUTE_TOL:
-                    witness = KinematicWitness(grid.labels[idx], la, lb, float(comm))
-                    return CompatibilityVerdict(False, CLASS_KINEMATIC, witness=witness)
-                prod = (pq + pq.conj().T) / 2.0
-                if np.linalg.norm(prod) < TOL_PROJ:
-                    continue
-                members.append((f"{la}&{lb}", Projector(Operator(prod))))
-        product_decs.append(DecompositionOfIdentity(tuple(members)))
-
-    slot = 0
-    initial = f.initial
-    if initial is not None:
-        anchor_master = f.time_indices[f.initial_slot]
-        slot = union.index(anchor_master)
-        # The anchored slot keeps its canonical {initial, complement} form so
-        # the product family can carry the same initial condition.
-        anchored = columns[slot][0]
-        if not _same_decomposition(product_decs[slot], anchored):
-            product_decs[slot] = anchored
-
-    name = None
-    if f.name and g.name:
-        name = f"{f.name}*{g.name}"
-    product = Family(
-        f.propagators, tuple(union), tuple(product_decs), initial, slot, name
-    )
-    report = consistency_check(product)
+    if product.g_finer or product.f_finer:
+        finer, classification = (g if product.g_finer else f), CLASS_REFINEMENT
+    else:
+        finer, classification = _product_family(f, g, product), CLASS_COMMON
+    report = consistency_check(finer)
     if report.consistent:
-        return CompatibilityVerdict(True, CLASS_COMMON, refinement=product)
+        return CompatibilityVerdict(True, classification, refinement=finer)
     return CompatibilityVerdict(False, CLASS_DYNAMIC, witness=report)
+
+
+def _product_family(f: Family, g: Family, product: _Product) -> Family:
+    """The product as a family with f's initial condition.  A pure state's
+    anchored slot keeps f's {initial, complement} pair, whatever the labels
+    of the product there."""
+    decs = [
+        col if isinstance(col, DecompositionOfIdentity) else DecompositionOfIdentity(tuple(col))
+        for col in product.columns
+    ]
+    slot = 0
+    if f.initial is not None:
+        slot = product.times.index(f.time_indices[f.initial_slot])
+        if isinstance(f.initial, PureInitial):
+            decs[slot] = f.decompositions[f.initial_slot]
+    name = f"{f.name}*{g.name}" if f.name and g.name else None
+    return Family(f.propagators, tuple(product.times), tuple(decs), f.initial, slot, name)

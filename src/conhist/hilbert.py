@@ -438,6 +438,11 @@ class DecompositionOfIdentity:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.members)
 
+    @property
+    def is_trivial(self) -> bool:
+        """Is this the one-member decomposition {I}?"""
+        return len(self.members) == 1 and self.members[0][1].rank == self.dim
+
     def __len__(self) -> int:
         return len(self.members)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -91,6 +92,11 @@ class Scenario:
     events: Mapping[str, TaggedEvent]
     expected: tuple[Expectation, ...]
     description: str = ""
+
+    def __post_init__(self):
+        # read-only views of copies: a built scenario is shared by every caller
+        for name in ("kets", "projectors", "families", "events"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def dim(self) -> int:

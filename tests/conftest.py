@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from conhist.hilbert import _product
 from conhist.relativistic import SPACELIKE, classify_interval
 
 
@@ -30,3 +33,23 @@ def spacelike_local_event_pairs():
     """``(scn, count, seed) -> pairs``: ``count`` pairs of the scenario's
     local events that are spacelike separated, drawn with the seed."""
     return _sample_spacelike_pairs
+
+
+def _heisenberg_chains(fam, alphas, ref):
+    """``K^dag`` for each history in ``alphas``, as the adjoint of
+    ``chain_operator(alpha, fam, ref).op.mat``: the same Heisenberg forms,
+    made once per (slot, member) instead of once per history, and multiplied
+    in time order block by block through ``hilbert._product``."""
+    forms = [
+        {label: fam.propagators.heisenberg_matrix(proj.mat, j, ref) for label, proj in dec.members}
+        for j, dec in zip(fam.time_indices, fam.decompositions)
+    ]
+    for alpha in alphas:
+        yield functools.reduce(_product, (forms[slot][label] for slot, label in enumerate(alpha)))
+
+
+@pytest.fixture
+def heisenberg_chains():
+    """``(fam, alphas, ref) -> iterator of K^dag``: the Heisenberg chain
+    operators of a family's histories on one reference surface."""
+    return _heisenberg_chains

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conhist
 from conhist import hilbert, histories
 from conhist.cli import main
 from conhist.famspec import parse, scenario_to_famspec
@@ -593,3 +597,27 @@ class TestEmbed:
 def test_refusal_from_a_key_error_prints_its_message(capsys, argv, message):
     # str() of a KeyError would wrap the message in quotes
     assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("probs", "--scenario", "epr", "--family", "F1", "--format", "csv"), 0),
+    (("compat", "--scenario", "epr", "F1", "F3"), 1),
+], ids=["probs-csv", "compat-text"])
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv, code):
+    # the reader of the pipe is gone before the command writes, as with
+    # ``| head -1`` on a long table; the output is short or long, so the
+    # broken pipe shows in a print or in the final flush
+    src = str(Path(conhist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conhist.cli", *argv],
+            stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE,
+            env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (code, "")

@@ -327,6 +327,19 @@ class TestSparseLiteral:
             with pytest.raises(ValueError):
                 decl.entries[0] = 1
 
+    def test_entries_are_views_of_the_operators(self):
+        # a literal's declaration and its validated operator hold one matrix
+        dense, sparse = parse(HARDY_TEXT), parse(SPARSE_TEXT)
+        for decl, op in (
+            (dense.unitary_decls["splitters"], dense.unitaries["splitters"]),
+            (dense.proj_decls["ee"], dense.projectors["ee"].op),
+            (sparse.unitary_decls["swap"], sparse.unitaries["swap"]),
+            (sparse.proj_decls["ee"], sparse.projectors["ee"].op),
+        ):
+            assert np.shares_memory(decl.entries, op.mat)
+            assert np.array_equal(decl.entries, op.mat.ravel())
+            assert not decl.entries.flags.writeable
+
     def test_parsed_sparse_family_probabilities(self):
         table = probabilities(parse(SPARSE_TEXT).family("joint"))
         assert sum(table.probability(a) for a, _ in table.items()) == pytest.approx(1.0)

@@ -100,6 +100,18 @@ GRIDS = "times tg = [0, 1] times one = [0] "
         (GRIDS + "family f times tg { at 0 zb }", "expected ':', got 'zb'", 60),
         (GRIDS + "family f times tg { } steps", "a family needs at least one `at` entry", 42),
         (GRIDS + "family f times tg { at 0: zb }", "expected 'steps'", 65),
+        ("times t = [1, 0]", "times must be strictly increasing", 7),
+        (
+            GRIDS + "family f times tg { at 1: zb at 0: zb } steps { idq }",
+            "`at` entries must be in strictly increasing time order",
+            42,
+        ),
+        ("space s dim 0", "dimension must lie in 1..4096", 13),
+        (
+            "ket z in q = [0, 0] proj p on q = span(z)",
+            "cannot build projector 'p': cannot project onto the span of zero kets",
+            26,
+        ),
     ],
 )
 def test_diagnostic_is_pinned(line, message, column):

@@ -5,6 +5,7 @@ import pytest
 
 from conhist import framework, hilbert
 from conhist.dynamics import PropagatorSet, TimeGrid
+from conhist.famspec import parse
 from conhist.framework import (
     CLASS_COMMON,
     CLASS_DYNAMIC,
@@ -18,7 +19,7 @@ from conhist.framework import (
     is_refinement,
 )
 from conhist.hilbert import (
-    DecompositionOfIdentity, DensityOperator, Ket, Operator, projector_onto_span,
+    DecompositionOfIdentity, DensityOperator, Ket, Operator, Projector, projector_onto_span,
 )
 from conhist.histories import Family, consistency_check, weight_table
 from conhist.scenarios import build
@@ -290,6 +291,32 @@ class TestCommonRefinement:
         with pytest.raises(FamilyMismatchError):
             common_refinement(f, g)
 
+    def test_pure_and_density_operator_families_rejected(self, ps):
+        f = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC])
+        g = Family.general(ps, (0, 1), [Z_DEC, X_DEC], rho=density(Z_PLUS))
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(FamilyMismatchError, match="same initial condition"):
+                common_refinement(a, b)
+
+    @pytest.mark.parametrize("state,classification", [
+        (Z_PLUS, CLASS_COMMON), (X_PLUS, CLASS_DYNAMIC),
+    ])
+    def test_density_operator_product_keeps_both_anchor_columns(self, ps, state, classification):
+        # z at the anchored time in one family, x at the next in the other: the
+        # product keeps z at the anchored time whichever family comes first, so
+        # it refines both and the verdict does not depend on the order
+        rho = density(state)
+        f = Family.general(ps, (0, 1), [Z_DEC, IDENT], rho=rho, name="F")
+        g = Family.general(ps, (0, 1), [IDENT, X_DEC], rho=rho, name="G")
+        for a, b in ((f, g), (g, f)):
+            verdict = common_refinement(a, b)
+            assert verdict.classification == classification
+            if verdict.compatible:
+                labels = [dec.labels for dec in verdict.refinement.decompositions]
+                assert labels == [("z+", "z-"), ("x+", "x-")]
+                assert is_refinement(f, verdict.refinement)
+                assert is_refinement(g, verdict.refinement)
+
     def test_trivial_decomposition_built_once_and_only_for_missing_times(self, ps, monkeypatch):
         built = []
         real = DecompositionOfIdentity.trivial
@@ -306,35 +333,124 @@ class TestCommonRefinement:
         assert built == []
 
 
+# a zero member (`sparse []`) beside full decompositions, and {I, 0} beside {I}
+ZERO_MEMBER_TEXT = """
+space q dim 2
+ket up in q = [1, 0]
+ket down in q = [0, 1]
+unitary idq on q = [1 0 0 1]
+proj pup on q = span(up)
+proj pdown on q = span(down)
+proj one on q = sparse [0 0: 1, 1 1: 1]
+proj none on q = sparse []
+decomp z on q = {pup, pdown}
+decomp z0 on q = {pup, none, pdown}
+decomp whole on q = {one, none}
+times tg = [0, 1, 2]
+family fz times tg initial up { at 0: identity at 1: z at 2: z } steps { idq idq }
+family fz0 times tg initial up { at 0: identity at 1: z0 at 2: z } steps { idq idq }
+family iz times tg initial up { at 0: identity at 1: identity at 2: z } steps { idq idq }
+family wz times tg initial up { at 0: identity at 1: whole at 2: z } steps { idq idq }
+family wi times tg initial up { at 0: identity at 1: whole at 2: identity } steps { idq idq }
+"""
+
+
+@pytest.mark.parametrize("a,b,mutual", [
+    ("fz", "fz0", True), ("iz", "wz", True), ("wi", "iz", False),
+])
+def test_zero_member_counts_for_nothing_in_the_refinement_test(a, b, mutual):
+    # b refines a, and a refines b too when they differ only by zero members;
+    # a refinement verdict names the second family when each refines the other
+    doc = parse(ZERO_MEMBER_TEXT)
+    fa, fb = doc.family(a), doc.family(b)
+    assert is_refinement(fa, fb)
+    assert is_refinement(fb, fa) == mutual
+    for f, g in ((fa, fb), (fb, fa)):
+        verdict = common_refinement(f, g)
+        assert verdict.classification == CLASS_REFINEMENT
+        assert verdict.refinement is (g if mutual else fb)
+
+
+def _unitary(rng, dim, block):
+    """A random unitary, block diagonal on blocks of ``block`` under a random
+    permutation of the rows."""
+    u = np.zeros((dim, dim), dtype=complex)
+    for s in range(0, dim, block):
+        z = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+        u[s:s + block, s:s + block] = np.linalg.qr(z)[0]
+    return u[rng.permutation(dim)]
+
+
+def _span_decomposition(u, groups, prefix):
+    return DecompositionOfIdentity(tuple(
+        (f"{prefix}{k}", Projector(Operator(u[:, g] @ u[:, g].conj().T)))
+        for k, g in enumerate(groups)
+    ))
+
+
+@pytest.mark.parametrize("dim,block,n_fine,n_coarse", [(6, 6, 3, 2), (120, 6, 12, 4)])
+def test_families_from_one_random_basis(dim, block, n_fine, n_coarse):
+    # the fine family's members span groups of one random basis and the
+    # coarse family's span unions of those groups; at d = 120 the members are
+    # block diagonal on 20 blocks, so the products run block by block
+    rng = np.random.default_rng(1906 + dim)
+    u = _unitary(rng, dim, block)
+    fine_groups = np.array_split(rng.permutation(dim), n_fine)
+    coarse_groups = [np.concatenate(gs) for gs in np.array_split(fine_groups, n_coarse)]
+    ps = PropagatorSet.trivial(TimeGrid((0, 1)), dim)
+    psi = Ket(u[:, 0], "psi")
+
+    def family(dec, name):
+        return Family.pure(ps, (0, 1), psi, [dec], name=name)
+
+    fine = family(_span_decomposition(u, fine_groups, "f"), "fine")
+    coarse = family(_span_decomposition(u, coarse_groups, "c"), "coarse")
+    shuffled = family(_span_decomposition(u, fine_groups[::-1], "s"), "shuffled")
+    members = [p.mat for _, p in fine.decompositions[1].members]
+    assert sum(len(g) for g in hilbert._blocks(*members)) == dim // block
+    assert is_refinement(coarse, fine) and not is_refinement(fine, coarse)
+    for a, b in ((coarse, fine), (fine, coarse)):
+        verdict = common_refinement(a, b)
+        assert verdict.classification == CLASS_REFINEMENT
+        assert verdict.refinement is fine
+    verdict = common_refinement(fine, shuffled)
+    assert verdict.classification == CLASS_IDENTICAL and verdict.refinement is fine
+
+    # rotate a basis vector of the first fine group towards one of the last
+    a, b = fine_groups[0][0], fine_groups[-1][0]
+    rotated = u.copy()
+    rotated[:, a], rotated[:, b] = (
+        np.cos(0.3) * u[:, a] + np.sin(0.3) * u[:, b],
+        -np.sin(0.3) * u[:, a] + np.cos(0.3) * u[:, b],
+    )
+    tilted = family(_span_decomposition(rotated, fine_groups, "r"), "tilted")
+    for f, g in ((coarse, tilted), (tilted, fine)):
+        verdict = common_refinement(f, g)
+        assert verdict.classification == CLASS_KINEMATIC
+        assert verdict.witness.time_label == "t1"
+        assert not is_refinement(f, g) and not is_refinement(g, f)
+
+
 def commutator_by_two_products(p, q):
     return float(np.linalg.norm(hilbert._product(p, q) - hilbert._product(q, p)))
 
 
 class TestOneBlockSearchPerPair:
-    """At d = 196 each (P, Q) pair costs one block search: the commutator and
-    the ``P Q`` member come from the same one."""
+    """At d = 196 each (P, Q) pair costs one block search over a whole
+    compatibility query: the commutator, the refinement test and the ``P Q``
+    member come from the same one."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
-        """Block searches by the ids of their matrices, outside the
-        refinement test that precedes the product loop."""
-        counts, paused = collections.Counter(), []
-        real_blocks, real_refines = hilbert._blocks, framework._refines
+        """Block searches by the ids of their matrices."""
+        counts = collections.Counter()
+        real_blocks = hilbert._blocks
 
         def counting(*mats):
-            if not paused:
-                counts[tuple(id(m) for m in mats)] += 1
+            counts[tuple(id(m) for m in mats)] += 1
             return real_blocks(*mats)
 
-        def refines(columns):
-            paused.append(True)
-            try:
-                return real_refines(columns)
-            finally:
-                paused.pop()
-
         monkeypatch.setattr(hilbert, "_blocks", counting)
-        monkeypatch.setattr(framework, "_refines", refines)
         return counts
 
     def test_product_loop_and_commutator_norm(self, searches):

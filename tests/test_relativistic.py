@@ -396,3 +396,30 @@ class TestCovarianceMap:
 
         with pytest.raises(ValueError):
             CovarianceMap((Operator(np.diag([1.0, 2.0])),))
+
+    @pytest.mark.parametrize("mixed", ["maximally", "seeded"])
+    def test_relabels_a_density_operator_family(self, mixed):
+        # spin-half G1's decompositions after its anchor, under I/6 or a seeded
+        # full-rank density operator at the anchor's time: the relabeled family
+        # keeps its weights and its verdict
+        from conhist.hilbert import DensityOperator, Operator
+        from conhist.histories import Family, MixedInitial, consistency_check, weight_table
+        from conhist.scenarios import build
+
+        g1 = build("spin-half").family("G1")
+        if mixed == "maximally":
+            rho = np.eye(g1.dim) / g1.dim
+        else:
+            rng = np.random.default_rng(6)
+            z = rng.normal(size=(g1.dim, g1.dim)) + 1j * rng.normal(size=(g1.dim, g1.dim))
+            rho = z @ z.conj().T
+            rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+        fam = Family(g1.propagators, g1.time_indices[1:], g1.decompositions[1:],
+                     MixedInitial(DensityOperator(Operator(rho))), 0, "G1-mixed")
+        maps = CovarianceMap.seeded(fam.propagators, seed=13)
+        primed = maps.relabel_family(fam, maps.relabel_propagators(fam.propagators))
+        assert isinstance(primed.initial, MixedInitial)
+        w0, w1 = weight_table(fam).entries, weight_table(primed).entries
+        assert [a for a, _ in w0] == [a for a, _ in w1]
+        assert max(abs(x - y) for (_, x), (_, y) in zip(w0, w1)) < 1e-9
+        assert consistency_check(primed).consistent == consistency_check(fam).consistent

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import itertools
 
@@ -71,7 +72,7 @@ def reachable_arrays(root):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             found.append(obj)
-        elif isinstance(obj, dict):
+        elif isinstance(obj, collections.abc.Mapping):
             stack.extend(obj.values())
         elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
@@ -107,6 +108,18 @@ def test_no_reachable_array_is_writeable(name):
     ])
     assert verdicts and (embedded is not None or name == "spin-half")  # it has no events
     assert found and [a.shape for a in found if a.flags.writeable] == []
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("registry", ["kets", "projectors", "families", "events"])
+def test_registries_are_read_only(name, registry):
+    # a built scenario is shared, so no caller may add to or replace its entries
+    entries = getattr(SCENARIOS[name], registry)
+    with pytest.raises(TypeError):
+        entries["extra"] = None
+    with pytest.raises(TypeError):
+        del entries[next(iter(entries), "extra")]
+    assert "extra" not in entries
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -146,16 +159,33 @@ def test_consistent_families_stay_consistent_without_absolute_slack(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_reference_index_independence(name):
+def test_reference_index_independence(name, heisenberg_chains):
     # the engine's weights match the Heisenberg chain operators on the first
     # and on the last reference surface
     scn = SCENARIOS[name]
     for fam in scn.families.values():
         last = len(fam.propagators.grid) - 1
-        for alpha, w in weight_table(fam).entries:
-            for ref in (0, last):
+        entries = weight_table(fam).entries
+        for ref in (0, last):
+            chains = heisenberg_chains(fam, [alpha for alpha, _ in entries], ref)
+            for (_, w), adj in zip(entries, chains, strict=True):
+                assert w == pytest.approx(np.linalg.norm(adj) ** 2, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_heisenberg_chains_helper_is_chain_operator(name, heisenberg_chains):
+    # the shared test helper against the library's oracle, on three seeded
+    # histories of each family at both reference surfaces
+    scn = SCENARIOS[name]
+    rng = np.random.default_rng(11)
+    for fam in scn.families.values():
+        alphas = fam.alphas()
+        picks = rng.choice(len(alphas), size=min(3, len(alphas)), replace=False)
+        sample = [alphas[i] for i in picks]
+        for ref in (0, len(fam.propagators.grid) - 1):
+            for alpha, adj in zip(sample, heisenberg_chains(fam, sample, ref), strict=True):
                 k = chain_operator(alpha, fam, ref=ref).op.mat
-                assert w == pytest.approx(np.linalg.norm(k) ** 2, abs=1e-9)
+                assert np.abs(adj - k.conj().T).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -301,7 +331,11 @@ class TestSpacelikeCommutation:
         )
         from conhist.hilbert import Projector
 
-        scn.projectors["ident"] = Projector.identity(scn.dim)
+        # a copy with the extra projector: the shared scenario stays as built
+        scn = dataclasses.replace(
+            scn, projectors={**scn.projectors, "ident": Projector.identity(scn.dim)}
+        )
+        assert "ident" not in SCENARIOS["epr"].projectors
         result = commutation_check(scn, ident, scn.events["a-x+-t3"])
         assert result.norm == pytest.approx(0.0)
 
