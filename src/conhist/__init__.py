@@ -28,7 +28,6 @@ from .histories import (
     ChainOperator,
     ConsistencyReport,
     Family,
-    History,
     InconsistentFamilyError,
     UnknownLabelError,
     WeightTable,

@@ -94,9 +94,12 @@ def _check_comparable(f: Family, g: Family) -> None:
     if (fi is None) != (gi is None) or type(fi) is not type(gi):
         raise FamilyMismatchError("families must share the same initial condition")
     if isinstance(fi, PureInitial):
+        # the same state is the same anchored projector, within the tolerance
+        # that decides equal decompositions
         same_time = f.time_indices[f.initial_slot] == g.time_indices[g.initial_slot]
-        same_ket = abs(abs(complex(fi.ket.dagger_apply(gi.ket))) - 1.0) < 1e-9
-        if not (same_time and same_ket):
+        pf = f.decompositions[f.initial_slot].projector(fi.label)
+        pg = g.decompositions[g.initial_slot].projector(gi.label)
+        if not (same_time and pf.op.allclose(pg.op)):
             raise FamilyMismatchError("families must share the same initial state")
     elif isinstance(fi, MixedInitial):
         if not fi.rho.op.allclose(gi.rho.op):
@@ -107,9 +110,9 @@ def extend(f: Family, extra_times: list[float]) -> Family:
     """Automatic extension: add times carrying the trivial {I} decomposition.
 
     The added times must exist on the family's master grid (the dynamics at a
-    time the propagator set does not know cannot be invented) and must not
-    already belong to the family.  Weights and the consistency verdict are
-    unchanged.
+    time the propagator set does not know cannot be invented), must be new to
+    the family, and may not pass a fixed state: before an initial one, after a
+    final one.  Weights and the consistency verdict are unchanged.
     """
     grid = f.propagators.grid
     new_indices = []
@@ -119,10 +122,13 @@ def extend(f: Family, extra_times: list[float]) -> Family:
             raise ValueError(f"time {t} already present in the family")
         new_indices.append(idx)
     anchor = f.time_indices[f.initial_slot]
-    if isinstance(f.initial, PureInitial) and any(idx < anchor for idx in new_indices):
-        raise ValueError(
-            "cannot extend a family with a fixed initial state to times before that state"
-        )
+    if isinstance(f.initial, PureInitial):
+        # the state sits first, or after time reversal last of several (the
+        # slot _analyze walks backward from); no added time may pass it
+        last = f.initial_slot == len(f) - 1 and len(f) > 1
+        if any(idx > anchor if last else idx < anchor for idx in new_indices):
+            side = "final state to times after" if last else "initial state to times before"
+            raise ValueError(f"cannot extend a family with a fixed {side} that state")
     merged, columns = _aligned((f,), new_indices)
     slot = merged.index(anchor) if f.initial is not None else 0
     return Family(

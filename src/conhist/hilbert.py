@@ -190,12 +190,6 @@ class Ket:
             raise ValueError("cannot normalize the zero ket")
         return Ket(self.amps / n, self.label)
 
-    def dagger_apply(self, other: "Ket") -> complex:
-        """Inner product ``<self|other>``."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError("kets of different dimension")
-        return complex(np.vdot(self.amps, other.amps))
-
     def projector(self) -> "Projector":
         """Orthogonal projector onto this (normalized) ket."""
         return projector_onto_span([self])
@@ -259,9 +253,6 @@ class ProjectorCheck:
     hermiticity_defect: float
     idempotency_defect: float
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def is_projector(p: Operator) -> ProjectorCheck:
     """Test whether ``p`` is an orthogonal projector within ``TOL_PROJ`` (Frobenius)."""
@@ -297,7 +288,7 @@ class Projector:
 
     def __post_init__(self):
         check = is_projector(self.op)
-        if not check:
+        if not check.ok:
             raise NotAProjectorError(check)
         tr = self.op.trace()
         r = round(tr.real)
@@ -375,9 +366,6 @@ class DecompositionReport:
     completeness_defect: float
     max_pairwise_overlap: float
 
-    def __bool__(self) -> bool:
-        return self.valid
-
 
 @dataclass(frozen=True, eq=False)
 class DecompositionOfIdentity:
@@ -404,7 +392,7 @@ class DecompositionOfIdentity:
             raise ValueError("decomposition members must share one dimension")
         object.__setattr__(self, "members", members)
         report = validate_decomposition(self)
-        if not report:
+        if not report.valid:
             raise ValueError(
                 "not a decomposition of the identity: completeness defect "
                 f"{report.completeness_defect:.3e}, max pairwise overlap "

@@ -90,13 +90,6 @@ class FamilyTooLargeError(ValueError):
     """Sample-space enumeration would exceed the configured bound."""
 
 
-@dataclass(frozen=True)
-class History:
-    """One history: a label per family time (or the identity marker)."""
-
-    slots: tuple[str, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class PureInitial:
     """Pure initial condition: a unit-norm ket pinned to one slot."""
@@ -252,8 +245,9 @@ class Family:
             )
         return tuple(itertools.product(*(self.slot_labels(s) for s in range(len(self)))))
 
-    def resolve(self, alpha: Sequence[str]) -> History:
-        """Validate a label tuple against the family's decompositions."""
+    def resolve(self, alpha: Sequence[str]) -> tuple[str, ...]:
+        """Validate a label tuple against the family's decompositions and
+        return it as a tuple: a history is its labels, one per family time."""
         slots = tuple(alpha)
         if len(slots) != len(self):
             raise UnknownLabelError(
@@ -265,7 +259,7 @@ class Family:
                     f"label {label!r} not in the decomposition at time "
                     f"{self.time_labels[slot]}"
                 )
-        return History(slots)
+        return slots
 
     def rename(self, name: str) -> "Family":
         return Family(
@@ -305,7 +299,7 @@ def pure_families(initial: Ket) -> Callable[..., Family]:
 class ChainOperator:
     """The operator assigned to a history on the reference space."""
 
-    history: History
+    history: tuple[str, ...]
     op: Operator
 
 
@@ -379,7 +373,7 @@ def _analyze(f: Family) -> _Analysis:
     return _Analysis(alphas, weights, index, flat, floor)
 
 
-def chain_operator(h: History | Sequence[str], f: Family, ref: int = 0) -> ChainOperator:
+def chain_operator(h: Sequence[str], f: Family, ref: int = 0) -> ChainOperator:
     """Chain operator of one history, in Heisenberg form on the reference space.
 
     Identity slots contribute identity factors; a label mismatch with the
@@ -389,15 +383,15 @@ def chain_operator(h: History | Sequence[str], f: Family, ref: int = 0) -> Chain
     Built independently of the engine's Schrodinger pass, it serves as the
     cross-check oracle.
     """
-    hist = f.resolve(h.slots if isinstance(h, History) else h)
+    hist = f.resolve(h)
     adj = functools.reduce(np.matmul, (
         f.propagators.heisenberg_matrix(f.decompositions[slot].projector(label).mat, j, ref)
-        for slot, (label, j) in enumerate(zip(hist.slots, f.time_indices))
+        for slot, (label, j) in enumerate(zip(hist, f.time_indices))
     ))
     return ChainOperator(hist, Operator(adj.conj().T))
 
 
-def chain_operator_schrodinger(h: History | Sequence[str], f: Family) -> ChainOperator:
+def chain_operator_schrodinger(h: Sequence[str], f: Family) -> ChainOperator:
     """Chain operator built from the two-time propagators directly.
 
     ``K^dag = P_0 T(t_0,t_1) P_1 T(t_1,t_2) ... P_f`` with the projectors in
@@ -405,13 +399,13 @@ def chain_operator_schrodinger(h: History | Sequence[str], f: Family) -> ChainOp
     with reference index 0 up to rounding; kept as an independent cross-check
     path.
     """
-    hist = f.resolve(h.slots if isinstance(h, History) else h)
+    hist = f.resolve(h)
     d = f.dim
     adj = np.eye(d, dtype=np.complex128)
-    for slot, label in enumerate(hist.slots):
+    for slot, label in enumerate(hist):
         proj = f.decompositions[slot].projector(label)
         adj = adj @ proj.mat
-        if slot + 1 < len(hist.slots):
+        if slot + 1 < len(hist):
             j, k = f.time_indices[slot], f.time_indices[slot + 1]
             adj = adj @ f.propagators.propagator(j, k).mat
     # Map back to the reference space of time index 0 for comparability.
@@ -421,7 +415,7 @@ def chain_operator_schrodinger(h: History | Sequence[str], f: Family) -> ChainOp
     return ChainOperator(hist, Operator(adj.conj().T))
 
 
-def weight(h: History | Sequence[str], f: Family) -> float:
+def weight(h: Sequence[str], f: Family) -> float:
     """Generalized Born weight ``<K, K>`` of one history.
 
     Uses the trace inner product, or its density-weighted form when the
@@ -430,9 +424,9 @@ def weight(h: History | Sequence[str], f: Family) -> float:
     carrying the complementary member there has weight zero under the
     initial condition.
     """
-    hist = f.resolve(h.slots if isinstance(h, History) else h)
+    hist = f.resolve(h)
     # resolve() admits a pinned slot's complement, which the table leaves out
-    return dict(weight_table(f).entries).get(hist.slots, 0.0)
+    return dict(weight_table(f).entries).get(hist, 0.0)
 
 
 # -- consistency ---------------------------------------------------------------
@@ -441,8 +435,8 @@ def weight(h: History | Sequence[str], f: Family) -> float:
 class Violations(Sequence):
     """The violating pairs ``(alpha, beta, overlap)`` by descending overlap,
     ties in enumeration order: a read-only view of (2, n) alpha indices and n
-    overlaps that builds only the tuples read.  It is equal to, and hashes
-    like, the tuple of all of them."""
+    overlaps that builds only the rows read, each with ``_row``.  It is equal
+    to, and hashes like, the tuple of all of them."""
 
     __slots__ = ("_alphas", "_pairs", "_overlaps")
 
@@ -450,21 +444,25 @@ class Violations(Sequence):
         pairs.flags.writeable = overlaps.flags.writeable = False
         self._alphas, self._pairs, self._overlaps = alphas, pairs, overlaps
 
+    @staticmethod
+    def _row(alpha: tuple[str, ...], beta: tuple[str, ...], overlap: float):
+        return alpha, beta, overlap
+
     def __len__(self) -> int:
         return len(self._overlaps)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(self._tuples(k))
+            return tuple(self._rows(k))
         a, b = self._pairs[:, operator.index(k)]
-        return self._alphas[a], self._alphas[b], float(self._overlaps[k])
+        return self._row(self._alphas[a], self._alphas[b], float(self._overlaps[k]))
 
-    def _tuples(self, k: slice = slice(None)):
+    def _rows(self, k: slice = slice(None)):
         names, (first, second) = self._alphas, self._pairs[:, k].tolist()
         overlaps = self._overlaps[k].tolist()
-        return ((names[a], names[b], o) for a, b, o in zip(first, second, overlaps))
+        return (self._row(names[a], names[b], o) for a, b, o in zip(first, second, overlaps))
 
-    __iter__ = _tuples
+    __iter__ = _rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, Violations)):
@@ -478,6 +476,17 @@ class Violations(Sequence):
         return f"<{len(self)} violations>"
 
 
+class ViolationRecords(Violations):
+    """The same view whose rows are ``{"alpha", "beta", "overlap"}`` dicts,
+    as reports carry them."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _row(alpha: tuple[str, ...], beta: tuple[str, ...], overlap: float) -> dict:
+        return {"alpha": list(alpha), "beta": list(beta), "overlap": overlap}
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Result of evaluating the decoherence functional's off-diagonals."""
@@ -486,42 +495,14 @@ class ConsistencyReport:
     violations: Violations
     max_normalized_overlap: float
 
-    def __bool__(self) -> bool:
-        return self.consistent
-
     def to_dict(self) -> dict:
+        v = self.violations
         return {
             "consistent": self.consistent,
             "max_normalized_overlap": self.max_normalized_overlap,
             "mode": "complex",  # the full condition, not only its real part
-            "violations": ViolationRecords(self.violations),
+            "violations": ViolationRecords(v._alphas, v._pairs, v._overlaps),
         }
-
-
-class ViolationRecords(Sequence):
-    """A read-only view of :class:`Violations` as ``{"alpha", "beta",
-    "overlap"}`` dicts that builds only the dicts read."""
-
-    __slots__ = ("_violations",)
-
-    def __init__(self, violations: Violations):
-        self._violations = violations
-
-    def __len__(self) -> int:
-        return len(self._violations)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(_record, self._violations[k]))
-        return _record(self._violations[k])
-
-    def __iter__(self):
-        return map(_record, self._violations)
-
-
-def _record(violation: tuple) -> dict:
-    alpha, beta, overlap = violation
-    return {"alpha": list(alpha), "beta": list(beta), "overlap": overlap}
 
 
 def consistency_check(
@@ -697,7 +678,7 @@ def event_probability(f: Family, subset: Iterable[Sequence[str]]) -> float:
     Additive over disjoint subsets by construction.
     """
     table = probabilities(f)
-    return table.event(f.resolve(alpha).slots for alpha in subset)
+    return table.event(map(f.resolve, subset))
 
 
 def histories_with_slots(f: Family, labels: Iterable[str]) -> tuple[tuple[str, ...], ...]:

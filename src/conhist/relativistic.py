@@ -7,10 +7,11 @@ projectors, and verification that a relabeled (boosted) description carries
 the same physics: transformed propagators, identical weight tables and
 consistency verdicts.
 
-Hypersurfaces are piecewise linear with strict sub-luminal slope and extend
-flat beyond their breakpoints.  Entangled events are atomic: every region of
-an entangled event must land on a single hypersurface, which is exactly what
-makes some event collections impossible to embed.
+Hypersurfaces are piecewise linear and extend flat beyond their breakpoints.
+A ``Region`` refuses a surface that is not spacelike (a slope of magnitude 1
+or more).  Entangled events are atomic: every region of an entangled event
+must land on a single hypersurface, which is exactly what makes some event
+collections impossible to embed.
 """
 
 from __future__ import annotations
@@ -125,18 +126,11 @@ class Hypersurface:
         return float(np.interp(x, self.xs, self.ts))
 
     def slopes(self) -> tuple[float, ...]:
-        if len(self.xs) == 1:
-            return ()
-        dx = np.diff(self.xs)
-        dt = np.diff(self.ts)
-        return tuple(float(s) for s in dt / dx)
-
-    def max_abs_slope(self) -> float:
-        slopes = self.slopes()
-        return max((abs(s) for s in slopes), default=0.0)
+        xs, ts = self.xs, self.ts
+        return tuple((ts[i + 1] - ts[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))
 
     def is_spacelike(self) -> bool:
-        return self.max_abs_slope() < 1.0
+        return all(abs(s) < 1.0 for s in self.slopes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +157,6 @@ class FoliationReport:
     valid: bool
     slope_violations: tuple[tuple[int, int, float], ...]  # (surface, piece, slope)
     ordering_violations: tuple[tuple[int, float, float, float], ...]  # (lower idx, x, tau_j, tau_j+1)
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 def validate_foliation(f: Foliation) -> FoliationReport:
@@ -195,7 +186,7 @@ def validate_foliation(f: Foliation) -> FoliationReport:
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """A finite set of lattice cells on a hypersurface."""
+    """A finite set of lattice cells on a spacelike hypersurface."""
 
     cells: frozenset[int]
     surface: Hypersurface
@@ -213,6 +204,8 @@ class Region:
         cells = frozenset(int(c) for c in cells)
         if not cells:
             raise ValueError("a region needs at least one cell")
+        if not self.surface.is_spacelike():
+            raise ValueError("a region's surface must be spacelike: every slope below 1 in magnitude")
         object.__setattr__(self, "cells", cells)
 
     @classmethod
@@ -310,7 +303,6 @@ def _point_precedes(p: SpacetimePoint, q: SpacetimePoint) -> bool:
 class CausalGraph:
     """Directed precedence between events."""
 
-    nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
     def has_edge(self, a: str, b: str) -> bool:
@@ -361,7 +353,7 @@ def causal_precedence(events: Sequence[TaggedEvent]) -> CausalGraph:
     cycle = _cycle(sorter)
     if cycle is not None:
         raise CyclicCausalityError(cycle)
-    return CausalGraph(tuple(ids), frozenset(edges))
+    return CausalGraph(frozenset(edges))
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,25 +427,12 @@ def embed_events(events: Sequence[TaggedEvent]) -> EmbeddingResult:
     for eid in ids:
         grouped[layer[eid]].append(eid)
 
-    # Collect constrained points per layer.
-    by_event = {e.id: e for e in events}
-    layer_points: list[list[SpacetimePoint]] = []
-    for group in grouped:
-        pts: list[SpacetimePoint] = []
-        for eid in group:
-            pts.extend(by_event[eid].points())
-        pts.sort(key=lambda p: (p.x, p.t))
-        merged: list[SpacetimePoint] = []
-        for p in pts:
-            if merged and abs(merged[-1].x - p.x) < 1e-12:
-                if abs(merged[-1].t - p.t) > 1e-9:
-                    raise EmbeddingImpossibleError(
-                        group[0],
-                        f"two points of one layer share x={p.x} at different times",
-                    )
-                continue
-            merged.append(p)
-        layer_points.append(merged)
+    # A layer's constrained points are the sorted set of its events' points.
+    # No two share an x at different times: cells are integers, one event's
+    # regions have disjoint cells, and two points at one x and different times
+    # are timelike or lightlike, so a precedence edge puts them in two layers.
+    points = {e.id: e.points() for e in events}
+    layer_points = [sorted({p for eid in group for p in points[eid]}) for group in grouped]
 
     all_x = sorted({p.x for pts in layer_points for p in pts})
     x_lo, x_hi = all_x[0] - 1.0, all_x[-1] + 1.0

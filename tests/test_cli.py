@@ -174,22 +174,13 @@ class TestCheck:
         # the text view prints 10 of the 56 violations and a count of the rest
         path = tmp_path / "alt.fam"
         path.write_text(ALTERNATING)
-        built, tuples, item = [], histories.Violations._tuples, histories.Violations.__getitem__
+        built = []
+        for view in (histories.Violations, histories.ViolationRecords):
+            def counted_row(*row, build=view._row):
+                built.append(row)
+                return build(*row)
 
-        def counted_tuples(self, k=slice(None)):
-            for record in tuples(self, k):
-                built.append(record)
-                yield record
-
-        def counted_item(self, k):
-            record = item(self, k)
-            if not isinstance(k, slice):  # a slice is counted by _tuples
-                built.append(record)
-            return record
-
-        monkeypatch.setattr(histories.Violations, "_tuples", counted_tuples)
-        monkeypatch.setattr(histories.Violations, "__iter__", counted_tuples)
-        monkeypatch.setattr(histories.Violations, "__getitem__", counted_item)
+            monkeypatch.setattr(view, "_row", staticmethod(counted_row))
         code, out, _ = run(capsys, "check", "--file", str(path), "--family", "alt")
         assert code == 1 and out.splitlines()[-1] == "  ... and 46 more"
         assert 0 < len(built) <= 10
@@ -559,8 +550,10 @@ class TestEmbed:
         ('"xs": [-10, 10]', f'"xs": [-1{"0" * 400}, 10]'),
         ('"id": "src"', '"id": "src", "time_index": "x"'),
         ('"id": "src"', '"id": "src", "projector": 5'),
+        ('"ts": [0, 0]', '"ts": [-20, 20]'),  # slope 2: not a spacelike surface
     ], ids=["cell-1e400", "cell-1.5", "cell-true", "cell-string", "cell-10**400", "id-number",
-            "x-true", "t-string", "x-minus-10**400", "time-index-string", "projector-number"])
+            "x-true", "t-string", "x-minus-10**400", "time-index-string", "projector-number",
+            "surface-slope-2"])
     def test_malformed_event_is_input_error(self, capsys, tmp_path, old, new):
         # not read as another cell or id, and no traceback
         path = tmp_path / "events.json"

@@ -1,4 +1,5 @@
 import collections
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from conhist.framework import (
 from conhist.hilbert import (
     DecompositionOfIdentity, DensityOperator, Ket, Operator, Projector, projector_onto_span,
 )
-from conhist.histories import Family, consistency_check, weight_table
+from conhist.histories import Family, consistency_check, time_reverse, weight_table
 from conhist.scenarios import build
+
+DATA = Path(__file__).parent / "data"
 
 Z_PLUS = Ket(np.array([1, 0]), "z+")
 Z_MINUS = Ket(np.array([0, 1]), "z-")
@@ -93,6 +96,27 @@ class TestExtend:
         fam = Family.pure(ps, (1, 2), Z_PLUS, [X_DEC])
         with pytest.raises(ValueError):
             extend(fam, [0.0])
+
+    @pytest.mark.parametrize("name", ["F1", "G1"])
+    def test_extend_reversed_family_before_its_final_state(self, name):
+        # after time reversal the state sits at the last slot, so the free
+        # times before it may be added and the weights stay put
+        rev = time_reverse(build("spin-half").families[name])
+        grid, anchor = rev.propagators.grid, rev.time_indices[-1]
+        free = [j for j in range(anchor) if j not in rev.time_indices]
+        assert free
+        ext = extend(rev, [grid.values[j] for j in free])
+        assert ext.initial_slot == len(ext) - 1
+        kept = [ext.time_indices.index(j) for j in rev.time_indices]
+        weights = dict(weight_table(rev).entries)
+        for alpha, w in weight_table(ext).entries:
+            assert abs(w - weights[tuple(alpha[k] for k in kept)]) < 1e-12
+
+    def test_extend_reversed_family_after_its_final_state_rejected(self, ps):
+        rev = time_reverse(Family.pure(ps, (1, 2), Z_PLUS, [X_DEC]))
+        assert extend(rev, [rev.propagators.grid.values[0]]).initial_slot == 2
+        with pytest.raises(ValueError, match="fixed final state to times after that state"):
+            extend(rev, [rev.propagators.grid.values[-1]])
 
     def test_splitting_zero_weight_member_preserves_probabilities(self):
         # the member orthogonal to the initial state carries no weight, so
@@ -290,6 +314,21 @@ class TestCommonRefinement:
         g = Family.pure(ps, (0, 1), X_PLUS, [X_DEC])
         with pytest.raises(FamilyMismatchError):
             common_refinement(f, g)
+
+    def test_near_initial_states_rejected(self):
+        # |<up|tilt>| is 1 within 1e-9, yet the anchored projectors differ by
+        # 1.4e-5 in Frobenius norm: two initial states, not one that fails to
+        # commute with itself
+        doc = parse((DATA / "near_initial_states.fam").read_text())
+        f, g = doc.family("F"), doc.family("G")
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(FamilyMismatchError, match="same initial state"):
+                common_refinement(a, b)
+
+    def test_initial_state_up_to_a_phase_is_comparable(self, ps):
+        f = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC])
+        g = Family.pure(ps, (0, 1), Ket(1j * Z_PLUS.amps, "z+"), [X_DEC])
+        assert common_refinement(f, g).classification == CLASS_IDENTICAL
 
     def test_pure_and_density_operator_families_rejected(self, ps):
         f = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC])

@@ -99,15 +99,15 @@ class TestRhoInner:
 
 class TestIsProjector:
     def test_identity(self):
-        assert is_projector(Operator.identity(2))
+        assert is_projector(Operator.identity(2)).ok
 
     def test_rank_one(self):
-        assert is_projector(Z_PLUS.projector().op)
+        assert is_projector(Z_PLUS.projector().op).ok
 
     def test_pauli_x_fails(self):
         pauli_x = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
         check = is_projector(pauli_x)
-        assert not check
+        assert not check.ok
         # X^2 = I, so the idempotency defect is ||X - I||
         assert check.idempotency_defect == pytest.approx(
             np.linalg.norm(pauli_x.mat - np.eye(2))
@@ -437,7 +437,7 @@ class TestBlockwiseChecks:
         unitary = unitary[np.ix_(perm, perm)]
         assert not one_block(*members, unitary)
         assert_checks_match_dense(members, unitary)
-        assert is_projector(Operator(members[0]))
+        assert is_projector(Operator(members[0])).ok
         assert unitarity_defect(Operator(unitary)) < TOL_PROJ
 
     @pytest.mark.parametrize("name", BUILDERS)
@@ -454,13 +454,13 @@ class TestBlockwiseChecks:
         ]
         for p in projectors:
             check = is_projector(Operator(p))
-            assert check
+            assert check.ok
             assert check.hermiticity_defect == float(np.linalg.norm(p - p.conj().T))
             assert_matches_dense(check.idempotency_defect, dense_idempotency(p), [p])
         for d in decompositions.values():
             mats = [p.mat for _, p in d.members]
             report = validate_decomposition(d)
-            assert report
+            assert report.valid
             assert report.completeness_defect == dense_completeness(mats)
             assert_matches_dense(report.max_pairwise_overlap, dense_max_overlap(mats), mats)
         for u in itertools.chain.from_iterable(unitaries.values()):

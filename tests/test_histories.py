@@ -12,8 +12,9 @@ from conhist.hilbert import (
     DensityOperator,
     Ket,
     Operator,
+    Projector,
 )
-from conhist import histories
+from conhist import hilbert, histories
 from conhist.histories import (
     EPS_ABS,
     EPS_REL,
@@ -279,22 +280,51 @@ class TestEngineAgainstHeisenbergOracle:
     """The engine's Schrodinger pass against ``chain_operator``, the Heisenberg
     form built one history at a time, on random small families.  Steps and
     bases are drawn either Haar-random or aligned with the computational
-    basis, so families with exactly vanishing chains come up as well."""
+    basis, so families with exactly vanishing chains come up as well.  A
+    bounded set of seeded d = 96 block-structured families puts both sides
+    on ``hilbert._product``'s block path."""
 
     @staticmethod
-    def family(seed, dim, n_slots, kind):
+    def family(seed, dim, n_slots, kind, blocks=False):
+        """With ``blocks``, one random partition of the basis into blocks of 1
+        to 12 states is shared by every step, a permutation with phases inside
+        each block, and every decomposition: 0/1 diagonals, or one block's
+        rank-1 projector and its complement.  From d = 96 up, every product
+        of steps and projectors then takes ``hilbert._product``'s block path
+        with components of several sizes."""
         rng = np.random.default_rng(seed)
         eye = np.eye(dim, dtype=complex)
+        if blocks:
+            cuts = np.cumsum(rng.integers(1, 13, size=dim))
+            parts = np.split(np.arange(dim), cuts[cuts < dim])
 
         def unitary():
+            if blocks:
+                mat = np.zeros((dim, dim), dtype=complex)
+                for b in parts:
+                    mat[rng.permutation(b), b] = np.exp(2j * np.pi * rng.random(len(b)))
+                return Operator(mat)
             if rng.random() < 0.5:
                 return random_unitary(dim, rng)
             return Operator(np.diag(np.exp(2j * np.pi * rng.random(dim))))
 
         def decomposition():
+            if not blocks:
+                if rng.random() < 0.5:
+                    return random_orthobasis_dec(dim, rng)
+                return DecompositionOfIdentity.from_basis([Ket(c) for c in eye], list("abcd")[:dim])
             if rng.random() < 0.5:
-                return random_orthobasis_dec(dim, rng)
-            return DecompositionOfIdentity.from_basis([Ket(c) for c in eye], list("abcd")[:dim])
+                owner = rng.integers(int(rng.integers(2, 4)), size=dim)
+                members = [np.diag((owner == m).astype(complex)) for m in np.unique(owner)]
+            else:
+                v = np.zeros(dim, dtype=complex)
+                b = parts[int(rng.integers(len(parts)))]
+                v[b] = rng.normal(size=len(b)) + 1j * rng.normal(size=len(b))
+                members = [np.outer(v, v.conj()) / np.vdot(v, v).real]
+                members.append(eye - members[0])
+            return DecompositionOfIdentity(
+                tuple((f"m{k}", Projector(Operator(m))) for k, m in enumerate(members))
+            )
 
         grid = TimeGrid(tuple(range(n_slots + 1)))
         ps = PropagatorSet(grid, tuple(unitary() for _ in range(n_slots)))
@@ -308,21 +338,17 @@ class TestEngineAgainstHeisenbergOracle:
             return Family(ps, times, tuple(decs), MixedInitial(rho), int(rng.integers(n_slots)))
         if kind == "none":
             return Family.general(ps, times, decs)
-        psi = eye[:, 0] if rng.random() < 0.5 else random_unitary(dim, rng).mat[:, 0]
+        # a basis state keeps the anchored {state, complement} pair 0/1 diagonal
+        psi = eye[:, 0] if blocks or rng.random() < 0.5 else random_unitary(dim, rng).mat[:, 0]
         fam = Family.pure(ps, times, Ket(psi, "psi0"), decs[1:])
         return time_reverse(fam) if kind == "reversed" else fam
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(1, 4),
-        st.sampled_from(["pure", "reversed", "mixed", "none"]),
-    )
-    def test_weights_and_gram_match(self, seed, dim, n_slots, kind):
-        fam = self.family(seed, dim, n_slots, kind)
+    @staticmethod
+    def assert_engine_matches_oracle(fam):
         analysis = _analyze(fam)
         # n_slots * d * eps * |seed|_F, with |sqrt(rho)|_F = 1 and |I|_F = sqrt(d)
-        seed_norm = np.sqrt(dim) if kind == "none" else 1.0
-        assert analysis.floor == pytest.approx(n_slots * dim * np.finfo(float).eps * seed_norm)
+        seed_norm = np.sqrt(fam.dim) if fam.initial is None else 1.0
+        assert analysis.floor == pytest.approx(len(fam) * fam.dim * np.finfo(float).eps * seed_norm)
         alphas = fam.alphas()
         kept = set(analysis.nonzero.tolist())
         last = len(fam.propagators.grid) - 1
@@ -345,6 +371,23 @@ class TestEngineAgainstHeisenbergOracle:
             sub = oracle[np.ix_(analysis.nonzero, analysis.nonzero)]
             gram = analysis.rows @ analysis.rows.conj().T
             assert np.abs(gram - sub).max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(1, 4),
+        st.sampled_from(["pure", "reversed", "mixed", "none"]),
+    )
+    def test_weights_and_gram_match(self, seed, dim, n_slots, kind):
+        self.assert_engine_matches_oracle(self.family(seed, dim, n_slots, kind))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_block_structured_weights_and_gram_match(self, seed):
+        kind = ("pure", "reversed", "mixed", "none")[seed % 4]
+        fam = self.family(seed, 96, 1 + seed % 3, kind, blocks=True)
+        step, member = fam.propagators.steps[0].mat, fam.decompositions[-1].members[0][1].mat
+        sizes = {idx.shape[1] for idx in hilbert._blocks(step, member)}
+        assert len(sizes) > 1 and max(sizes) < fam.dim  # split, into more than one size
+        self.assert_engine_matches_oracle(fam)
 
 
 class TestConsistency:

@@ -95,7 +95,7 @@ class TestFoliation:
         s1 = Hypersurface((0.0, 4.0, 8.0), (1.0, 1.0, 3.0))
         s2 = Hypersurface((0.0, 4.0, 8.0), (2.5, 2.5, 4.5))
         fol = Foliation((s1, s2))
-        assert max(s.max_abs_slope() for s in fol.surfaces) == 0.5
+        assert max(abs(slope) for s in fol.surfaces for slope in s.slopes()) == 0.5
         assert validate_foliation(fol).valid
 
 
@@ -117,6 +117,12 @@ class TestInputRules:
     def test_region_refuses_non_integer_cell(self, cells):
         with pytest.raises(ValueError, match="is not an integer"):
             Region.at(cells, self.SURFACE)
+
+    @pytest.mark.parametrize("xs,ts", [((-5, 5), (-5, 5)), ((-5, 5), (-10, 10)), ((-5, 5, 10), (0, 0, 20))],
+                             ids=["lightlike", "slope-2", "steep-piece"])
+    def test_region_refuses_non_spacelike_surface(self, xs, ts):
+        with pytest.raises(ValueError, match="must be spacelike"):
+            Region.at([0], Hypersurface(xs, ts))
 
     def test_region_accepts_numpy_integers(self):
         assert Region.at(np.array([3, 1]), self.SURFACE).cells == {1, 3}

@@ -1,13 +1,18 @@
 import collections.abc
 import dataclasses
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from conhist import histories, relativistic
+from conhist import cli, histories, relativistic
 from conhist.dynamics import TOL_UNITARY, PropagatorSet
-from conhist.framework import common_refinement
+from conhist.framework import (
+    CLASS_COMMON, CLASS_DYNAMIC, CLASS_IDENTICAL, CLASS_KINEMATIC, CLASS_REFINEMENT,
+    common_refinement, extend,
+)
 from conhist.hilbert import Operator, unitarity_defect
 from conhist.histories import (
     EPS_REL,
@@ -108,6 +113,72 @@ def test_no_reachable_array_is_writeable(name):
     ])
     assert verdicts and (embedded is not None or name == "spin-half")  # it has no events
     assert found and [a.shape for a in found if a.flags.writeable] == []
+
+
+# Per scenario, one family pair for each compat verdict class it produces (the
+# kinematic, common-refinement and dynamic classes), plus a self-pair, which
+# is identical.
+COMPAT_SAMPLE = {
+    "spin-half": [("F0", "F1"), ("F1", "G1"), ("F1-remerge", "G0"), ("F1", "F1")],
+    "epr": [("F0", "F1"), ("F0", "G2")],
+    "hardy": [("arm-pair", "blocker")],
+    "wavepacket": [("F0", "F1"), ("F0", "G0"), ("F2-remerge", "G1")],
+}
+
+
+def library_pass() -> str:
+    """The library calls behind the paradox commands, one pass over the
+    shared scenarios, serialized as the CLI's JSON serializes results."""
+    out = []
+    for name, scn in sorted(SCENARIOS.items()):
+        fams = scn.families
+        for fam in fams.values():
+            out.append(consistency_check(fam).to_dict())
+            try:
+                out.append(probabilities(fam).items())
+            except histories.InconsistentFamilyError as exc:
+                out.append(str(exc))
+        out.append([r.to_dict() for r in scn.run_expected()])
+        out += [common_refinement(fams[a], fams[b]).to_dict() for a, b in COMPAT_SAMPLE[name]]
+    # a family against its extension is a refinement
+    f1 = SCENARIOS["spin-half"].families["F1"]
+    out.append(common_refinement(f1, extend(f1, [4.0])).to_dict())
+    wp = SCENARIOS["wavepacket"]
+    mid = int(wp.propagators.grid.values[2])
+    out.append(embed_events([wp.events[k] for k in ("int3-t1", f"int3-t{mid}", "bp1", "bp2")])
+               .to_dict())
+    try:
+        embed_events([wp.events["psi-t1"], wp.events["psi-boosted"]])
+    except EmbeddingImpossibleError as exc:
+        out.append({"witness": exc.witness, "detail": exc.detail})
+    return cli._to_json(out)
+
+
+def test_shared_scenarios_give_serial_results_under_threads():
+    # four threads make one pass each over the same scenario objects; each
+    # pass must serialize to exactly what a serial pass does
+    serial = library_pass()
+    classes = (CLASS_IDENTICAL, CLASS_REFINEMENT, CLASS_COMMON, CLASS_KINEMATIC, CLASS_DYNAMIC)
+    assert all(f'"classification": "{c}"' in serial for c in classes)
+    assert '"witness": "psi-' in serial  # the second embedding is refused
+    start, results = threading.Barrier(4), [None] * 4
+
+    def run(k):
+        start.wait()
+        results[k] = library_pass()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == serial for r in results)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
