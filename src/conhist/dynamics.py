@@ -68,7 +68,7 @@ class PropagatorSet:
     grid: TimeGrid
     steps: tuple[Operator, ...]
     space_dim: int | None = None
-    _cumulative: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _cumulative: tuple[Operator, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -89,13 +89,9 @@ class PropagatorSet:
                 raise ValueError(f"step {j} is not unitary: defect {defect:.3e}")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "space_dim", dims.pop())
-        acc = np.eye(self.space_dim, dtype=np.complex128)
-        cumulative = [acc]
+        cumulative = [Operator.identity(self.space_dim)]
         for u in steps:
-            acc = _product(u.mat, acc)
-            cumulative.append(acc)
-        for mat in cumulative:
-            mat.flags.writeable = False
+            cumulative.append(Operator(_product(u, cumulative[-1])))
         object.__setattr__(self, "_cumulative", tuple(cumulative))
 
     @classmethod
@@ -114,17 +110,17 @@ class PropagatorSet:
         if j == k:
             return Operator.identity(self.dim)
         if k == 0:
-            return Operator(self._cumulative[j])
+            return self._cumulative[j]
         if j == 0:
-            return Operator(self._cumulative[k].conj().T)
-        return Operator(_product(self._cumulative[j], self._cumulative[k].conj().T))
+            return self._cumulative[k].dagger()
+        return Operator(_product(self._cumulative[j], self._cumulative[k].dagger()))
 
     def heisenberg_matrix(self, mat: np.ndarray, j: int, reference: int = 0) -> np.ndarray:
         """Heisenberg form ``T(r, j) M T(j, r)`` of an operator at time j."""
         if j == reference:
             return mat
-        t_rj = self.propagator(reference, j).mat
-        return _product(_product(t_rj, mat), t_rj.conj().T)
+        t_rj = self.propagator(reference, j)
+        return _product(Operator(_product(t_rj, Operator(mat))), t_rj.dagger())
 
     def same_dynamics(self, other: "PropagatorSet") -> bool:
         """Equal grids, and step unitaries equal under ``Operator.allclose``."""

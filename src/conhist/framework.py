@@ -191,7 +191,7 @@ def _slotwise_product(f: Family, g: Family) -> _Product | KinematicWitness:
             members = []
             for la, p in dec_f.members:
                 for lb, q in dec_g.members:
-                    pq, qp = _products(p.mat, q.mat)
+                    pq, qp = _products(p.op, q.op)
                     comm = _frob(pq - qp)
                     if comm >= COMMUTE_TOL:
                         return KinematicWitness(labels[idx], la, lb, comm)
@@ -233,21 +233,21 @@ def _same_decomposition(a: DecompositionOfIdentity, b: DecompositionOfIdentity) 
 def common_refinement(f: Family, g: Family) -> CompatibilityVerdict:
     """Attempt the coarsest common refinement: the slotwise product family.
 
-    Classification: identical (the same times and decompositions),
-    kinematic-incompatible (a noncommuting slotwise pair, with the offending
-    time and labels as witness), refinement (the product is one of the two
-    families, g when it is both, and that finer family is consistent),
-    dynamic-incompatible (the finer family or the product family fails the
-    consistency conditions; the report is attached), or
-    common-refinement-found.
+    Classification: identical (the same times and decompositions, and that
+    family is consistent), kinematic-incompatible (a noncommuting slotwise
+    pair, with the offending time and labels as witness), refinement (the
+    product is one of the two families, g when it is both, and that finer
+    family is consistent), dynamic-incompatible (the shared family, the
+    finer family or the product family fails the consistency conditions;
+    the report is attached), or common-refinement-found.
     """
     _check_comparable(f, g)
     product = _slotwise_product(f, g)
     if isinstance(product, KinematicWitness):
         return CompatibilityVerdict(False, CLASS_KINEMATIC, witness=product)
     if product.same and f.time_indices == g.time_indices:
-        return CompatibilityVerdict(True, CLASS_IDENTICAL, refinement=f)
-    if product.g_finer or product.f_finer:
+        finer, classification = f, CLASS_IDENTICAL
+    elif product.g_finer or product.f_finer:
         finer, classification = (g if product.g_finer else f), CLASS_REFINEMENT
     else:
         finer, classification = _product_family(f, g, product), CLASS_COMMON

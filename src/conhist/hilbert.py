@@ -40,7 +40,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
     mat = np.array(entries, dtype=np.complex128, copy=True)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    # a finite sum has only finite terms; only an overflow needs the entries
+    if not np.isfinite(mat.sum()) and not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite")
     mat.flags.writeable = False
     return mat
@@ -67,54 +68,61 @@ def _frob(mat: np.ndarray) -> float:
 # the summation order of a Frobenius norm changes.  The hermiticity and
 # completeness defects are scattered into a zero matrix before the norm, so
 # they equal the dense formulas bit for bit; products of permutations and
-# 0/1 diagonals are bit-identical to ``@``.  When a search does not pay or
-# the pattern does not split, the whole matrix is the one block (the group
-# ``arange(dim)[None]``, gathered as the view ``mat[None]``), and each
-# formula is then the dense one, bit for bit.  Finding the blocks costs
-# about 0.1 ms, so they are searched from dimension _BLOCK_MIN_DIM up and
-# used when at most 1/_BLOCK_MAX_FILL of the pattern's entries are nonzero.
-# Measured with one BLAS thread on block-diagonal inputs under a random
-# permutation: one projector or unitary breaks even near dimension 80, is
-# 1.4-2x faster at 96 and 3-5x at 196; a 9-member decomposition is already
-# 2x faster at 32 and 40x at 196.  A connected pattern under the fill bound
-# pays the search on top of the one-block product (+0.1-0.4 ms at 96-196).
+# 0/1 diagonals are bit-identical to ``@``.  From dimension _BLOCK_MIN_DIM
+# up, an Operator's constructor labels each index with the smallest index
+# of its component if at most 1/_BLOCK_MAX_FILL of the pattern is nonzero
+# (a bound per operand, not on a union), a product or check joins its
+# operands' labels in O(dim) by linking each index to its label in each,
+# and a one-ket projector_onto_span is formed on the ket's support rows.
+# An operand without labels, or a joint pattern that does not split, makes
+# the whole matrix the one block (the group None, gathered as ``mat[None]``)
+# where each formula is the dense one, bit for bit.  Labelling costs 0.03-0.07
+# ms at 196; with one BLAS thread, blocks break even near dimension 80.
 _BLOCK_MIN_DIM = 96
 _BLOCK_MAX_FILL = 8
 
 
-def _blocks(*mats: np.ndarray) -> list[np.ndarray]:
-    """Components of the joint symmetrized nonzero pattern of ``mats``.
-
-    Returns one ``(n, s)`` index array per component size ``s`` (ascending
-    indices within each component), or the one whole-matrix group
-    ``[arange(dim)[None]]`` when the pattern does not split or a search
-    would not pay.
-    """
-    dim = mats[0].shape[0]
-    whole = [np.arange(dim)[None]]
-    if dim < _BLOCK_MIN_DIM:
-        return whole
-    pattern = np.zeros((dim, dim), dtype=bool)
-    for m in mats:
-        # a complex entry is nonzero when either of its two float halves is;
-        # comparing the float view is several times faster than ``m != 0``
-        pattern |= (np.ascontiguousarray(m).view(np.float64) != 0).view(np.uint16) != 0
-    pattern = pattern | pattern.T
-    nonzero = np.flatnonzero(pattern)
-    if _BLOCK_MAX_FILL * nonzero.size > dim * dim:
-        return whole
-    rows, cols = np.divmod(nonzero, dim)
-    # Label every index with an index of its component: hook the tree of
-    # each row onto the smallest label among the row's neighbours, then jump
-    # pointers.  Labels only decrease and stay inside their component, and
-    # at the fixed point both ends of every edge carry the same label.
-    label = np.arange(dim)
+def _components(label: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Read-only component labels of the graph with edges ``(rows, cols)``: from a start
+    ``label`` giving each index one no larger in its component, edges hook their ends'
+    trees onto the smaller label and pointers jump, to each component's least index."""
     while True:
-        before = label.copy()
+        before, label = label, label.copy()
         np.minimum.at(label, label[rows], label[cols])
+        np.minimum.at(label, label[cols], label[rows])
         label = label[label[label]]
         if np.array_equal(label, before):
             break
+    label.flags.writeable = False
+    return label
+
+
+def _pattern_labels(mat: np.ndarray) -> np.ndarray | None:
+    """Component labels of ``mat``'s symmetrized nonzero pattern; None over the fill bound."""
+    # a complex entry is nonzero when either of its two float halves is;
+    # comparing the float view is several times faster than ``mat != 0``
+    pattern = (np.ascontiguousarray(mat).view(np.float64) != 0).view(np.uint16) != 0
+    rows, cols = np.divmod(np.flatnonzero(pattern), len(mat))
+    # the symmetrized pattern holds each nonzero and its mirror
+    if _BLOCK_MAX_FILL * (2 * rows.size - np.count_nonzero(pattern[cols, rows])) > mat.size:
+        return None
+    return _components(np.arange(len(mat)), rows, cols)
+
+
+def _blocks(*ops: "Operator") -> Sequence:
+    """Components of the joint symmetrized nonzero pattern of ``ops``, from
+    their labels: one ``(n, s)`` index array per component size ``s``
+    (ascending indices within each component), or the whole-matrix ``[None]``."""
+    for op in ops:
+        if op.block_labels is None:
+            return [None]
+    labels = [op.block_labels for op in ops]
+    label = labels[0]
+    if any(not np.array_equal(lab, label) for lab in labels[1:]):
+        links = np.tile(np.arange(len(label)), len(labels))
+        label = _components(np.minimum.reduce(labels), links, np.concatenate(labels))
+    if not label.any():  # one component
+        return [None]
     size = np.bincount(label)[label]
     # components by size, then by label; indices ascending within each
     order = np.lexsort((label, size))
@@ -122,19 +130,19 @@ def _blocks(*mats: np.ndarray) -> list[np.ndarray]:
     return [part.reshape(-1, size[part[0]]) for part in np.split(order, cuts)]
 
 
-def _gather(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _gather(mat: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
     """The diagonal blocks ``mat[c][:, c]`` for the rows ``c`` of ``idx``,
     stacked as an ``(n, s, s)`` array; the whole-matrix group's is the view
     ``mat[None]``."""
-    if idx.shape[1] == len(mat):
+    if idx is None:
         return mat[None]
     return mat[idx[:, :, None], idx[:, None, :]]
 
 
-def _scatter(dim: int, groups: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:
+def _scatter(dim: int, groups: Sequence, blocks: list[np.ndarray]) -> np.ndarray:
     """Zero outside the diagonal blocks, one ``(n, s, s)`` array per group;
     the whole-matrix group's one block is returned as it is."""
-    if groups[0].shape[1] == dim:
+    if groups[0] is None:
         return blocks[0][0]
     out = np.zeros((dim, dim), dtype=np.complex128)
     for idx, b in zip(groups, blocks):
@@ -142,19 +150,25 @@ def _scatter(dim: int, groups: list[np.ndarray], blocks: list[np.ndarray]) -> np
     return out
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of two complex square matrices, block by block."""
-    groups = _blocks(a, b)
-    return _scatter(len(a), groups, [_gather(a, idx) @ _gather(b, idx) for idx in groups])
+def _scattered_norm(dim: int, groups: Sequence, blocks: list[np.ndarray]) -> float:
+    """``_frob(_scatter(dim, groups, blocks))``; all-zero blocks sum to 0.0 unscattered."""
+    zero = groups[0] is not None and not any(b.any() for b in blocks)
+    return 0.0 if zero else _frob(_scatter(dim, groups, blocks))
 
 
-def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a @ b, b @ a)``, the same arrays as two ``_product`` calls, from one
-    block search (the joint pattern of ``a, b`` is that of ``b, a``)."""
+def _product(a: "Operator", b: "Operator") -> np.ndarray:
+    """``a.mat @ b.mat``, block by block."""
     groups = _blocks(a, b)
-    pairs = [(_gather(a, idx), _gather(b, idx)) for idx in groups]
-    ab = _scatter(len(a), groups, [x @ y for x, y in pairs])
-    return ab, _scatter(len(a), groups, [y @ x for x, y in pairs])
+    return _scatter(a.dim, groups, [_gather(a.mat, idx) @ _gather(b.mat, idx) for idx in groups])
+
+
+def _products(a: "Operator", b: "Operator") -> tuple[np.ndarray, np.ndarray]:
+    """``(a.mat @ b.mat, b.mat @ a.mat)``, the same arrays as two ``_product``
+    calls, from one join (the joint pattern of ``a, b`` is that of ``b, a``)."""
+    groups = _blocks(a, b)
+    pairs = [(_gather(a.mat, idx), _gather(b.mat, idx)) for idx in groups]
+    ab = _scatter(a.dim, groups, [x @ y for x, y in pairs])
+    return ab, _scatter(a.dim, groups, [y @ x for x, y in pairs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +218,12 @@ class Operator:
     """
 
     mat: np.ndarray
+    block_labels = None  # the constructor's, from dimension _BLOCK_MIN_DIM up
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _as_complex_matrix(self.mat))
+        if len(self.mat) >= _BLOCK_MIN_DIM:
+            object.__setattr__(self, "block_labels", _pattern_labels(self.mat))
 
     @classmethod
     def identity(cls, dim: int) -> "Operator":
@@ -233,15 +250,15 @@ class Operator:
         """Frobenius norm of ``[self, other]``."""
         if self.dim != other.dim:
             raise DimensionMismatchError("operator dimensions differ")
-        return _frob(np.subtract(*_products(self.mat, other.mat)))
+        return _frob(np.subtract(*_products(self, other)))
 
 
 def unitarity_defect(u: Operator) -> float:
     """``||U^dag U - I||_F``; zero for exact unitaries."""
     total = 0.0
-    for idx in _blocks(u.mat):
+    for idx in _blocks(u):
         b = _gather(u.mat, idx)
-        total += _frob_sq(b.conj().transpose(0, 2, 1) @ b - np.eye(idx.shape[1]))
+        total += _frob_sq(b.conj().transpose(0, 2, 1) @ b - np.eye(b.shape[1]))
     return math.sqrt(total)
 
 
@@ -256,10 +273,10 @@ class ProjectorCheck:
 
 def is_projector(p: Operator) -> ProjectorCheck:
     """Test whether ``p`` is an orthogonal projector within ``TOL_PROJ`` (Frobenius)."""
-    groups = _blocks(p.mat)
+    groups = _blocks(p)
     blocks = [_gather(p.mat, idx) for idx in groups]
     skew = [b - b.conj().transpose(0, 2, 1) for b in blocks]
-    herm = _frob(_scatter(p.dim, groups, skew))
+    herm = _scattered_norm(p.dim, groups, skew)
     idem = math.sqrt(sum(_frob_sq(b - b @ b) for b in blocks))
     return ProjectorCheck(herm < TOL_PROJ and idem < TOL_PROJ, herm, idem)
 
@@ -443,19 +460,19 @@ class DecompositionOfIdentity:
 
 def validate_decomposition(d: DecompositionOfIdentity) -> DecompositionReport:
     """Report completeness defect ``||sum P - I||`` and max pairwise ``||P_a P_b||``."""
-    mats = [proj.mat for _, proj in d.members]
-    groups = _blocks(*mats)
+    ops = [proj.op for _, proj in d.members]
+    groups = _blocks(*ops)
     # one size group's blocks of every member at a time, so memory stays
     # within that of the members
-    pairs = list(itertools.combinations(range(len(mats)), 2))
+    pairs = list(itertools.combinations(range(len(ops)), 2))
     squares = [0.0] * len(pairs)
     residuals = []
     for idx in groups:
-        blocks = [_gather(m, idx) for m in mats]
-        residuals.append(sum(blocks) - np.eye(idx.shape[1]))
+        blocks = [_gather(op.mat, idx) for op in ops]
+        residuals.append(sum(blocks) - np.eye(blocks[0].shape[1]))
         for k, (i, j) in enumerate(pairs):
             squares[k] += _frob_sq(blocks[i] @ blocks[j])
-    completeness = _frob(_scatter(d.dim, groups, residuals))
+    completeness = _scattered_norm(d.dim, groups, residuals)
     max_overlap = math.sqrt(max(squares, default=0.0))
     return DecompositionReport(
         valid=(completeness < TOL_PROJ and max_overlap < TOL_PROJ),
@@ -481,7 +498,14 @@ def projector_onto_span(kets: Sequence[Ket]) -> Projector:
         raise ValueError("cannot project onto the span of zero kets")
     keep = s > TOL_SPAN * s[0]
     basis = u[:, keep]
-    mat = basis @ basis.conj().T
-    # Symmetrize away the last rounding crumbs so downstream checks are clean.
-    mat = (mat + mat.conj().T) / 2.0
+    if len(kets) > 1 or len(basis) < _BLOCK_MIN_DIM:
+        mat = basis @ basis.conj().T
+        # Symmetrize away the last rounding crumbs so downstream checks are clean.
+        return Projector(Operator((mat + mat.conj().T) / 2.0))
+    # one ket's projector is zero off its support: formed on those rows, it is
+    # the all-rows formula bit for bit (a part of a sum over kets is not)
+    rows = np.flatnonzero(basis[:, 0])
+    block = basis[rows] @ basis[rows].conj().T
+    mat = np.zeros((len(basis),) * 2, dtype=np.complex128)
+    mat[np.ix_(rows, rows)] = (block + block.conj().T) / 2.0
     return Projector(Operator(mat))

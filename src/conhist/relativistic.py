@@ -545,9 +545,9 @@ class CovarianceMap:
 
     def conjugate(self, mat: np.ndarray, j: int, k: int | None = None) -> np.ndarray:
         """``L_j mat L_k^dag``; ``k`` defaults to ``j``."""
-        lj = self.unitaries[j].mat
-        lk = lj if k is None else self.unitaries[k].mat
-        return _product(_product(lj, mat), lk.conj().T)
+        lj = self.unitaries[j]
+        lk = lj if k is None else self.unitaries[k]
+        return _product(Operator(_product(lj, Operator(mat))), lk.dagger())
 
     def relabel_propagators(self, ps: PropagatorSet) -> PropagatorSet:
         """The same dynamics in the relabeled bases, step by step."""

@@ -93,7 +93,7 @@ def build_wavepacket(
         shift[p_idx((c + 1) % n_cells, _RIGHT), p_idx(c, _RIGHT)] = 1.0
     shift[absorbed, absorbed] = 1.0
     i2 = np.eye(2, dtype=np.complex128)
-    shift_full = np.kron(shift, np.kron(i2, i2))
+    shift_full = Operator(np.kron(shift, np.kron(i2, i2)))
 
     def detector_swap(det_cell: int, direction: int, which: str) -> np.ndarray:
         """Swap |det_cell, dir>|ready> with |absorbed>|triggered>.
@@ -112,18 +112,13 @@ def build_wavepacket(
             u[dst, src] = u[src, dst] = 1.0
         return u
 
-    swap_a = detector_swap(det_a, _LEFT, "A")
-    swap_b = detector_swap(det_b, _RIGHT, "B")
-
+    # the shift, after a detector's swap at the step the packet reaches it
+    swaps = {t_a - 1: detector_swap(det_a, _LEFT, "A"), t_b - 1: detector_swap(det_b, _RIGHT, "B")}
     t_max = t_b + 1
-    lattice_steps = []
-    for t in range(t_max):
-        u = shift_full
-        if t == t_a - 1:
-            u = _product(swap_a, u)
-        if t == t_b - 1:
-            u = _product(swap_b, u)
-        lattice_steps.append(u)
+    lattice_steps = [
+        Operator(_product(Operator(swaps[t]), shift_full)) if t in swaps else shift_full
+        for t in range(t_max)
+    ]
 
     mid = (1 + (t_a - 1)) // 2
     f_times = (0, 1, mid, t_a - 1)
@@ -135,8 +130,8 @@ def build_wavepacket(
     for v0, v1 in zip(master_values, master_values[1:]):
         u = lattice_steps[v0]
         for t in range(v0 + 1, v1):
-            u = _product(lattice_steps[t], u)
-        steps.append(Operator(u))
+            u = Operator(_product(lattice_steps[t], u))
+        steps.append(u)
     ps = PropagatorSet(grid, tuple(steps))
 
     midx = {v: i for i, v in enumerate(master_values)}
@@ -156,7 +151,7 @@ def build_wavepacket(
     evolved = {0: psi0_vec}
     vec = psi0_vec
     for t in range(t_max):
-        vec = lattice_steps[t] @ vec
+        vec = lattice_steps[t].mat @ vec
         evolved[t + 1] = vec
 
     interval_of = {}
@@ -219,12 +214,12 @@ def build_wavepacket(
     a1_label = f"int{interval_of[source - mid]}"
     b1_label = f"int{interval_of[source + mid]}"
     g1_t1 = with_rest(
-        ("a1.AB", Projector(Operator(_product(P[a1_label].mat, P["AB"].mat)))),
-        ("b1.AB", Projector(Operator(_product(P[b1_label].mat, P["AB"].mat)))),
+        ("a1.AB", Projector(Operator(_product(P[a1_label].op, P["AB"].op)))),
+        ("b1.AB", Projector(Operator(_product(P[b1_label].op, P["AB"].op)))),
     )
     g2_t2 = with_rest(
         ("A*B", P["A*B"]),
-        ("phib.AB", Projector(Operator(_product(P["phib.AB"].mat, P["AB"].mat)))),
+        ("phib.AB", Projector(Operator(_product(P["phib.AB"].op, P["AB"].op)))),
     )
 
     f_idx = tuple(midx[v] for v in f_times)

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from conhist.hilbert import _product
+from conhist.hilbert import Operator, _product
 from conhist.relativistic import SPACELIKE, classify_interval
 
 
@@ -41,11 +41,15 @@ def _heisenberg_chains(fam, alphas, ref):
     made once per (slot, member) instead of once per history, and multiplied
     in time order block by block through ``hilbert._product``."""
     forms = [
-        {label: fam.propagators.heisenberg_matrix(proj.mat, j, ref) for label, proj in dec.members}
+        {
+            label: Operator(fam.propagators.heisenberg_matrix(proj.mat, j, ref))
+            for label, proj in dec.members
+        }
         for j, dec in zip(fam.time_indices, fam.decompositions)
     ]
     for alpha in alphas:
-        yield functools.reduce(_product, (forms[slot][label] for slot, label in enumerate(alpha)))
+        chain = (forms[slot][label] for slot, label in enumerate(alpha))
+        yield functools.reduce(lambda a, b: Operator(_product(a, b)), chain).mat
 
 
 @pytest.fixture

@@ -392,6 +392,11 @@ class TestCompat:
         assert code == 0
         assert "identical" in out
 
+    def test_inconsistent_self_pair_is_dynamic(self, capsys):
+        code, out, _ = run(capsys, "compat", "--scenario", "hardy", "blocker", "blocker")
+        assert code == 1
+        assert "dynamic-incompatible" in out
+
     def test_dynamic_pair_from_file(self, capsys, tmp_path):
         text = MINIMAL + """
 proj pup on q = span(up)

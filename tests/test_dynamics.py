@@ -81,9 +81,9 @@ class TestPropagatorComposition:
 
     def test_cumulative_propagators_are_read_only(self):
         assert len(self.ps._cumulative) == 6
-        for mat in self.ps._cumulative:
+        for op in self.ps._cumulative:
             with pytest.raises(ValueError, match="read-only"):
-                mat[0, 0] = 0
+                op.mat[0, 0] = 0
 
     def test_fresh_set_is_safe_to_share_between_threads(self):
         # four threads compose on a set nobody has touched yet

@@ -206,6 +206,20 @@ class TestCommonRefinement:
         assert verdict.classification == CLASS_IDENTICAL
         assert verdict.compatible
 
+    @pytest.mark.parametrize(
+        "scenario,name",
+        [("spin-half", "F1-remerge"), ("wavepacket", "F2-remerge"), ("hardy", "blocker")],
+    )
+    def test_inconsistent_family_with_itself_is_dynamic(self, scenario, name):
+        # compatibility is defined for consistent families only, so a family
+        # that fails the consistency conditions is not compatible even with
+        # itself; the verdict carries the family's own report
+        fam = build(scenario).families[name]
+        verdict = common_refinement(fam, fam)
+        assert verdict.classification == CLASS_DYNAMIC and not verdict.compatible
+        assert verdict.witness.to_dict() == consistency_check(fam).to_dict()
+        assert not verdict.witness.consistent
+
     def test_extension_is_refinement_classified(self, ps):
         fam = Family.pure(ps, (0, 1), Z_PLUS, [X_DEC])
         verdict = common_refinement(fam, extend(fam, [2.0]))
@@ -445,8 +459,9 @@ def test_families_from_one_random_basis(dim, block, n_fine, n_coarse):
     fine = family(_span_decomposition(u, fine_groups, "f"), "fine")
     coarse = family(_span_decomposition(u, coarse_groups, "c"), "coarse")
     shuffled = family(_span_decomposition(u, fine_groups[::-1], "s"), "shuffled")
-    members = [p.mat for _, p in fine.decompositions[1].members]
-    assert sum(len(g) for g in hilbert._blocks(*members)) == dim // block
+    members = [p.op for _, p in fine.decompositions[1].members]
+    groups = hilbert._blocks(*members)
+    assert sum(1 if g is None else len(g) for g in groups) == dim // block
     assert is_refinement(coarse, fine) and not is_refinement(fine, coarse)
     for a, b in ((coarse, fine), (fine, coarse)):
         verdict = common_refinement(a, b)
@@ -475,46 +490,62 @@ def commutator_by_two_products(p, q):
 
 
 class TestOneBlockSearchPerPair:
-    """At d = 196 each (P, Q) pair costs one block search over a whole
-    compatibility query: the commutator, the refinement test and the ``P Q``
-    member come from the same one."""
+    """At d = 196 each operand's pattern is scanned once, when it is built,
+    and each (P, Q) pair costs one join of the two operands' labels over a
+    whole compatibility query: the commutator, the refinement test and the
+    ``P Q`` member come from the same one."""
 
     @pytest.fixture
-    def searches(self, monkeypatch):
-        """Block searches by the ids of their matrices."""
-        counts = collections.Counter()
-        real_blocks = hilbert._blocks
+    def scans(self, monkeypatch):
+        """Pattern scans by the ids of their matrices, and joins by the ids
+        of their operands; the scanned matrices are kept, so no id is reused."""
+        counts = {"scans": collections.Counter(), "joins": collections.Counter()}
+        real_scan, real_blocks = hilbert._pattern_labels, hilbert._blocks
+        scanned = []
 
-        def counting(*mats):
-            counts[tuple(id(m) for m in mats)] += 1
-            return real_blocks(*mats)
+        def scan(mat):
+            counts["scans"][id(mat)] += 1
+            scanned.append(mat)
+            return real_scan(mat)
 
-        monkeypatch.setattr(hilbert, "_blocks", counting)
+        def blocks(*ops):
+            counts["joins"][tuple(id(op) for op in ops)] += 1
+            return real_blocks(*ops)
+
+        monkeypatch.setattr(hilbert, "_pattern_labels", scan)
+        monkeypatch.setattr(hilbert, "_blocks", blocks)
         return counts
 
-    def test_product_loop_and_commutator_norm(self, searches):
+    def test_product_loop_and_commutator_norm(self, scans):
         scn = build("wavepacket")
+        # every operator of the build was scanned once, as it was made
+        assert set(scans["scans"].values()) == {1}
         f, g = scn.families["F1"], scn.families["G1"]
         columns = framework._aligned((f, g))[1]
         # the columns that reach the product loop: distinct and nontrivial
         pairs = [
-            (p, q)
+            (p.op, q.op)
             for dec_f, dec_g in columns
             if min(len(dec_f), len(dec_g)) > 1 and not framework._same_decomposition(dec_f, dec_g)
             for _, p in dec_f.members
             for _, q in dec_g.members
         ]
         assert len(pairs) == 27  # the nine intervals against G1's three members
-        searches.clear()
+        operands = {id(op.mat) for pair in pairs for op in pair}
+        assert operands <= set(scans["scans"])
+        scans["scans"].clear()
+        scans["joins"].clear()
         assert common_refinement(f, g).classification == CLASS_COMMON
+        # only the new P Q members were scanned, each once
+        assert set(scans["scans"].values()) == {1} and not operands & set(scans["scans"])
         for p, q in pairs:
-            pq, qp = (id(p.mat), id(q.mat)), (id(q.mat), id(p.mat))
-            assert searches[pq] + searches[qp] == 1
+            assert scans["joins"][id(p), id(q)] + scans["joins"][id(q), id(p)] == 1
         for p, q in pairs:
-            searches.clear()
-            norm = p.op.commutator_norm(q.op)
-            assert sum(searches.values()) == 1
-            assert norm == commutator_by_two_products(p.mat, q.mat)
+            scans["scans"].clear()
+            scans["joins"].clear()
+            norm = p.commutator_norm(q)
+            assert not scans["scans"] and sum(scans["joins"].values()) == 1
+            assert norm == commutator_by_two_products(p, q)
 
     def test_witness_norm_is_the_two_product_formula(self):
         scn = build("wavepacket")
@@ -524,6 +555,6 @@ class TestOneBlockSearchPerPair:
         idx = f.time_indices.index(f.propagators.grid.labels.index(witness.time_label))
         p = f.decompositions[idx].projector(witness.label_a)
         q = g.decompositions[idx].projector(witness.label_b)
-        assert witness.commutator_norm == commutator_by_two_products(p.mat, q.mat) > 0
+        assert witness.commutator_norm == commutator_by_two_products(p.op, q.op) > 0
         assert witness.commutator_norm == p.op.commutator_norm(q.op)
 

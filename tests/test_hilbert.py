@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conhist import hilbert
+from conhist.famspec import parse, scenario_to_famspec
 from conhist.hilbert import (
     TOL_PROJ,
     DecompositionOfIdentity,
@@ -183,6 +184,25 @@ class TestProjectorOntoSpan:
         assert check.hermiticity_defect < 1e-9
         assert check.idempotency_defect < 1e-9
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_ket_is_the_dense_formula_bit_for_bit(self, seed):
+        # one ket's projector is formed on the ket's support only; it must
+        # equal the SVD formula symmetrized over the whole matrix, byte for
+        # byte, for sparse kets of every dimension up to 199
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            dim = int(rng.integers(2, 200))
+            support = rng.choice(dim, size=int(rng.integers(1, min(dim, 12) + 1)), replace=False)
+            amps = np.zeros(dim, dtype=complex)
+            amps[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+            if seed % 2:
+                amps = amps.real + 0j  # real amplitudes, as the scenarios' kets mostly are
+            u, s, _ = np.linalg.svd(amps[:, None], full_matrices=False)
+            basis = u[:, s > hilbert.TOL_SPAN * s[0]]
+            dense = basis @ basis.conj().T
+            dense = (dense + dense.conj().T) / 2.0
+            assert projector_onto_span([Ket(amps)]).mat.tobytes() == dense.tobytes()
+
 
 class TestInvariantguards:
     def test_ket_finiteness(self):
@@ -248,10 +268,10 @@ def dense_max_overlap(mats):
 
 def assert_matches_dense(got, want, mats):
     """``got`` is a block-wise defect of ``mats`` and ``want`` its dense oracle."""
-    largest = max(idx.shape[1] for idx in hilbert._blocks(*mats))
-    if largest == len(mats[0]):  # the one whole-matrix block
+    if one_block(*mats):
         assert got == want
         return
+    largest = max(idx.shape[1] for idx in hilbert._blocks(*map(Operator, mats)))
     bound = 2 * EPS * largest * sum(float(np.linalg.norm(m)) ** 2 for m in mats)
     assert abs(got - want) <= bound
     if abs(want - TOL_PROJ) > bound:
@@ -260,7 +280,7 @@ def assert_matches_dense(got, want, mats):
 
 def one_block(*mats):
     """Whether ``_blocks`` gives ``mats`` the one whole-matrix group."""
-    return hilbert._blocks(*mats)[0].shape[1] == len(mats[0])
+    return hilbert._blocks(*map(Operator, mats))[0] is None
 
 
 def haar_unitary(rng, n):
@@ -305,7 +325,7 @@ def perturbation(rng, dim, blocks, kind):
 
 def decomposition_of(mats):
     """Stand-in for a decomposition that need not pass its own validation."""
-    members = [(f"m{k}", SimpleNamespace(mat=m)) for k, m in enumerate(mats)]
+    members = [(f"m{k}", SimpleNamespace(op=Operator(m))) for k, m in enumerate(mats)]
     return SimpleNamespace(dim=len(mats[0]), members=members)
 
 
@@ -387,7 +407,7 @@ class TestBlockwiseChecks:
             if kind != "exact":
                 a = a + perturbation(rng, dim, blocks, kind)
                 b = b + perturbation(rng, dim, blocks, kind)
-        got = hilbert._product(a, b)
+        got = hilbert._product(Operator(a), Operator(b))
         if one_block(a, b):
             assert got.tobytes() == (a @ b).tobytes()
         assert_matches_dense(float(np.linalg.norm(got)), float(np.linalg.norm(a @ b)), [a, b])
@@ -406,15 +426,17 @@ class TestBlockwiseChecks:
         diag = np.diag(rng.integers(0, 2, size=dim).astype(complex))
         for a, b in itertools.product([perm, perm.T, diag], repeat=2):
             assert not one_block(a, b)
-            assert hilbert._product(a, b).tobytes() == (a @ b).tobytes()
+            assert hilbert._product(Operator(a), Operator(b)).tobytes() == (a @ b).tobytes()
 
     def test_one_block_is_gathered_and_scattered_without_a_copy(self):
-        m = random_operator(12).mat
-        (whole,) = hilbert._blocks(m)
-        assert whole.tolist() == [list(range(12))]
-        assert np.shares_memory(hilbert._gather(m, whole), m)
+        # below dimension 96 an operator carries no labels, and every call
+        # gets the whole-matrix group, with no index array built
+        op = random_operator(12)
+        assert op.block_labels is None
+        assert hilbert._blocks(op) == hilbert._blocks(op, op) == [None]
+        assert np.shares_memory(hilbert._gather(op.mat, None), op.mat)
         block = np.ones((1, 12, 12), dtype=complex)
-        assert np.shares_memory(hilbert._scatter(12, [whole], [block]), block)
+        assert np.shares_memory(hilbert._scatter(12, [None], [block]), block)
 
     @pytest.mark.parametrize("kind", ["imaginary link", "long cycles", "zero"])
     def test_edge_patterns_match_dense_formulas(self, kind):
@@ -465,3 +487,104 @@ class TestBlockwiseChecks:
             assert_matches_dense(report.max_pairwise_overlap, dense_max_overlap(mats), mats)
         for u in itertools.chain.from_iterable(unitaries.values()):
             assert_matches_dense(unitarity_defect(Operator(u)), dense_unitarity(u), [u])
+
+
+# -- block partitions against a dense search ----------------------------------
+
+
+def searched_blocks(*mats):
+    """The components of the joint symmetrized nonzero pattern of ``mats``,
+    searched densely: one ``(n, s)`` index array per component size (by
+    size, then by smallest index), or the one whole-matrix group when the
+    dimension is under 96, more than 1/8 of the joint pattern's entries are
+    nonzero, or the pattern does not split."""
+    dim = len(mats[0])
+    whole = [np.arange(dim)[None]]
+    pattern = np.zeros((dim, dim), dtype=bool)
+    for m in mats:
+        pattern |= m != 0
+    pattern |= pattern.T
+    if dim < 96 or 8 * np.count_nonzero(pattern) > dim * dim:
+        return whole
+    label = np.arange(dim)
+    while True:  # every index takes the smallest label among its neighbours'
+        nxt = np.minimum(label, np.where(pattern, label[None, :], dim).min(axis=1))
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    components = [np.flatnonzero(label == root) for root in np.unique(label)]
+    if len(components) == 1:
+        return whole
+    sizes = sorted({len(c) for c in components})
+    return [np.array([c for c in components if len(c) == s]) for s in sizes]
+
+
+def as_groups(groups, dim):
+    """``_blocks``'s groups, with the whole-matrix group as an index array."""
+    return [np.arange(dim)[None]] if groups[0] is None else groups
+
+
+def same_groups(got, want):
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestPartitionsMatchADenseSearch:
+    """Every operator's carried labels, and every join a product or check
+    makes, give the components a dense search of the joint pattern finds."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Check each operator as it is made, and each join as it is made;
+        return the counts of both."""
+        counts = {"operators": 0, "joins": 0}
+        real_init, real_blocks = Operator.__post_init__, hilbert._blocks
+
+        def init(self):
+            real_init(self)
+            got = as_groups(real_blocks(self), self.dim)
+            assert same_groups(got, searched_blocks(self.mat))
+            counts["operators"] += 1
+
+        def blocks(*ops):
+            groups = real_blocks(*ops)
+            want = searched_blocks(*(op.mat for op in ops))
+            assert same_groups(as_groups(groups, ops[0].dim), want)
+            counts["joins"] += 1
+            return groups
+
+        monkeypatch.setattr(Operator, "__post_init__", init)
+        monkeypatch.setattr(hilbert, "_blocks", blocks)
+        return counts
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_bundled_scenarios_and_their_famspec_round_trip(self, checked, name):
+        scn = BUILDERS[name]()
+        doc = parse(scenario_to_famspec(scn))
+        assert doc.families.keys() == scn.families.keys()
+        assert checked["operators"] > 0 and checked["joins"] > 0
+
+    @pytest.mark.parametrize(
+        "kind", ["dense halves", "sparse cycles", "connected", "over the bound"]
+    )
+    def test_patterns_near_the_rule(self, checked, kind):
+        # two dense blocks split but fill half the matrix; two long cycles
+        # split sparsely; a path joins every index; a sparse operand joined
+        # with a dense one is one block
+        dim = 120
+        perm = np.random.default_rng(11).permutation(dim)
+        a = np.zeros((dim, dim), dtype=complex)
+        b = np.eye(dim, dtype=complex)
+        if kind == "dense halves":
+            a[:60, :60] = a[60:, 60:] = 1.0
+        elif kind == "sparse cycles":
+            a = np.roll(np.eye(dim, dtype=complex).reshape(dim, 2, 60), 1, axis=2)
+            a = a.reshape(dim, dim)
+        elif kind == "connected":
+            a = np.eye(dim, k=1, dtype=complex)
+        else:
+            b[:, :20] = 1.0
+            a = np.diag(np.arange(dim) % 3 == 0).astype(complex)
+        a, b = (Operator(m[np.ix_(perm, perm)]) for m in (a, b))
+        for ops in ((a,), (b,), (a, b), (b, a, b)):
+            hilbert._blocks(*ops)
+        assert checked["joins"] == 4

@@ -384,7 +384,7 @@ class TestEngineAgainstHeisenbergOracle:
     def test_block_structured_weights_and_gram_match(self, seed):
         kind = ("pure", "reversed", "mixed", "none")[seed % 4]
         fam = self.family(seed, 96, 1 + seed % 3, kind, blocks=True)
-        step, member = fam.propagators.steps[0].mat, fam.decompositions[-1].members[0][1].mat
+        step, member = fam.propagators.steps[0], fam.decompositions[-1].members[0][1].op
         sizes = {idx.shape[1] for idx in hilbert._blocks(step, member)}
         assert len(sizes) > 1 and max(sizes) < fam.dim  # split, into more than one size
         self.assert_engine_matches_oracle(fam)

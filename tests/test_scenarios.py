@@ -502,6 +502,59 @@ class TestWavepacketBuild:
                 u = lattice[t] @ u
             assert step.mat.tobytes() == u.tobytes(), (v0, v1)
 
+    def test_cumulative_propagators_are_dense_step_products(self):
+        ps = SCENARIOS["wavepacket"].propagators
+        acc = np.eye(196, dtype=complex)
+        assert ps._cumulative[0].mat.tobytes() == acc.tobytes()
+        for step, cumulative in zip(ps.steps, ps._cumulative[1:]):
+            acc = step.mat @ acc
+            assert cumulative.mat.tobytes() == acc.tobytes()
+
+    def test_psi_projectors_are_the_dense_span_formula(self):
+        # Psi.v is the packet state evolved by v lattice steps; its projector
+        # is the SVD formula, symmetrized over the whole matrix
+        scn = SCENARIOS["wavepacket"]
+        packet = np.zeros(self.N_PART)
+        packet[[24, 25]] = 1 / np.sqrt(2)  # cell 12, left and right
+        vec = np.kron(packet, [1.0, 0.0, 0.0, 0.0]).astype(complex)  # both detectors ready
+        lattice = self.lattice_steps()
+        values = [int(v) for v in scn.propagators.grid.values]
+        for t in range(values[-1] + 1):
+            if t in values:
+                assert scn.kets[f"Psi.{t}"].amps.tobytes() == vec.tobytes()
+                u, s, _ = np.linalg.svd(vec[:, None], full_matrices=False)
+                basis = u[:, s > 1e-10 * s[0]]
+                want = basis @ basis.conj().T
+                want = (want + want.conj().T) / 2.0
+                assert scn.projectors[f"Psi.{t}"].mat.tobytes() == want.tobytes(), t
+            if t < len(lattice):
+                vec = lattice[t] @ vec
+        assert sum(name.startswith("Psi.") for name in scn.projectors) == 6
+
+    def test_product_and_rest_members_are_dense_formulas(self):
+        scn = SCENARIOS["wavepacket"]
+        P = {lab: p.mat for lab, p in scn.projectors.items()}
+        # a1 and b1 are the intervals holding cells 9 and 15 (source -/+ 3)
+        want = {
+            "a1.AB": P["int3"] @ P["AB"],
+            "b1.AB": P["int5"] @ P["AB"],
+            "phib.AB": P["phib.AB"] @ P["AB"],
+        }
+        decompositions = {id(d): d for f in scn.families.values() for d in f.decompositions}
+        rests, found = 0, set()
+        for d in decompositions.values():
+            members = dict(d.members)
+            for lab in want.keys() & members.keys():
+                assert members[lab].mat.tobytes() == want[lab].tobytes(), lab
+                found.add(lab)
+            if "rest" in members:
+                others = sum(p.mat for lab, p in d.members if lab != "rest")
+                rest = np.eye(196, dtype=complex) - others
+                assert members["rest"].mat.tobytes() == rest.tobytes()
+                rests += 1
+        assert found == want.keys()
+        assert rests == 7  # {Psi.v, rest} at five times, and G1's and G2's product slots
+
 
 class TestGeometryPreconditions:
     def test_wavepacket_rejects_bad_geometry(self):
