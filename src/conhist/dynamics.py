@@ -120,7 +120,7 @@ class PropagatorSet:
         if j == reference:
             return mat
         t_rj = self.propagator(reference, j)
-        return _product(Operator(_product(t_rj, Operator(mat))), t_rj.dagger())
+        return _product(_product(t_rj, mat), t_rj.dagger())
 
     def same_dynamics(self, other: "PropagatorSet") -> bool:
         """Equal grids, and step unitaries equal under ``Operator.allclose``."""

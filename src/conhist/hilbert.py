@@ -69,15 +69,15 @@ def _frob(mat: np.ndarray) -> float:
 # completeness defects are scattered into a zero matrix before the norm, so
 # they equal the dense formulas bit for bit; products of permutations and
 # 0/1 diagonals are bit-identical to ``@``.  From dimension _BLOCK_MIN_DIM
-# up, an Operator's constructor labels each index with the smallest index
-# of its component if at most 1/_BLOCK_MAX_FILL of the pattern is nonzero
-# (a bound per operand, not on a union), a product or check joins its
-# operands' labels in O(dim) by linking each index to its label in each,
-# and a one-ket projector_onto_span is formed on the ket's support rows.
-# An operand without labels, or a joint pattern that does not split, makes
-# the whole matrix the one block (the group None, gathered as ``mat[None]``)
-# where each formula is the dense one, bit for bit.  Labelling costs 0.03-0.07
-# ms at 196; with one BLAS thread, blocks break even near dimension 80.
+# up, an Operator's constructor labels each index with the smallest index of
+# its component if at most 1/_BLOCK_MAX_FILL of the pattern is nonzero (a
+# bound per operand, not on a union); an adjoint keeps its operator's labels,
+# and a bare matrix is labelled where a product uses it.  A product or check
+# joins its operands' labels in O(dim), linking each index to its label in
+# each; a one-ket projector_onto_span is formed on the ket's support rows.
+# Without labels, or if the joint pattern does not split, the whole matrix is
+# the one block (group None, gathered as ``mat[None]``), bit for bit the dense
+# formula.  Labelling costs 0.03-0.07 ms at 196; blocks break even near 80.
 _BLOCK_MIN_DIM = 96
 _BLOCK_MAX_FILL = 8
 
@@ -109,14 +109,14 @@ def _pattern_labels(mat: np.ndarray) -> np.ndarray | None:
     return _components(np.arange(len(mat)), rows, cols)
 
 
-def _blocks(*ops: "Operator") -> Sequence:
-    """Components of the joint symmetrized nonzero pattern of ``ops``, from
-    their labels: one ``(n, s)`` index array per component size ``s``
-    (ascending indices within each component), or the whole-matrix ``[None]``."""
-    for op in ops:
-        if op.block_labels is None:
-            return [None]
-    labels = [op.block_labels for op in ops]
+def _blocks(*ops: "Operator | np.ndarray") -> Sequence:
+    """Components of the joint symmetrized nonzero pattern of ``ops`` from their
+    labels (an Operator's own, a bare matrix's found now): one ``(n, s)`` index array
+    per component size ``s`` (ascending indices within each), or the whole ``[None]``."""
+    labels = [op.block_labels if isinstance(op, Operator) else
+              _pattern_labels(op) if len(op) >= _BLOCK_MIN_DIM else None for op in ops]
+    if any(label is None for label in labels):
+        return [None]
     label = labels[0]
     if any(not np.array_equal(lab, label) for lab in labels[1:]):
         links = np.tile(np.arange(len(label)), len(labels))
@@ -156,10 +156,11 @@ def _scattered_norm(dim: int, groups: Sequence, blocks: list[np.ndarray]) -> flo
     return 0.0 if zero else _frob(_scatter(dim, groups, blocks))
 
 
-def _product(a: "Operator", b: "Operator") -> np.ndarray:
-    """``a.mat @ b.mat``, block by block."""
+def _product(a: "Operator | np.ndarray", b: "Operator | np.ndarray") -> np.ndarray:
+    """``a @ b`` of two operators or bare matrices, block by block."""
     groups = _blocks(a, b)
-    return _scatter(a.dim, groups, [_gather(a.mat, idx) @ _gather(b.mat, idx) for idx in groups])
+    a, b = (op.mat if isinstance(op, Operator) else op for op in (a, b))
+    return _scatter(len(a), groups, [_gather(a, idx) @ _gather(b, idx) for idx in groups])
 
 
 def _products(a: "Operator", b: "Operator") -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +219,7 @@ class Operator:
     """
 
     mat: np.ndarray
-    block_labels = None  # the constructor's, from dimension _BLOCK_MIN_DIM up
+    block_labels = None  # the constructor's (an adjoint's), from dimension _BLOCK_MIN_DIM up
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _as_complex_matrix(self.mat))
@@ -234,7 +235,13 @@ class Operator:
         return self.mat.shape[0]
 
     def dagger(self) -> "Operator":
-        return Operator(self.mat.conj().T)
+        # the adjoint is finite and keeps the symmetrized pattern: no check, these labels
+        adj = object.__new__(Operator)
+        mat = self.mat.conj().T
+        mat.flags.writeable = False
+        object.__setattr__(adj, "mat", mat)
+        object.__setattr__(adj, "block_labels", self.block_labels)
+        return adj
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))

@@ -543,17 +543,17 @@ class CovarianceMap:
             maps.append(Operator(mat))
         return cls(tuple(maps))
 
-    def conjugate(self, mat: np.ndarray, j: int, k: int | None = None) -> np.ndarray:
-        """``L_j mat L_k^dag``; ``k`` defaults to ``j``."""
+    def conjugate(self, op: Operator, j: int, k: int | None = None) -> np.ndarray:
+        """``L_j op L_k^dag``; ``k`` defaults to ``j``."""
         lj = self.unitaries[j]
         lk = lj if k is None else self.unitaries[k]
-        return _product(Operator(_product(lj, Operator(mat))), lk.dagger())
+        return _product(_product(lj, op), lk.dagger())
 
     def relabel_propagators(self, ps: PropagatorSet) -> PropagatorSet:
         """The same dynamics in the relabeled bases, step by step."""
         if len(self) != len(ps.grid):
             raise ValueError(f"need one map per grid time ({len(ps.grid)}), got {len(self)}")
-        steps = tuple(Operator(self.conjugate(u.mat, j + 1, j)) for j, u in enumerate(ps.steps))
+        steps = tuple(Operator(self.conjugate(u, j + 1, j)) for j, u in enumerate(ps.steps))
         return PropagatorSet(ps.grid, steps, space_dim=ps.dim)
 
     def relabel_family(self, fam: Family, primed: PropagatorSet) -> Family:
@@ -561,7 +561,7 @@ class CovarianceMap:
         rebased onto the primed dynamics."""
         decs = tuple(
             DecompositionOfIdentity(tuple(
-                (label, Projector(Operator(self.conjugate(proj.mat, j))))
+                (label, Projector(Operator(self.conjugate(proj.op, j))))
                 for label, proj in dec.members
             ))
             for j, dec in zip(fam.time_indices, fam.decompositions)
@@ -573,7 +573,7 @@ class CovarianceMap:
                 ket = Ket(self.unitaries[j0].mat @ initial.ket.amps, initial.ket.label)
                 initial = PureInitial(ket, initial.label)
             else:
-                rho = DensityOperator(Operator(self.conjugate(initial.rho.mat, j0)))
+                rho = DensityOperator(Operator(self.conjugate(initial.rho.op, j0)))
                 initial = MixedInitial(rho)
         return Family(primed, fam.time_indices, decs, initial, fam.initial_slot, fam.name)
 
@@ -628,7 +628,7 @@ def covariance_check(scn: "Scenario", maps: CovarianceMap, primed: "Scenario") -
     if len(pps.grid) != n or ps.dim != pps.dim:
         raise ValueError("primed dynamics must match grid length and dimension")
     residual = max(
-        (float(np.linalg.norm(pps.steps[j].mat - maps.conjugate(u.mat, j + 1, j)))
+        (float(np.linalg.norm(pps.steps[j].mat - maps.conjugate(u, j + 1, j)))
          for j, u in enumerate(ps.steps)),
         default=0.0,
     )

@@ -116,7 +116,7 @@ def build_wavepacket(
     swaps = {t_a - 1: detector_swap(det_a, _LEFT, "A"), t_b - 1: detector_swap(det_b, _RIGHT, "B")}
     t_max = t_b + 1
     lattice_steps = [
-        Operator(_product(Operator(swaps[t]), shift_full)) if t in swaps else shift_full
+        Operator(_product(swaps[t], shift_full)) if t in swaps else shift_full
         for t in range(t_max)
     ]
 

@@ -23,6 +23,7 @@ from conhist.hilbert import (
     DecompositionOfIdentity, DensityOperator, Ket, Operator, Projector, projector_onto_span,
 )
 from conhist.histories import Family, consistency_check, time_reverse, weight_table
+from conhist.relativistic import CovarianceMap
 from conhist.scenarios import build
 
 DATA = Path(__file__).parent / "data"
@@ -546,6 +547,23 @@ class TestOneBlockSearchPerPair:
             norm = p.commutator_norm(q)
             assert not scans["scans"] and sum(scans["joins"].values()) == 1
             assert norm == commutator_by_two_products(p, q)
+
+    def test_heisenberg_form_and_conjugation_scan_only_bare_matrices(self, scans):
+        scn = build("wavepacket")
+        fam = scn.families["F1"]
+        ps, j = fam.propagators, fam.time_indices[-1]
+        p = fam.decompositions[-1].members[0][1]
+        maps = CovarianceMap.seeded(ps)
+        for reference in (0, 1):
+            scans["scans"].clear()
+            ps.heisenberg_matrix(p.mat, j, reference)
+            # the bare member and the product T(r, j) P; propagators and their
+            # adjoints carry their labels (T(1, j) is a new product, scanned once)
+            assert id(p.mat) in scans["scans"]
+            assert sum(scans["scans"].values()) == 2 + reference
+        scans["scans"].clear()
+        maps.conjugate(p.op, j)
+        assert sum(scans["scans"].values()) == 1  # only the product L_j P
 
     def test_witness_norm_is_the_two_product_formula(self):
         scn = build("wavepacket")

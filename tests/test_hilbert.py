@@ -547,8 +547,8 @@ class TestPartitionsMatchADenseSearch:
 
         def blocks(*ops):
             groups = real_blocks(*ops)
-            want = searched_blocks(*(op.mat for op in ops))
-            assert same_groups(as_groups(groups, ops[0].dim), want)
+            mats = [getattr(op, "mat", op) for op in ops]  # operators or bare matrices
+            assert same_groups(as_groups(groups, len(mats[0])), searched_blocks(*mats))
             counts["joins"] += 1
             return groups
 
@@ -562,6 +562,23 @@ class TestPartitionsMatchADenseSearch:
         doc = parse(scenario_to_famspec(scn))
         assert doc.families.keys() == scn.families.keys()
         assert checked["operators"] > 0 and checked["joins"] > 0
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_adjoints_keep_their_operators_labels(self, checked, name):
+        # an adjoint is not scanned: its labels, and the joins that use them,
+        # must still be those of a dense search of its own matrix
+        scn = BUILDERS[name]()
+        ops = [p.op for p in scn.projectors.values()]
+        for fam in scn.families.values():
+            ops += [*fam.propagators.steps, *fam.propagators._cumulative]
+        checked["joins"] = 0
+        for op in ops:
+            adj = op.dagger()
+            assert adj.block_labels is op.block_labels and not adj.mat.flags.writeable
+            assert adj.mat.tobytes() == op.mat.conj().T.tobytes()
+            hilbert._blocks(adj)  # each join is checked as it is made
+            hilbert._blocks(adj, op.mat)
+        assert checked["joins"] == 2 * len(ops)
 
     @pytest.mark.parametrize(
         "kind", ["dense halves", "sparse cycles", "connected", "over the bound"]
@@ -585,6 +602,6 @@ class TestPartitionsMatchADenseSearch:
             b[:, :20] = 1.0
             a = np.diag(np.arange(dim) % 3 == 0).astype(complex)
         a, b = (Operator(m[np.ix_(perm, perm)]) for m in (a, b))
-        for ops in ((a,), (b,), (a, b), (b, a, b)):
+        for ops in ((a,), (b,), (a, b), (b, a, b), (a.mat, b), (a.dagger(), b.mat)):
             hilbert._blocks(*ops)
-        assert checked["joins"] == 4
+        assert checked["joins"] == 6
