@@ -11,9 +11,8 @@ tensor detector A (ready/triggered) tensor detector B.  Detection is a
 basis swap |det_cell, dir>|ready> <-> |absorbed>|triggered> applied exactly
 at the step where the packet reaches the detector; before and after that
 step both particle and detectors evolve trivially (identity apart from the
-shift).  All step operators are permutation matrices, so locality holds
-exactly: every Heisenberg projector of a lattice-diagonal property stays
-diagonal.
+shift).  Every step permutes the basis, so locality holds exactly: every
+Heisenberg projector of a lattice-diagonal property stays diagonal.
 
 Interval projectors sum the cell projectors over each member of a disjoint
 partition of the cells; the per-time decomposition adds the absorbed marker
@@ -25,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dynamics import PropagatorSet, TimeGrid
-from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector, _product
+from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
 from ..histories import pure_families
 from ..relativistic import Hypersurface, Region, TaggedEvent, commutation_check
 from .base import (
@@ -39,7 +38,6 @@ from .base import (
     kinematic,
     max_overlap,
     prob,
-    proj,
     support_size,
     with_rest,
 )
@@ -86,39 +84,31 @@ def build_wavepacket(
     def p_idx(cell: int, direction: int) -> int:
         return 2 * cell + direction
 
-    # Particle shift: one cell per step in the packet's direction.
-    shift = np.zeros((n_part, n_part), dtype=np.complex128)
-    for c in range(n_cells):
-        shift[p_idx((c - 1) % n_cells, _LEFT), p_idx(c, _LEFT)] = 1.0
-        shift[p_idx((c + 1) % n_cells, _RIGHT), p_idx(c, _RIGHT)] = 1.0
-    shift[absorbed, absorbed] = 1.0
-    i2 = np.eye(2, dtype=np.complex128)
-    shift_full = Operator(np.kron(shift, np.kron(i2, i2)))
+    # Every lattice step permutes the basis, held as an index map: back[i] is
+    # the basis state the step sends to state i, so the step's matrix is the
+    # identity's rows in that order and a ket evolves as v[back].  A basis
+    # state's index is 4 * particle + 2 * A + B, a detector 0 ready and 1
+    # triggered.
+    hop = np.arange(n_part)
+    for c in range(n_cells):  # one cell per step in the packet's direction
+        hop[p_idx((c - 1) % n_cells, _LEFT)] = p_idx(c, _LEFT)
+        hop[p_idx((c + 1) % n_cells, _RIGHT)] = p_idx(c, _RIGHT)
+    shift = (4 * hop[:, None] + np.arange(4)).ravel()
 
-    def detector_swap(det_cell: int, direction: int, which: str) -> np.ndarray:
-        """Swap |det_cell, dir>|ready> with |absorbed>|triggered>.
+    def detector_step(det_cell: int, direction: int, ready, fired) -> np.ndarray:
+        """The shift after swapping |det_cell, dir>|ready> with |absorbed>|triggered>,
+        where ``ready`` and ``fired`` list the detector pair's states (2 * A + B) with
+        this detector ready and triggered, one for each state of the other."""
+        swap = np.arange(dim)
+        src = 4 * p_idx(det_cell, direction) + np.array(ready)
+        dst = 4 * absorbed + np.array(fired)
+        swap[src], swap[dst] = dst, src
+        return shift[swap]
 
-        The swap acts for either state of the other detector.
-        """
-        u = np.eye(dim, dtype=np.complex128)
-        for other in range(2):
-            if which == "A":
-                src = (p_idx(det_cell, direction) * 2 + 0) * 2 + other
-                dst = (absorbed * 2 + 1) * 2 + other
-            else:
-                src = (p_idx(det_cell, direction) * 2 + other) * 2 + 0
-                dst = (absorbed * 2 + other) * 2 + 1
-            u[src, src] = u[dst, dst] = 0.0
-            u[dst, src] = u[src, dst] = 1.0
-        return u
-
-    # the shift, after a detector's swap at the step the packet reaches it
-    swaps = {t_a - 1: detector_swap(det_a, _LEFT, "A"), t_b - 1: detector_swap(det_b, _RIGHT, "B")}
-    t_max = t_b + 1
-    lattice_steps = [
-        Operator(_product(swaps[t], shift_full)) if t in swaps else shift_full
-        for t in range(t_max)
-    ]
+    # the detector steps at the step the packet reaches each detector
+    lattice = [shift] * (t_b + 1)
+    lattice[t_a - 1] = detector_step(det_a, _LEFT, (0, 1), (2, 3))
+    lattice[t_b - 1] = detector_step(det_b, _RIGHT, (0, 2), (1, 3))
 
     mid = (1 + (t_a - 1)) // 2
     f_times = (0, 1, mid, t_a - 1)
@@ -128,10 +118,10 @@ def build_wavepacket(
 
     steps = []
     for v0, v1 in zip(master_values, master_values[1:]):
-        u = lattice_steps[v0]
+        back = lattice[v0]
         for t in range(v0 + 1, v1):
-            u = Operator(_product(lattice_steps[t], u))
-        steps.append(u)
+            back = back[lattice[t]]
+        steps.append(Operator(np.eye(dim, dtype=np.complex128)[back]))
     ps = PropagatorSet(grid, tuple(steps))
 
     midx = {v: i for i, v in enumerate(master_values)}
@@ -139,20 +129,13 @@ def build_wavepacket(
 
     # -- named kets and projectors -------------------------------------------
 
-    ready = np.zeros(4, dtype=np.complex128)
-    ready[0] = 1.0  # both detectors ready
-    packet_l = np.zeros(n_part, dtype=np.complex128)
-    packet_l[p_idx(source, _LEFT)] = 1.0
-    packet_r = np.zeros(n_part, dtype=np.complex128)
-    packet_r[p_idx(source, _RIGHT)] = 1.0
-    psi0_vec = np.kron((packet_l + packet_r) / np.sqrt(2), ready)
+    psi0_vec = np.zeros(dim, dtype=np.complex128)  # both detectors ready
+    psi0_vec[[4 * p_idx(source, _LEFT), 4 * p_idx(source, _RIGHT)]] = 1 / np.sqrt(2)
     psi0 = Ket(psi0_vec, "Psi0")
 
-    evolved = {0: psi0_vec}
-    vec = psi0_vec
-    for t in range(t_max):
-        vec = lattice_steps[t].mat @ vec
-        evolved[t + 1] = vec
+    evolved = [psi0_vec]
+    for back in lattice:
+        evolved.append(evolved[-1][back])
 
     interval_of = {}
     for k, interval in enumerate(intervals):
@@ -166,11 +149,13 @@ def build_wavepacket(
 
     P: dict[str, Projector] = {}
     e2, ones2, ones_p = np.eye(2), np.ones(2), np.ones(n_part)
+    interval_diags = []
     for k, interval in enumerate(intervals):
         diag = np.zeros(n_part)
         for c in interval:
             diag[p_idx(c, _LEFT)] = 1.0
             diag[p_idx(c, _RIGHT)] = 1.0
+        interval_diags.append(diag)
         P[f"int{k}"] = diagonal(diag, ones2, ones2)
     abs_diag = np.zeros(n_part)
     abs_diag[absorbed] = 1.0
@@ -191,10 +176,9 @@ def build_wavepacket(
         kets[name] = Ket(evolved[v], name)
         P[name] = kets[name].projector()
 
-    phib_mid_cell = source + (t_a + 1)
-    phib = np.zeros(n_part, dtype=np.complex128)
-    phib[p_idx(phib_mid_cell, _RIGHT)] = 1.0
-    P["phib.AB"] = Projector(Operator(proj(np.kron(phib, ready))))
+    phib = np.zeros(n_part)
+    phib[p_idx(source + (t_a + 1), _RIGHT)] = 1.0
+    P["phib.AB"] = diagonal(phib, e2[0], e2[0])
 
     # -- decompositions --------------------------------------------------------
 
@@ -211,16 +195,12 @@ def build_wavepacket(
         v: with_rest((f"Psi.{v}", P[f"Psi.{v}"])) for v in sorted({*f_times[1:], *g_times[1:]})
     }
 
-    a1_label = f"int{interval_of[source - mid]}"
-    b1_label = f"int{interval_of[source + mid]}"
+    # an interval, or phib, with both detectors ready
     g1_t1 = with_rest(
-        ("a1.AB", Projector(Operator(_product(P[a1_label].op, P["AB"].op)))),
-        ("b1.AB", Projector(Operator(_product(P[b1_label].op, P["AB"].op)))),
+        ("a1.AB", diagonal(interval_diags[interval_of[source - mid]], e2[0], e2[0])),
+        ("b1.AB", diagonal(interval_diags[interval_of[source + mid]], e2[0], e2[0])),
     )
-    g2_t2 = with_rest(
-        ("A*B", P["A*B"]),
-        ("phib.AB", Projector(Operator(_product(P["phib.AB"].op, P["AB"].op)))),
-    )
+    g2_t2 = with_rest(("A*B", P["A*B"]), ("phib.AB", P["phib.AB"]))
 
     f_idx = tuple(midx[v] for v in f_times)
     g_idx = tuple(midx[v] for v in g_times)

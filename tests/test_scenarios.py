@@ -1,13 +1,15 @@
+import ast
 import collections.abc
 import dataclasses
 import itertools
+import pathlib
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from conhist import cli, histories, relativistic
+from conhist import cli, histories, relativistic, scenarios
 from conhist.dynamics import TOL_UNITARY, PropagatorSet
 from conhist.framework import (
     CLASS_COMMON, CLASS_DYNAMIC, CLASS_IDENTICAL, CLASS_KINEMATIC, CLASS_REFINEMENT,
@@ -32,6 +34,7 @@ from conhist.relativistic import (
     validate_foliation,
 )
 from conhist.scenarios import BUILDERS
+from conhist.scenarios.wavepacket import build_wavepacket, default_intervals
 
 SCENARIOS = {name: builder() for name, builder in BUILDERS.items()}
 
@@ -62,6 +65,16 @@ def test_all_steps_unitary(name):
     for ps in sets.values():
         for step in ps.steps:
             assert unitarity_defect(step) < TOL_UNITARY
+
+
+def test_scenario_modules_import_no_private_names():
+    # scenario code builds its models from the public API of conhist
+    package = pathlib.Path(scenarios.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("conhist")):
+                names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+                assert not [n for n in names if n.startswith("_")], (path.name, names)
 
 
 def reachable_arrays(root):
@@ -464,10 +477,12 @@ class TestWavepacketBuild:
             assert scn.projectors[lab].mat.tobytes() == mat.astype(complex).tobytes(), lab
 
     @staticmethod
-    def lattice_steps():
-        """The ten lattice steps as dense permutation matrices: the shift,
-        preceded by detector A's swap at step 5 and B's at step 8."""
-        n_cells, absorbed, dim = 24, 48, 196
+    def lattice_steps(n_cells=24, source=12, det_a=6, det_b=21):
+        """The lattice steps as dense permutation matrices: the shift,
+        preceded by detector A's swap at step source - det_a - 1 and B's at
+        step det_b - source - 1 (steps 5 and 8 of ten by default)."""
+        absorbed = 2 * n_cells
+        dim = 4 * (absorbed + 1)
 
         def index(particle, a, b):
             return (particle * 2 + a) * 2 + b
@@ -485,11 +500,36 @@ class TestWavepacketBuild:
                 u[[i, j]] = u[[j, i]]
             return u
 
-        swap_a = swap((index(2 * 6, 0, o), index(absorbed, 1, o)) for o in (0, 1))
-        swap_b = swap((index(2 * 21 + 1, o, 0), index(absorbed, o, 1)) for o in (0, 1))
-        steps = [shift] * 10
-        steps[5], steps[8] = swap_a @ shift, swap_b @ shift
+        swap_a = swap((index(2 * det_a, 0, o), index(absorbed, 1, o)) for o in (0, 1))
+        swap_b = swap((index(2 * det_b + 1, o, 0), index(absorbed, o, 1)) for o in (0, 1))
+        t_a, t_b = source - det_a, det_b - source
+        steps = [shift] * (t_b + 1)
+        steps[t_a - 1], steps[t_b - 1] = swap_a @ shift, swap_b @ shift
         return steps
+
+    @pytest.mark.parametrize(
+        "geometry, width", [((24, 12, 6, 21), 3), ((14, 6, 2, 12), 2)], ids=["default", "14-cell"]
+    )
+    def test_lattice_dynamics_match_the_dense_construction(self, geometry, width):
+        # steps and every Psi.v ket against dense shift (x) I4, dense swaps and @
+        n_cells, source = geometry[:2]
+        scn = build_wavepacket(*geometry, default_intervals(n_cells, width))
+        lattice = self.lattice_steps(*geometry)
+        dim = len(lattice[0])
+        values = [int(v) for v in scn.propagators.grid.values]
+        for step, v0, v1 in zip(scn.propagators.steps, values, values[1:]):
+            u = np.eye(dim, dtype=complex)
+            for t in range(v0, v1):
+                u = lattice[t] @ u
+            assert step.mat.tobytes() == u.tobytes(), (v0, v1)
+        vec = np.zeros(dim, dtype=complex)
+        vec[[4 * 2 * source, 4 * (2 * source + 1)]] = 1 / np.sqrt(2)  # both detectors ready
+        for t in range(values[-1] + 1):
+            if t in values:
+                assert scn.kets[f"Psi.{t}"].amps.tobytes() == vec.tobytes(), t
+            if t < len(lattice):
+                vec = lattice[t] @ vec
+        assert sum(name.startswith("Psi.") for name in scn.kets) == len(values)
 
     def test_steps_are_dense_products_of_lattice_steps(self):
         ps = SCENARIOS["wavepacket"].propagators
@@ -558,8 +598,6 @@ class TestWavepacketBuild:
 
 class TestGeometryPreconditions:
     def test_wavepacket_rejects_bad_geometry(self):
-        from conhist.scenarios.wavepacket import build_wavepacket
-
         with pytest.raises(ValueError):
             build_wavepacket(det_a=13)  # detector A not left of the source
         with pytest.raises(ValueError):
@@ -568,8 +606,6 @@ class TestGeometryPreconditions:
             build_wavepacket(intervals=((0, 1),))  # not a partition
 
     def test_smaller_geometry_builds(self):
-        from conhist.scenarios.wavepacket import build_wavepacket, default_intervals
-
         scn = build_wavepacket(14, 6, 2, 12, default_intervals(14, 2))
         for exp in scn.expected:
             assert exp.run(scn).passed
