@@ -50,10 +50,12 @@ class TimeGrid:
         return len(self.values)
 
     def index_of_value(self, t: float) -> int:
-        for i, v in enumerate(self.values):
-            if abs(v - t) <= 1e-9:
-                return i
-        raise KeyError(f"time {t} not on grid {self.values}")
+        """Index of the grid time nearest ``t``, which must lie within 1e-9 of it."""
+        distance = np.abs(np.subtract(self.values, t))
+        i = int(np.argmin(distance))
+        if not distance[i] <= 1e-9:  # also refuses NaN
+            raise KeyError(f"time {t} not on grid {self.values}")
+        return i
 
 
 @dataclass(frozen=True, eq=False)

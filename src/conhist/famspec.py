@@ -655,7 +655,10 @@ def parse(text: str) -> SpecDocument:
         raise FamSpecError(
             [ParseDiagnostic("error", "input must be a UTF-8 string", 1, 1)]
         )
-    return _Parser(text).parse_document()
+    # huge finite literals overflow in the checks to defects and norms of inf
+    # or NaN, which are refused; numpy's warnings would only add stderr lines
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Parser(text).parse_document()
 
 
 def try_parse(text: str) -> tuple[SpecDocument | None, tuple[ParseDiagnostic, ...]]:
@@ -745,7 +748,9 @@ def scenario_to_famspec(scn) -> str:
     Every propagator set used by the scenario's families becomes its own
     times/steps group; decomposition members are exported as explicit
     projector matrices.  Names outside the famspec charset are sanitized.
-    Only pure or absent initial conditions are supported.  The declarations
+    Only pure initial states at a family's first time, or none, can be
+    written: a density operator or a final (time-reversed) state is refused
+    with ``ValueError``, since famspec has no way to state it.  The declarations
     fill a :class:`SpecDocument` that :func:`serialize` writes, canonically.
     """
     taken: set[str] = set()
@@ -804,6 +809,8 @@ def scenario_to_famspec(scn) -> str:
         fam = scn.families[fname]
         if fam.initial is not None and not isinstance(fam.initial, PureInitial):
             raise ValueError("only pure or absent initial conditions can be exported")
+        if fam.initial is not None and fam.initial_slot != 0:
+            raise ValueError(f"family {fname!r} has a final state, which famspec cannot state")
         gname, steps = export_grid(fam.propagators)
         space = space_by_dim[fam.propagators.dim]
         name = _sanitize(fname, taken)

@@ -107,6 +107,9 @@ class Hypersurface:
             raise ValueError("breakpoint x coordinates must be strictly increasing")
         if not all(np.isfinite(v) for v in xs + ts):
             raise ValueError("breakpoints must be finite")
+        # tau divides by the x spans: one overflowing to inf would read t0 across it
+        if not all(np.isfinite(b - a) for v in (xs, ts) for a, b in zip(v, v[1:])):
+            raise ValueError("consecutive breakpoints must differ by a finite amount")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ts", ts)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,23 @@ class TestCheck:
         assert (code, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert "524288 histories" in err
+
+    @pytest.mark.parametrize("text", [
+        (DATA / "huge_unitary.fam").read_text(),
+        "space q dim 2\nproj p on q = [1e308 1e308 1e308 1e308]\n",
+        "space q dim 2\nket up in q = [1e200, 1e200]\nunitary idq on q = [1 0 0 1]\n"
+        "times tg = [0, 1]\nfamily F times tg initial up {\n  at 0: identity\n} steps { idq }\n",
+    ], ids=["unitary", "proj", "initial-ket"])
+    def test_huge_literal_is_one_error_line_without_warnings(self, capsys, tmp_path, text):
+        # the overflow inside the checks is refused, not reported by numpy too
+        path = tmp_path / "huge.fam"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "check", "--file", str(path), "--family", "F")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
     def test_unnormalized_initial_ket_is_input_error(self, capsys):
         path = DATA / "unnormalized_initial.fam"
@@ -527,6 +545,12 @@ class TestEmbed:
         code, out, _ = run(capsys, "embed", path, "--format", "csv")
         assert code == 1
         assert out.splitlines() == ["witness", results["witness"]]
+
+    def test_overflowing_surface_span_is_input_error(self, capsys):
+        # x1 - x0 overflows: tau would read event a at t = 0, before event b
+        code, out, err = run(capsys, "embed", str(DATA / "overflowing_span_events.json"))
+        assert (code, out) == (3, "")
+        assert "differ by a finite amount" in err
 
     def test_no_events_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "events.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from conhist.famspec import (
     serialize,
     try_parse,
 )
-from conhist.histories import probabilities, weight_table
+from conhist.histories import probabilities, time_reverse, weight_table
 from conhist.scenarios.wavepacket import build_wavepacket
+
+DATA = Path(__file__).parent / "data"
 
 MINIMAL = """
 # a two-level system split on the x basis
@@ -99,6 +102,14 @@ class TestParse:
         table = probabilities(doc.family("split"))
         assert table.probability(("up", "pplus", "pplus")) == pytest.approx(0.5)
         assert table.probability(("up", "pminus", "pminus")) == pytest.approx(0.5)
+
+    def test_at_picks_the_nearest_grid_time(self):
+        # 1 and 1.0000000001 each lie within 1e-9 of the other; each means itself
+        doc = parse((DATA / "near_grid_times.fam").read_text())
+        for name, index, label in (("F", 1, "pu"), ("G", 2, "pd")):
+            fam = doc.family(name)
+            assert fam.time_indices == (0, index)
+            assert probabilities(fam).probability(("up", label)) == 1.0
 
     def test_non_unitary_matrix_positioned_error(self):
         text = "space q dim 2\nunitary bad on q = [1 0 0 2]\n"
@@ -578,6 +589,17 @@ class TestSerialize:
         doc = parse(scenario_to_famspec(scn))
         table = probabilities(doc.family("F1"))
         assert table.probability(("z+X", "x+", "x+", "x+")) == pytest.approx(0.5)
+
+    def test_export_refuses_a_final_state_family(self):
+        # famspec anchors a state at the first time only; written anyway, the
+        # family would come back with its state moved and its weights changed
+        from conhist.scenarios import build_spin_half
+
+        scn = build_spin_half()
+        reversed_f1 = time_reverse(scn.family("F1"))
+        assert reversed_f1.initial_slot == len(reversed_f1) - 1
+        with pytest.raises(ValueError, match="final state"):
+            scenario_to_famspec(dataclasses.replace(scn, families={"R": reversed_f1}))
 
     def test_exported_hardy_reproduces_the_twelfth(self):
         from conhist.scenarios import build_hardy

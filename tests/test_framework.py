@@ -66,6 +66,16 @@ class TestExtend:
         assert ext.time_indices == (0, 1, 2, 3)
         assert same_weights(fam, ext)
 
+    def test_extend_picks_the_nearest_grid_time(self):
+        # grid times 1 and 1.0000000001 are both within 1e-9 of the time asked
+        # for; the nearer is the one meant, so the family gains a new time
+        doc = parse((DATA / "near_grid_times.fam").read_text())
+        fam = doc.family("F")
+        ext = extend(fam, [1.0000000001])
+        assert ext.time_indices == (0, 1, 2)
+        with pytest.raises(ValueError, match="already present"):
+            extend(fam, [1.0])
+
     def test_extend_unitary_family_support_unchanged(self, ps):
         zdec = DecompositionOfIdentity.from_projector(Z_PLUS.projector(), "z+")
         fam = Family.pure(ps, (0, 1), Z_PLUS, [zdec])

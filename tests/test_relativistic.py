@@ -149,6 +149,13 @@ class TestInputRules:
         with pytest.raises(ValueError, match="breakpoints must be finite"):
             Hypersurface(xs, ts)
 
+    @pytest.mark.parametrize("xs,ts", [((-1e308, 1e308), (0, 1e307)), ((0, 1), (-1e308, 1e308))],
+                             ids=["x", "t"])
+    def test_hypersurface_refuses_spans_beyond_float_range(self, xs, ts):
+        # np.interp divides by the x span: at inf, tau(0) would read 0, not 5e306
+        with pytest.raises(ValueError, match="differ by a finite amount"):
+            Hypersurface(xs, ts)
+
     @pytest.mark.parametrize("index", ["x", True, 1.0], ids=["string", "bool", "float"])
     def test_event_refuses_non_integer_time_index(self, index):
         with pytest.raises(ValueError, match="time index .* is not an integer"):
