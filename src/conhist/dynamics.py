@@ -51,9 +51,8 @@ class TimeGrid:
 
     def index_of_value(self, t: float) -> int:
         """Index of the grid time nearest ``t``, which must lie within 1e-9 of it."""
-        distance = np.abs(np.subtract(self.values, t))
-        i = int(np.argmin(distance))
-        if not distance[i] <= 1e-9:  # also refuses NaN
+        distance, i = min((abs(v - t), i) for i, v in enumerate(self.values))
+        if not distance <= 1e-9:  # also refuses NaN
             raise KeyError(f"time {t} not on grid {self.values}")
         return i
 

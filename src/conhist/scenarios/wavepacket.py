@@ -95,7 +95,9 @@ def build_wavepacket(
         hop[p_idx((c + 1) % n_cells, _RIGHT)] = p_idx(c, _RIGHT)
     shift = (4 * hop[:, None] + np.arange(4)).ravel()
 
-    def detector_step(det_cell: int, direction: int, ready, fired) -> np.ndarray:
+    def detector_step(
+        det_cell: int, direction: int, ready: tuple[int, int], fired: tuple[int, int]
+    ) -> np.ndarray:
         """The shift after swapping |det_cell, dir>|ready> with |absorbed>|triggered>,
         where ``ready`` and ``fired`` list the detector pair's states (2 * A + B) with
         this detector ready and triggered, one for each state of the other."""
@@ -176,6 +178,7 @@ def build_wavepacket(
         kets[name] = Ket(evolved[v], name)
         P[name] = kets[name].projector()
 
+    # the B-bound packet at time t_a + 1, both detectors ready
     phib = np.zeros(n_part)
     phib[p_idx(source + (t_a + 1), _RIGHT)] = 1.0
     P["phib.AB"] = diagonal(phib, e2[0], e2[0])
@@ -195,7 +198,7 @@ def build_wavepacket(
         v: with_rest((f"Psi.{v}", P[f"Psi.{v}"])) for v in sorted({*f_times[1:], *g_times[1:]})
     }
 
-    # an interval, or phib, with both detectors ready
+    # the intervals of the two packets at time mid, both detectors ready
     g1_t1 = with_rest(
         ("a1.AB", diagonal(interval_diags[interval_of[source - mid]], e2[0], e2[0])),
         ("b1.AB", diagonal(interval_diags[interval_of[source + mid]], e2[0], e2[0])),

@@ -35,6 +35,11 @@ class TestTimeGrid:
             f"t{v!r}" for v in grid.values if float(f"{v:g}") != v
         ]
 
+    @pytest.mark.parametrize("t", [0.5, float("nan"), float("inf")], ids=["off-grid", "nan", "inf"])
+    def test_time_off_the_grid_is_refused(self, t):
+        with pytest.raises(KeyError, match="not on grid"):
+            TimeGrid((0.0, 1.0, 1.0000000001)).index_of_value(t)
+
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             TimeGrid((0.0, 0.0))
