@@ -144,8 +144,9 @@ def _load_families(args) -> dict[str, Family]:
     if args.file:
         try:
             return dict(famspec_parse(_read(args.file)).families)
-        except FamSpecError as exc:
-            raise InputError(f"{args.file}: {exc}") from None
+        except FamSpecError as exc:  # each diagnostic is an error: main says so once
+            raise InputError("; ".join(
+                f"{args.file}:{d.line}:{d.column}: {d.message}" for d in exc.diagnostics)) from None
     raise InputError("provide --scenario NAME or --file PATH")
 
 
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
@@ -489,6 +490,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
+
+_PARSER = build_parser()  # static and shared: ``parse_args`` does not mutate it
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -40,8 +40,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
     mat = np.array(entries, dtype=np.complex128, copy=True)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    # a finite sum has only finite terms; only an overflow needs the entries
-    if not np.isfinite(mat.sum()) and not np.all(np.isfinite(mat)):
+    # entry by entry (a sum of huge entries warns of overflow), on the faster float view
+    if not np.isfinite(mat.ravel(order="K").view(np.float64)).all():
         raise ValueError("matrix entries must be finite")
     mat.flags.writeable = False
     return mat

@@ -116,8 +116,19 @@ class Scenario:
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of the factors, leftmost factor most significant."""
-    return functools.reduce(np.kron, mats)
+    """Kronecker product of factors of one rank, leftmost factor most significant.
+
+    Each step multiplies the same views that ``np.kron`` multiplies (for matrices
+    ``a[:, None, :, None]`` and ``b[None, :, None, :]``, same shapes and strides),
+    so numpy runs the same inner loop over the same products ``a_ij * b_kl``: the
+    result equals ``functools.reduce(np.kron, mats)`` bit for bit.
+    """
+    return functools.reduce(_kron2, mats)
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    prod = a[(slice(None), None) * a.ndim] * b[(None, slice(None)) * b.ndim]
+    return prod.reshape([m * p for m, p in zip(a.shape, b.shape)])
 
 
 def proj(vec: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ from .base import (
     cond,
     consistent,
     kinematic,
+    kron,
     max_overlap,
     prob,
     support_size,
@@ -147,7 +148,7 @@ def build_wavepacket(
     # 0/1 diagonal projectors, from the diagonals of their particle, detector
     # A and detector B factors; a detector's e2[0] is ready, e2[1] triggered
     def diagonal(particle, a, b) -> Projector:
-        return Projector(Operator(np.diag(np.kron(particle, np.kron(a, b)))))
+        return Projector(Operator(np.diag(kron(particle, a, b))))
 
     P: dict[str, Projector] = {}
     e2, ones2, ones_p = np.eye(2), np.ones(2), np.ones(n_part)

@@ -1,14 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
 
 import conhist
-from conhist import hilbert, histories
+from conhist import cli, hilbert, histories
 from conhist.cli import main
 from conhist.famspec import parse, scenario_to_famspec
 from conhist.histories import consistency_check, probabilities
@@ -172,7 +174,19 @@ class TestCheck:
         path = DATA / "unnormalized_initial.fam"
         code, out, err = run(capsys, "check", "--file", str(path), "--family", "split")
         assert (code, out) == (3, "")
-        assert "12:8: error: invalid family 'split': initial state 'half' has norm 0.5" in err
+        assert err == (
+            f"error: {path}:12:8: invalid family 'split': initial state 'half' has norm 0.5, "
+            "expected 1\n"
+        )
+
+    def test_famspec_refusal_says_error_once(self, capsys):
+        # the diagnostic's position follows the path; its severity is main's one prefix
+        path = DATA / "huge_unitary.fam"
+        code, out, err = run(capsys, "check", "--file", str(path), "--family", "F")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: {path}:5:9: matrix for 'u' is non-unitary: defect nan (threshold 1e-09)\n"
+        )
 
     def test_text_lists_ten_violations_and_counts_the_rest(self, capsys, tmp_path):
         path = tmp_path / "alt.fam"
@@ -643,3 +657,83 @@ def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv, code):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr.decode()) == (code, "")
+
+
+# -- the one parser, built at import and shared by every in-process call --------
+
+
+def test_main_constructs_no_parser(capsys, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argvs = [
+        ("check", "--scenario", "hardy", "--family", "blocker"),
+        ("probs", "--scenario", "hardy", "--family", "unitary-output", "--event", "e,ebar"),
+        ("compat", "--scenario", "spin-half", "F1", "F2"),
+        ("scenario", "hardy"),
+        ("embed", str(DATA / "crossing_events.json")),
+        ("check", "--scenario", "hardy"),  # a usage error
+        ("--version",),
+        ("check", "--scenario", "nope", "--family", "F"),
+        ("probs", "--scenario", "epr", "--family", "F4", "--format", "csv"),
+        ("scenario", "spin-half", "--format", "json"),
+    ]
+    assert [run(capsys, *argv)[0] for argv in argvs] == [1, 0, 1, 0, 1, 2, 0, 3, 0, 0]
+    assert made == []
+
+
+def test_shared_parser_gives_serial_namespaces_under_threads():
+    argvs = [
+        ["check", "--scenario", "hardy", "--family", "blocker", "--tol-abs", "1e-6"],
+        ["probs", "--scenario", "hardy", "--family", "unitary-output",
+         "--event", "e,ebar", "--event", "f,fbar", "--format", "csv"],
+        ["probs", "--file", "x.fam", "--family", "G1", "--target", "t3=x+X", "--given", "t5=x+X+"],
+        ["compat", "--scenario", "spin-half", "F1", "F2", "--format", "json"],
+        ["scenario", "epr", "--suite"],
+        ["embed", "events.json"],
+    ]
+    serial = [vars(cli._PARSER.parse_args(argv)) for argv in argvs]
+    start, results = threading.Barrier(4), [None] * 4
+
+    def parse_all(k):
+        start.wait()
+        results[k] = [
+            [vars(cli._PARSER.parse_args(argv)) for argv in argvs] for _ in range(50)
+        ]
+
+    threads = [threading.Thread(target=parse_all, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(passes == [serial] * 50 for passes in results)
+
+
+def test_refused_and_version_calls_leave_the_parser_as_it_was(capsys):
+    # the refused call appends to --event before its error, and --version
+    # exits from inside the parse; the next call must not see either
+    argv = ("probs", "--scenario", "hardy", "--family", "unitary-output",
+            "--event", "e,ebar", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    first = json.loads(out)["results"]
+    assert (code, [e["labels"] for e in first["events"]]) == (0, [["e", "ebar"]])
+    before = [
+        ("probs", "--scenario", "hardy", "--family", "unitary-output", "--event", "f,fbar", "--all"),
+        ("--version",),
+    ]
+    for other, other_code in zip(before, (2, 0)):
+        assert run(capsys, *other)[0] == other_code
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert cli._to_json(json.loads(out)["results"]) == cli._to_json(first)

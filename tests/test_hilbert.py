@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,6 +213,17 @@ class TestInvariantguards:
     def test_operator_finiteness(self):
         with pytest.raises(ValueError):
             Operator(np.array([[np.nan, 0], [0, 1]]))
+
+    def test_huge_finite_entries_build_without_warnings(self):
+        # finiteness is tested entry by entry, not through an overflowing sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Operator(np.full((2, 2), 1e308)).mat[0, 0] == 1e308
+            for bad in (np.inf, -np.inf, np.nan, complex(0, np.inf)):
+                mat = np.array([[1e308, bad], [1e308, 1e308]], dtype=complex)
+                for entries in (mat, mat.T, mat[:, ::-1], mat.tolist()):
+                    with pytest.raises(ValueError, match="entries must be finite"):
+                        Operator(entries)
 
     def test_density_operator_invariants(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import ast
 import collections.abc
 import dataclasses
+import functools
 import itertools
 import pathlib
 import sys
@@ -34,6 +35,7 @@ from conhist.relativistic import (
     validate_foliation,
 )
 from conhist.scenarios import BUILDERS
+from conhist.scenarios.base import kron
 from conhist.scenarios.wavepacket import build_wavepacket, default_intervals
 
 SCENARIOS = {name: builder() for name, builder in BUILDERS.items()}
@@ -126,6 +128,31 @@ def test_no_reachable_array_is_writeable(name):
     ])
     assert verdicts and (embedded is not None or name == "spin-half")  # it has no events
     assert found and [a.shape for a in found if a.flags.writeable] == []
+
+
+@pytest.mark.parametrize("n_factors", [2, 3])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_kron_is_np_kron_bit_for_bit(ndim, n_factors):
+    # seeded real and complex factors of every size from 1 to 4, with exact
+    # and negative zeros among the entries and some factors strided: each
+    # entry must be the same product, rounded the same way, as np.kron forms
+    rng = np.random.default_rng(2002)
+    for sizes in itertools.product(range(1, 5), repeat=n_factors):
+        for complex_ in itertools.product((False, True), repeat=n_factors):
+            mats = []
+            for size, cplx in zip(sizes, complex_):
+                shape = (size,) if ndim == 1 else (size, int(rng.integers(1, 5)))
+                mat = rng.standard_normal(shape)
+                if cplx:
+                    mat = mat + 1j * rng.standard_normal(shape)
+                mat[rng.random(shape) < 0.2] = 0.0
+                mat[rng.random(shape) < 0.2] = -0.0
+                if rng.random() < 0.3:  # a strided view, as a matrix column is
+                    mat = np.repeat(mat, 2, axis=-1)[..., ::2]
+                mats.append(mat)
+            got, want = kron(*mats), functools.reduce(np.kron, mats)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes(), (sizes, complex_)
 
 
 # Per scenario, one family pair for each compat verdict class it produces (the
