@@ -29,7 +29,7 @@ import time
 from collections.abc import Sequence
 
 from . import __version__
-from .famspec import FamSpecError, parse as famspec_parse
+from .famspec import FamSpecError, format_float, parse as famspec_parse
 from .framework import FamilyMismatchError, common_refinement
 from .histories import (
     EPS_ABS,
@@ -64,9 +64,7 @@ class InputError(Exception):
 
 
 def _format_number(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return format_float(x) if isinstance(x, float) else str(x)
 
 
 def _to_json(obj, indent: int = 0) -> str:
@@ -85,7 +83,7 @@ def _to_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, float):
-        return _format_number(obj)
+        return format_float(obj)
     if isinstance(obj, int):
         return str(obj)
     # Sequence comes last (after list and tuple): a check against an ABC costs
@@ -144,9 +142,8 @@ def _load_families(args) -> dict[str, Family]:
     if args.file:
         try:
             return dict(famspec_parse(_read(args.file)).families)
-        except FamSpecError as exc:  # each diagnostic is an error: main says so once
-            raise InputError("; ".join(
-                f"{args.file}:{d.line}:{d.column}: {d.message}" for d in exc.diagnostics)) from None
+        except FamSpecError as exc:  # "LINE:COLUMN: MESSAGE"; main says error: once
+            raise InputError(f"{args.file}:{exc}") from None
     raise InputError("provide --scenario NAME or --file PATH")
 
 

@@ -43,9 +43,10 @@ projector, which is used as the maximally mixed density operator over its
 range.  `steps` lists one unitary per consecutive pair of grid times.
 
 Parsing is total: any input either yields a document or raises
-:class:`FamSpecError` carrying positioned diagnostics.  A document may make
-the parser build at most 64 MiB of dim x dim matrices (`_MATRIX_BUDGET`),
-charged before each one is allocated.
+:class:`FamSpecError` carrying one diagnostic, the first error met while
+reading: the parser scans one token ahead and no further.  A document may
+make the parser build at most 64 MiB of dim x dim matrices
+(`_MATRIX_BUDGET`), charged before each one is allocated.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,65 +85,47 @@ _MAX_DIM = 4096
 # so the budget is charged before each allocation.  The largest bundled
 # export, the default wavepacket model (dim 196), charges 41 matrices,
 # 25.2 MB; 64 MiB leaves 2.6x headroom for it and admits no single matrix
-# above dimension 2048.  A literal's declaration keeps a view of its
-# operator's matrix, so each matrix is held once; while a literal is
-# validated, its parsed entries are a second copy of that one matrix.
+# above dimension 2048.  A literal's entries are written into the charged
+# array, and its declaration keeps a view of its operator's matrix, so each
+# matrix is held once; while a literal is validated, the charged array is a
+# second copy of that one matrix.
 _MATRIX_BUDGET = 64 * 2**20
 
 # The token classes, ASCII only (`\d`, `\s` and `\w` would also admit Unicode
-# digits, spaces and letters).  Upper-case groups yield tokens.
+# digits, spaces and letters).  One match takes the whitespace and comments
+# before a token together with the token, whose class names its group.
 _NAME_CHARS = "A-Za-z0-9_+*.-"  # after the leading letter
 _NAME = f"[A-Za-z][{_NAME_CHARS}]*"
 _NUM = "[0-9.+-][0-9.eEi+-]*"
 _TOKEN = re.compile(
-    rf"(?P<NAME>{_NAME})|(?P<NUM>{_NUM})|(?P<PUNCT>[\[\]{{}}(),=:])"
-    r"|(?P<newline>\n)|(?P<space>[ \t\r\f\v]+)|(?P<comment>#[^\n]*)|(?P<other>.)"
+    r"(?:[ \t\n\r\f\v]|#[^\n]*)*"
+    rf"(?:(?P<NAME>{_NAME})|(?P<NUM>{_NUM})|(?P<PUNCT>[\[\]{{}}(),=:])|(?P<EOF>\Z)|(?P<other>.))"
 )
 _LITERAL = re.compile("[0-9.eEi+-]+")
 
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str
     message: str
     line: int
     column: int
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: {self.message}"
 
 
 class FamSpecError(ValueError):
-    """Parse or validation failure; every diagnostic carries a position."""
+    """Parse or validation failure, with the diagnostic that gives its position."""
 
-    def __init__(self, diagnostics: Sequence[ParseDiagnostic]):
-        self.diagnostics = tuple(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
+    def __init__(self, diagnostic: ParseDiagnostic):
+        self.diagnostic = diagnostic
+        super().__init__(str(diagnostic))
 
 
 class _Token(NamedTuple):
     kind: str  # NAME | NUM | PUNCT | EOF
     text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "other":
-            raise FamSpecError([ParseDiagnostic(
-                "error", f"unexpected character {m[0]!r}", line, m.start() - line_start + 1
-            )])
-        elif kind.isupper():
-            tokens.append(_Token(kind, m[0], line, m.start() - line_start + 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+    offset: int  # into the document
 
 
 def parse_complex(text: str) -> complex:
@@ -257,33 +240,43 @@ class SpecDocument:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.end = 0  # of the current token, where the scan for the next begins
         # Families over the same grid, steps and space share one PropagatorSet,
         # and families from the same ket one {ket, complement} decomposition.
         self.propagator_sets: dict[tuple, PropagatorSet] = {}
         self.pure_by_ket: dict[str, Callable[..., Family]] = {}
         self.matrix_bytes = 0  # charged against _MATRIX_BUDGET
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        self.tok = _Token("EOF", "", 0)
+        self.advance()
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        """Consume the current token and scan the next one, which is refused
+        here if it is a character no token starts with."""
+        tok = self.tok
+        m = _TOKEN.match(self.text, self.end)
+        kind = m.lastgroup
+        text = m[kind]
+        self.end = m.end()
+        self.tok = _Token(kind, text, self.end - len(text))
+        if kind == "other":
+            self.error(f"unexpected character {text!r}")
         return tok
 
     def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise FamSpecError([ParseDiagnostic("error", message, tok.line, tok.column)])
+        """Refuse the document at ``tok`` (the current token by default); its
+        line and column are counted only now."""
+        offset = (tok or self.tok).offset
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        raise FamSpecError(ParseDiagnostic(message, line, column))
 
     def expected(self, what: str):
-        text = self.peek().text
+        text = self.tok.text
         self.error(f"expected {what}, got {text!r}" if text else f"expected {what}")
 
     def expect_name(self, what: str) -> _Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "NAME":
             self.expected(what)
         if tok.text in _KEYWORDS:
@@ -291,11 +284,11 @@ class _Parser:
         return self.advance()
 
     def accept(self, text: str) -> bool:
-        """Consume the next token if its text is ``text``; a keyword or a
+        """Consume the current token if its text is ``text``; a keyword or a
         punctuation mark is known by its text alone."""
-        if self.peek().text != text:
+        if self.tok.text != text:
             return False
-        self.pos += 1
+        self.advance()
         return True
 
     def expect(self, text: str):
@@ -303,14 +296,14 @@ class _Parser:
             self.expected(repr(text))
 
     def expect_number(self, what: str = "number") -> tuple[complex, _Token]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "NUM":
             self.expected(what)
-        self.advance()
         try:
-            return parse_complex(tok.text), tok
+            value = parse_complex(tok.text)
         except ValueError as exc:
-            self.error(f"malformed {what} {tok.text!r}: {exc}", tok)
+            self.error(f"malformed {what} {tok.text!r}: {exc}")
+        return value, self.advance()
 
     def expect_real(self, what: str = "real number") -> tuple[float, _Token]:
         value, tok = self.expect_number(what)
@@ -345,27 +338,28 @@ class _Parser:
         return tuple(values)
 
     def parse_matrix(self, space: SpaceDecl, name_tok: _Token) -> np.ndarray:
-        """A dense or sparse matrix literal as a row-major array."""
+        """A dense or sparse matrix literal, written into the row-major array
+        that the budget has been charged for."""
         self.charge(1, space, name_tok)
+        n = space.dim * space.dim
+        entries = np.zeros(n, dtype=np.complex128)
         if self.accept("sparse"):
-            entries = self.parse_sparse(space.dim)
-        else:
-            n = space.dim * space.dim
-            self.expect("[")
-            values = []
-            while self.peek().kind == "NUM":
-                values.append(self.expect_number("matrix entry")[0])
-            self.expect("]")
-            if len(values) != n:
-                self.error(f"matrix has {len(values)} entries, expected {n}", name_tok)
-            entries = np.array(values, dtype=np.complex128)
+            self.parse_sparse(entries, space.dim)
+            return entries
+        self.expect("[")
+        count = 0  # entries read, all counted for the refusal; past n they wrap
+        while self.tok.kind == "NUM":
+            entries[count % n] = self.expect_number("matrix entry")[0]
+            count += 1
+        self.expect("]")
+        if count != n:
+            self.error(f"matrix has {count} entries, expected {n}", name_tok)
         return entries
 
-    def parse_sparse(self, dim: int) -> np.ndarray:
+    def parse_sparse(self, entries: np.ndarray, dim: int):
         self.expect("[")
-        indices: list[int] = []
-        values: list[complex] = []
-        if self.peek().text != "]":
+        last = -1  # the row-major index of the previous entry
+        if self.tok.text != "]":
             while True:
                 i, i_tok = self.expect_int("row index")
                 if not 0 <= i < dim:
@@ -374,33 +368,27 @@ class _Parser:
                 if not 0 <= j < dim:
                     self.error(f"column index {j} is out of range 0..{dim - 1}", j_tok)
                 k = i * dim + j
-                if indices and k <= indices[-1]:
-                    if k == indices[-1]:
+                if k <= last:
+                    if k == last:
                         self.error(f"duplicate sparse entry ({i}, {j})", i_tok)
                     self.error(
-                        f"sparse entry ({i}, {j}) follows {divmod(indices[-1], dim)}: "
+                        f"sparse entry ({i}, {j}) follows {divmod(last, dim)}: "
                         "entries must be in strictly increasing row-major order",
                         i_tok,
                     )
                 self.expect(":")
-                indices.append(k)
-                values.append(self.expect_number("matrix entry")[0])
+                entries[k] = self.expect_number("matrix entry")[0]
+                last = k
                 if not self.accept(","):
                     break
         self.expect("]")
-        entries = np.zeros(dim * dim, dtype=np.complex128)
-        entries[indices] = values
-        return entries
 
     def parse_document(self) -> SpecDocument:
         doc = SpecDocument({}, {}, {}, {}, {}, {}, {})
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind != "NAME" or tok.text not in _DECLARATIONS:
+        while self.tok.kind != "EOF":
+            if self.tok.text not in _DECLARATIONS:  # only a name can read as one
                 self.error(f"expected a declaration keyword ({'/'.join(_DECLARATIONS)})")
-            getattr(self, "parse_" + tok.text)(doc)
+            getattr(self, "parse_" + self.tok.text)(doc)
         return doc
 
     def _declare(self, doc: SpecDocument, name_tok: _Token):
@@ -566,7 +554,7 @@ class _Parser:
         self.expect("steps")
         self.expect("{")
         steps = []
-        while self.peek().kind == "NAME" and self.peek().text not in _DECLARATIONS:
+        while self.tok.kind == "NAME" and self.tok.text not in _DECLARATIONS:
             step_tok = self.advance()
             steps.append(self._lookup(doc.unitary_decls, "unitary", step_tok.text, step_tok).name)
         self.expect("}")
@@ -650,22 +638,21 @@ class _Parser:
 
 def parse(text: str) -> SpecDocument:
     """Parse and validate a document; raises :class:`FamSpecError` with the
-    first positioned diagnostic on any failure."""
+    diagnostic of the first error met while reading."""
     if not isinstance(text, str):
-        raise FamSpecError(
-            [ParseDiagnostic("error", "input must be a UTF-8 string", 1, 1)]
-        )
+        raise FamSpecError(ParseDiagnostic("input must be a UTF-8 string", 1, 1))
     # huge finite literals overflow in the checks to defects and norms of inf
     # or NaN, which are refused; numpy's warnings would only add stderr lines
     with np.errstate(over="ignore", invalid="ignore"):
         return _Parser(text).parse_document()
 
 
-def try_parse(text: str) -> tuple[SpecDocument | None, tuple[ParseDiagnostic, ...]]:
+def try_parse(text: str) -> tuple[SpecDocument | None, ParseDiagnostic | None]:
+    """``(document, None)``, or ``(None, diagnostic)`` for a refused input."""
     try:
-        return parse(text), ()
+        return parse(text), None
     except FamSpecError as exc:
-        return None, exc.diagnostics
+        return None, exc.diagnostic
 
 
 # -- serialization ---------------------------------------------------------------

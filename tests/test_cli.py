@@ -180,13 +180,20 @@ class TestCheck:
         )
 
     def test_famspec_refusal_says_error_once(self, capsys):
-        # the diagnostic's position follows the path; its severity is main's one prefix
+        # the diagnostic's position follows the path; main's one prefix says error:
         path = DATA / "huge_unitary.fam"
         code, out, err = run(capsys, "check", "--file", str(path), "--family", "F")
         assert (code, out) == (3, "")
         assert err == (
             f"error: {path}:5:9: matrix for 'u' is non-unitary: defect nan (threshold 1e-09)\n"
         )
+
+    def test_famspec_refusal_is_the_first_error_read(self, capsys):
+        # line 3 holds a bad character, which is never reached
+        path = DATA / "first_error.fam"
+        code, out, err = run(capsys, "check", "--file", str(path), "--family", "F")
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}:1:13: expected dimension, got 'x'\n"
 
     def test_text_lists_ten_violations_and_counts_the_rest(self, capsys, tmp_path):
         path = tmp_path / "alt.fam"
@@ -419,6 +426,14 @@ class TestCompat:
         assert code == 1
         assert "kinematic-incompatible" in out
 
+    def test_csv_row(self, capsys):
+        code, out, _ = run(capsys, "compat", "--scenario", "epr", "F1", "F3", "--format", "csv")
+        assert code == 1
+        assert out.splitlines() == [
+            "family_a,family_b,classification,compatible",
+            "F1,F3,kinematic-incompatible,False",
+        ]
+
     def test_identical(self, capsys):
         code, out, _ = run(capsys, "compat", "--scenario", "spin-half", "F1", "F1")
         assert code == 0
@@ -541,6 +556,17 @@ class TestEmbed:
         code, out, _ = run(capsys, "embed", str(path))
         assert code == 0
         assert "surface" in out
+
+    def test_embedding_csv_lists_each_surface_point(self, capsys, tmp_path):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(EVENTS_OK))
+        code, out, _ = run(capsys, "embed", str(path), "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "surface,x,t",
+            "0,-1,0", "0,0,0", "0,2,0", "0,3,0",
+            "1,-1,5", "1,0,5", "1,2,5", "1,3,5",
+        ]
 
     def test_embedding_failure_names_witness(self, capsys, tmp_path):
         path = tmp_path / "events.json"

@@ -18,7 +18,7 @@ from conhist.famspec import (
     serialize,
     try_parse,
 )
-from conhist.histories import probabilities, time_reverse, weight_table
+from conhist.histories import Family, probabilities, time_reverse, weight_table
 from conhist.scenarios.wavepacket import build_wavepacket
 
 DATA = Path(__file__).parent / "data"
@@ -113,11 +113,10 @@ class TestParse:
 
     def test_non_unitary_matrix_positioned_error(self):
         text = "space q dim 2\nunitary bad on q = [1 0 0 2]\n"
-        doc, diags = try_parse(text)
+        doc, d = try_parse(text)
         assert doc is None
-        assert len(diags) == 1
-        assert "non-unitary" in diags[0].message
-        assert (diags[0].line, diags[0].column) == (2, 9)
+        assert "non-unitary" in d.message
+        assert (d.line, d.column) == (2, 9)
 
     def test_hardy_joint_detection_through_the_parser(self):
         doc = parse(HARDY_TEXT)
@@ -125,28 +124,28 @@ class TestParse:
         assert table.probability(("start", "ee")) == pytest.approx(1 / 12)
 
     def test_undefined_name(self):
-        doc, diags = try_parse("space q dim 2\nproj p on q = span(ghost)\n")
+        doc, d = try_parse("space q dim 2\nproj p on q = span(ghost)\n")
         assert doc is None
-        assert "ghost" in diags[0].message
+        assert "ghost" in d.message
 
     def test_dimension_mismatch(self):
-        doc, diags = try_parse("space q dim 2\nket k in q = [1, 0, 0]\n")
+        doc, d = try_parse("space q dim 2\nket k in q = [1, 0, 0]\n")
         assert doc is None
-        assert "3 amplitudes" in diags[0].message
+        assert "3 amplitudes" in d.message
 
     def test_incomplete_decomposition(self):
         text = (
             "space q dim 2\nket up in q = [1, 0]\nproj p on q = span(up)\n"
             "decomp d on q = {p}\n"
         )
-        doc, diags = try_parse(text)
+        doc, d = try_parse(text)
         assert doc is None
-        assert "invalid decomposition" in diags[0].message
+        assert "invalid decomposition" in d.message
 
     def test_redeclaration_rejected(self):
-        doc, diags = try_parse("space q dim 2\nspace q dim 3\n")
+        doc, d = try_parse("space q dim 2\nspace q dim 3\n")
         assert doc is None
-        assert "already declared" in diags[0].message
+        assert "already declared" in d.message
 
     def test_initial_projector_becomes_mixed_state(self):
         text = (
@@ -167,15 +166,15 @@ class TestParse:
 
     def test_family_time_not_on_grid(self):
         text = MINIMAL.replace("at 1: xbasis", "at 0.5: xbasis")
-        doc, diags = try_parse(text)
+        doc, d = try_parse(text)
         assert doc is None
-        assert "not on grid" in diags[0].message
+        assert "not on grid" in d.message
 
     def test_wrong_step_count(self):
         text = MINIMAL.replace("steps { idq idq }", "steps { idq }")
-        doc, diags = try_parse(text)
+        doc, d = try_parse(text)
         assert doc is None
-        assert "needs 2 steps" in diags[0].message
+        assert "needs 2 steps" in d.message
 
     @pytest.mark.parametrize(
         "text,message,line,column",
@@ -196,19 +195,21 @@ class TestParse:
                 5,
             ),
             ("space q dim \u0661", "unexpected character '\u0661'", 1, 13),
+            # the first error read is reported, not a bad character after it
+            ("space q dim x\nket k in q = [1, 0] @", "expected dimension, got 'x'", 1, 13),
+            # entries past the expected count are still counted
+            ("space q dim 1\nunitary u on q = [1 0 0]", "matrix has 3 entries, expected 1", 2, 9),
         ],
     )
     def test_positioned_diagnostics(self, text, message, line, column):
-        doc, diags = try_parse(text)
+        doc, d = try_parse(text)
         assert doc is None
-        [d] = diags
         assert d.message.startswith(message)
         assert (d.line, d.column) == (line, column)
 
     def test_non_finite_time(self):
-        doc, diags = try_parse("times t = [0, 1e400]")
+        doc, d = try_parse("times t = [0, 1e400]")
         assert doc is None
-        [d] = diags
         assert d.message == "malformed time '1e400': non-finite number '1e400'"
         assert (d.line, d.column) == (1, 15)
 
@@ -237,9 +238,8 @@ class TestParse:
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_validation_edge_cases_are_diagnostics(self, text, message, column):
-        doc, diags = try_parse(text)
+        doc, d = try_parse(text)
         assert doc is None
-        [d] = diags
         assert d.message.startswith(message)
         assert (d.line, d.column) == (2, column)
 
@@ -379,9 +379,8 @@ class TestSparseLiteral:
         ],
     )
     def test_positioned_diagnostics(self, body, message, column):
-        doc, diags = try_parse(f"space q dim 2\nproj p on q = sparse [{body}]\n")
+        doc, d = try_parse(f"space q dim 2\nproj p on q = sparse [{body}]\n")
         assert doc is None
-        [d] = diags
         assert d.message == message
         assert (d.line, d.column) == (2, column)
 
@@ -400,9 +399,8 @@ class TestSparseLiteral:
         ],
     )
     def test_keyword_diagnostics(self, text, message, line, column):
-        doc, diags = try_parse(text)
+        doc, d = try_parse(text)
         assert doc is None
-        [d] = diags
         assert d.message == message
         assert (d.line, d.column) == (line, column)
 
@@ -452,16 +450,20 @@ class TestSparseLiteral:
         assert serialize(parse(serialize(doc))) == serialize(doc)
 
 
+def _traced_try_parse(text):
+    """``try_parse(text)`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        doc, d = try_parse(text)
+        return doc, d, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMatrixBudget:
     def refused(self, text):
-        tracemalloc.start()
-        try:
-            doc, diags = try_parse(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        doc, d, peak = _traced_try_parse(text)
         assert doc is None
-        [d] = diags
         assert "over the budget of 67108864" in d.message
         assert peak < 4 * 2**20  # one refused matrix alone would be 268 MB
         return d
@@ -492,12 +494,28 @@ class TestMatrixBudget:
         monkeypatch.setattr(famspec, "_MATRIX_BUDGET", 3 * 2 * 2 * 16)
         lines = "space q dim 2\n" + "".join(f"proj p{k} on q = sparse []\n" for k in range(3))
         assert try_parse(lines)[0] is not None
-        doc, [d] = try_parse(lines + "unitary u on q = [1 0 0 1]\n")
+        doc, d = try_parse(lines + "unitary u on q = [1 0 0 1]\n")
         assert doc is None
         assert d.message == (
             "'u' would bring the document's matrices to 256 bytes, over the budget of 192"
         )
         assert (d.line, d.column) == (5, 9)
+
+    def test_refusal_reads_no_further(self):
+        # line 2 is refused, since the zero matrix is not unitary; the
+        # 512 x 512 literal after it is never scanned
+        text = "space q dim 512\nunitary u on q = sparse []\nunitary v on q = ["
+        doc, d, peak = _traced_try_parse(text + " 0" * 512 * 512 + "]\n")
+        assert doc is None
+        assert d.message.startswith("matrix for 'u' is non-unitary")
+        assert (d.line, d.column) == (2, 9)
+        assert peak < 16 * 2**20
+
+    def test_dense_literal_is_written_into_its_charged_matrix(self):
+        text = "space q dim 512\nproj z on q = [" + " 0" * 512 * 512 + "]\n"
+        doc, d, peak = _traced_try_parse(text)
+        assert d is None and not doc.projectors["z"].mat.any()
+        assert peak < 3 * 512 * 512 * 16  # three times the literal's 4 MiB charge
 
     def test_largest_bundled_export_fits_with_headroom(self):
         parser = famspec._Parser(scenario_to_famspec(build_wavepacket()))
@@ -601,6 +619,18 @@ class TestSerialize:
         with pytest.raises(ValueError, match="final state"):
             scenario_to_famspec(dataclasses.replace(scn, families={"R": reversed_f1}))
 
+    def test_export_refuses_a_density_operator_family(self):
+        from conhist.scenarios import build_spin_half
+
+        scn = build_spin_half()
+        f1 = scn.family("F1")
+        rho = hilbert.DensityOperator.from_projector(f1.decompositions[1].members[0][1])
+        mixed = Family.general(f1.propagators, f1.time_indices, f1.decompositions, rho=rho)
+        with pytest.raises(
+            ValueError, match="^only pure or absent initial conditions can be exported$"
+        ):
+            scenario_to_famspec(dataclasses.replace(scn, families={"M": mixed}))
+
     def test_exported_hardy_reproduces_the_twelfth(self):
         from conhist.scenarios import build_hardy
 
@@ -617,9 +647,9 @@ class TestTotality:
         for _ in range(10_000):
             n = rng.randint(0, 80)
             text = "".join(chr(rng.randint(1, 0x2FF)) for _ in range(n))
-            doc, diags = try_parse(text)
+            doc, d = try_parse(text)
             if doc is None:
-                assert diags and all(d.line >= 1 and d.column >= 1 for d in diags)
+                assert d.line >= 1 and d.column >= 1
 
     def test_mutation_fuzz_no_crash(self):
         rng = random.Random(7)
@@ -629,9 +659,8 @@ class TestTotality:
             for _ in range(rng.randint(1, 6)):
                 k = rng.randrange(len(chars))
                 chars[k] = chr(rng.randint(32, 126))
-            doc, diags = try_parse("".join(chars))
-            if doc is None:
-                assert diags
+            doc, d = try_parse("".join(chars))
+            assert (doc is None) != (d is None)
 
     def test_sparse_mutation_fuzz_no_crash(self):
         rng = random.Random(11)
@@ -641,17 +670,15 @@ class TestTotality:
             for _ in range(rng.randint(1, 6)):
                 k = rng.randrange(len(chars))
                 chars[k] = chr(rng.randint(32, 126))
-            doc, diags = try_parse("".join(chars))
-            if doc is None:
-                assert diags
+            doc, d = try_parse("".join(chars))
+            assert (doc is None) != (d is None)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=80))
     def test_hypothesis_fuzz_no_crash(self, text):
-        doc, diags = try_parse(text)
-        if doc is None:
-            assert all(d.severity == "error" for d in diags)
+        doc, d = try_parse(text)
+        assert (doc is None) != (d is None)
 
     def test_non_string_input(self):
-        doc, diags = try_parse(b"space q dim 2")  # type: ignore[arg-type]
+        doc, d = try_parse(b"space q dim 2")  # type: ignore[arg-type]
         assert doc is None
