@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from . import __version__
 from .famspec import FamSpecError, format_float, parse as famspec_parse
@@ -119,11 +119,11 @@ def _emit(args, results: dict, wall_time_s: float) -> None:
             print(line)
 
 
-def _scenario(name: str):
+def _scenario(name: str, families=None):
     from . import scenarios
 
     try:
-        return scenarios.build(name)
+        return scenarios.build(name, families)
     except KeyError as exc:
         raise InputError(exc.args[0]) from None
 
@@ -136,18 +136,21 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _load_families(args) -> dict[str, Family]:
+def _load_families(args, *names: str) -> list[Family]:
+    """The named families, of ``--scenario`` (which builds only those) or ``--file``."""
     if args.scenario:
-        return dict(_scenario(args.scenario).families)
-    if args.file:
+        families = _scenario(args.scenario, names)
+    elif args.file:
         try:
-            return dict(famspec_parse(_read(args.file)).families)
+            families = famspec_parse(_read(args.file)).families
         except FamSpecError as exc:  # "LINE:COLUMN: MESSAGE"; main says error: once
             raise InputError(f"{args.file}:{exc}") from None
-    raise InputError("provide --scenario NAME or --file PATH")
+    else:
+        raise InputError("provide --scenario NAME or --file PATH")
+    return [_pick_family(families, name) for name in names]
 
 
-def _pick_family(families: dict[str, Family], name: str) -> Family:
+def _pick_family(families: Mapping[str, Family], name: str) -> Family:
     if name not in families:
         raise InputError(
             f"no family named {name!r}; available: {', '.join(sorted(families))}"
@@ -190,7 +193,7 @@ def _tolerance(text: str) -> float:
 
 
 def cmd_check(args) -> tuple[int, dict]:
-    fam = _pick_family(_load_families(args), args.family)
+    (fam,) = _load_families(args, args.family)
     report = consistency_check(fam, args.tol_abs, args.tol_rel)
     return (EXIT_OK if report.consistent else EXIT_NEGATIVE), {
         "family": args.family, **report.to_dict(),
@@ -221,7 +224,7 @@ def _check_rows(r: dict) -> list[dict]:
 
 
 def cmd_probs(args) -> tuple[int, dict]:
-    fam = _pick_family(_load_families(args), args.family)
+    (fam,) = _load_families(args, args.family)
     table = probabilities(fam, args.tol_abs, args.tol_rel)
     results: dict = {
         "family": args.family,
@@ -277,10 +280,7 @@ def _probs_rows(r: dict) -> list[dict]:
 
 
 def cmd_compat(args) -> tuple[int, dict]:
-    families = _load_families(args)
-    verdict = common_refinement(
-        _pick_family(families, args.family_a), _pick_family(families, args.family_b)
-    )
+    verdict = common_refinement(*_load_families(args, args.family_a, args.family_b))
     return (EXIT_OK if verdict.compatible else EXIT_NEGATIVE), {
         "family_a": args.family_a, "family_b": args.family_b, **verdict.to_dict(),
     }

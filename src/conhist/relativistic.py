@@ -209,6 +209,9 @@ class Region:
             raise ValueError("a region needs at least one cell")
         if not self.surface.is_spacelike():
             raise ValueError("a region's surface must be spacelike: every slope below 1 in magnitude")
+        lo, hi = self.surface.xs[0], self.surface.xs[-1]
+        if min(cells) < lo or max(cells) > hi:  # tau would clamp to an end breakpoint
+            raise ValueError(f"a region's cells must lie within its surface's span [{lo:g}, {hi:g}]")
         object.__setattr__(self, "cells", cells)
 
     @classmethod

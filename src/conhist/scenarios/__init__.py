@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
-from .base import Expectation, ExpectationResult, Scenario
+from ..histories import Family
+from .base import Expectation, ExpectationResult, Scenario, pick
 from .epr import build_epr
 from .hardy import build_hardy
 from .spin_half import build_spin_half
@@ -18,14 +19,20 @@ BUILDERS: dict[str, Callable[[], Scenario]] = {
 }
 
 
-def build(name: str) -> Scenario:
+def build(name: str, families: Sequence[str] | None = None) -> Scenario | dict[str, Family]:
+    """The scenario ``name``, or only its ``families``, by name: wavepacket builds
+    just those, and the models that build in a few ms build whole and select."""
     try:
         builder = BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r}; available: {sorted(BUILDERS)}"
         ) from None
-    return builder()
+    if families is None:
+        return builder()
+    if builder is build_wavepacket:
+        return builder(families=families)
+    return pick(builder().families, families)
 
 
 __all__ = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -142,6 +142,14 @@ def with_rest(*members: tuple[str, Projector]) -> DecompositionOfIdentity:
     if np.linalg.norm(rest) > 1e-12:
         members += (("rest", Projector(Operator(rest))),)
     return DecompositionOfIdentity(members)
+
+
+def pick(available: Mapping, names: Sequence[str]) -> dict:
+    """``available``'s entries for ``names``; an unknown name is refused with the list."""
+    for n in names:
+        if n not in available:
+            raise KeyError(f"no family named {n!r}; available: {', '.join(sorted(available))}")
+    return {n: available[n] for n in names}
 
 
 def dec(projectors: Mapping[str, Projector], *labels: str) -> DecompositionOfIdentity:

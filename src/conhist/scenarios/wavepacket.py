@@ -21,11 +21,13 @@ as its own member.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..dynamics import PropagatorSet, TimeGrid
 from ..hilbert import DecompositionOfIdentity, Ket, Operator, Projector
-from ..histories import pure_families
+from ..histories import Family, pure_families
 from ..relativistic import Hypersurface, Region, TaggedEvent, commutation_check
 from .base import (
     Expectation,
@@ -38,6 +40,7 @@ from .base import (
     kinematic,
     kron,
     max_overlap,
+    pick,
     prob,
     support_size,
     with_rest,
@@ -61,7 +64,8 @@ def build_wavepacket(
     det_a: int = 6,
     det_b: int = 21,
     intervals: tuple[tuple[int, ...], ...] | None = None,
-) -> Scenario:
+    families: Sequence[str] | None = None,
+) -> Scenario | dict[str, Family]:
     if intervals is None:
         intervals = default_intervals(n_cells)
     cells = sorted(c for interval in intervals for c in interval)
@@ -130,7 +134,23 @@ def build_wavepacket(
     midx = {v: i for i, v in enumerate(master_values)}
     tlab = {v: grid.labels[midx[v]] for v in master_values}
 
-    # -- named kets and projectors -------------------------------------------
+    # -- families: each one's times and, per slot after the first, the piece
+    # that decomposes it, where a time v names {Psi.v, rest} ---------------------
+
+    recipes = {
+        "F0": (f_times, f_times[1:]),
+        "F1": (f_times, ("int",) * 3),
+        "F2": (f_times, (f_times[1], "int", "int")),
+        "F2-remerge": (f_times, (f_times[1], "int", f_times[3])),
+        "G0": (g_times, g_times[1:]),
+        "G1": (g_times, ("g1", "det", "det")),
+        "G2": (g_times, (g_times[1], "g2", "det")),
+    }
+    if families is not None:  # then build only these and the pieces they use
+        recipes = pick(recipes, families)
+    used = {p for _, pieces in recipes.values() for p in pieces}
+
+    # -- named kets, projectors and the pieces -----------------------------------
 
     psi0_vec = np.zeros(dim, dtype=np.complex128)  # both detectors ready
     psi0_vec[[4 * p_idx(source, _LEFT), 4 * p_idx(source, _RIGHT)]] = 1 / np.sqrt(2)
@@ -140,10 +160,7 @@ def build_wavepacket(
     for back in lattice:
         evolved.append(evolved[-1][back])
 
-    interval_of = {}
-    for k, interval in enumerate(intervals):
-        for c in interval:
-            interval_of[c] = k
+    interval_of = {c: k for k, interval in enumerate(intervals) for c in interval}
 
     # 0/1 diagonal projectors, from the diagonals of their particle, detector
     # A and detector B factors; a detector's e2[0] is ready, e2[1] triggered
@@ -151,79 +168,61 @@ def build_wavepacket(
         return Projector(Operator(np.diag(kron(particle, a, b))))
 
     P: dict[str, Projector] = {}
+    piece = {}
     e2, ones2, ones_p = np.eye(2), np.ones(2), np.ones(n_part)
-    interval_diags = []
-    for k, interval in enumerate(intervals):
-        diag = np.zeros(n_part)
-        for c in interval:
-            diag[p_idx(c, _LEFT)] = 1.0
-            diag[p_idx(c, _RIGHT)] = 1.0
-        interval_diags.append(diag)
-        P[f"int{k}"] = diagonal(diag, ones2, ones2)
-    abs_diag = np.zeros(n_part)
-    abs_diag[absorbed] = 1.0
-    P["abs"] = diagonal(abs_diag, ones2, ones2)
+    part = np.arange(n_part)
+    interval_diags = [np.zeros(n_part) for _ in intervals]
+    for c, k in interval_of.items():
+        interval_diags[k][p_idx(c, _LEFT)] = interval_diags[k][p_idx(c, _RIGHT)] = 1.0
+    if "int" in used:  # the intervals, plus the absorbed marker as its own member
+        for k, diag in enumerate(interval_diags):
+            P[f"int{k}"] = diagonal(diag, ones2, ones2)
+        P["abs"] = diagonal((part == absorbed) * 1.0, ones2, ones2)
+        piece["int"] = DecompositionOfIdentity(
+            tuple((f"int{k}", P[f"int{k}"]) for k in range(len(intervals))) + (("abs", P["abs"]),)
+        )
 
-    for lab, a_state, b_state in (
-        ("AB", 0, 0), ("A*B", 1, 0), ("AB*", 0, 1), ("A*B*", 1, 1),
-    ):
-        P[lab] = diagonal(ones_p, e2[a_state], e2[b_state])
-    P["A"] = diagonal(ones_p, e2[0], ones2)
-    P["A*"] = diagonal(ones_p, e2[1], ones2)
-    P["B"] = diagonal(ones_p, ones2, e2[0])
-    P["B*"] = diagonal(ones_p, ones2, e2[1])
+    if used & {"det", "g2"}:
+        for lab, a_state, b_state in (
+            ("AB", 0, 0), ("A*B", 1, 0), ("AB*", 0, 1), ("A*B*", 1, 1),
+        ):
+            P[lab] = diagonal(ones_p, e2[a_state], e2[b_state])
+        piece["det"] = DecompositionOfIdentity(
+            tuple((lab, P[lab]) for lab in ("A*B", "AB", "AB*", "A*B*"))
+        )
+    if families is None:  # no family uses the single-detector projectors
+        P["A"] = diagonal(ones_p, e2[0], ones2)
+        P["A*"] = diagonal(ones_p, e2[1], ones2)
+        P["B"] = diagonal(ones_p, ones2, e2[0])
+        P["B*"] = diagonal(ones_p, ones2, e2[1])
 
+    # {Psi.v, rest} at every time after the first that a family uses
     kets = {"Psi0": psi0}
     for v in master_values:
         name = f"Psi.{v}"
-        kets[name] = Ket(evolved[v], name)
-        P[name] = kets[name].projector()
+        if families is None or v in used:
+            kets[name] = Ket(evolved[v], name)
+            P[name] = kets[name].projector()
+        if v in used:
+            piece[v] = with_rest((name, P[name]))
 
-    # the B-bound packet at time t_a + 1, both detectors ready
-    phib = np.zeros(n_part)
-    phib[p_idx(source + (t_a + 1), _RIGHT)] = 1.0
-    P["phib.AB"] = diagonal(phib, e2[0], e2[0])
-
-    # -- decompositions --------------------------------------------------------
-
-    interval_dec = DecompositionOfIdentity(
-        tuple((f"int{k}", P[f"int{k}"]) for k in range(len(intervals)))
-        + (("abs", P["abs"]),)
-    )
-    det_dec = DecompositionOfIdentity(
-        tuple((lab, P[lab]) for lab in ("A*B", "AB", "AB*", "A*B*"))
-    )
-
-    # {Psi.v, rest} at every time after the first, built once per time
-    psi_dec = {
-        v: with_rest((f"Psi.{v}", P[f"Psi.{v}"])) for v in sorted({*f_times[1:], *g_times[1:]})
-    }
-
-    # the intervals of the two packets at time mid, both detectors ready
-    g1_t1 = with_rest(
-        ("a1.AB", diagonal(interval_diags[interval_of[source - mid]], e2[0], e2[0])),
-        ("b1.AB", diagonal(interval_diags[interval_of[source + mid]], e2[0], e2[0])),
-    )
-    g2_t2 = with_rest(("A*B", P["A*B"]), ("phib.AB", P["phib.AB"]))
-
-    f_idx = tuple(midx[v] for v in f_times)
-    g_idx = tuple(midx[v] for v in g_times)
+    if "g1" in used:  # the intervals of the two packets at time mid, both detectors ready
+        piece["g1"] = with_rest(
+            ("a1.AB", diagonal(interval_diags[interval_of[source - mid]], e2[0], e2[0])),
+            ("b1.AB", diagonal(interval_diags[interval_of[source + mid]], e2[0], e2[0])),
+        )
+    if "g2" in used:  # the B-bound packet at time t_a + 1, both detectors ready
+        phib = (part == p_idx(source + (t_a + 1), _RIGHT)) * 1.0
+        P["phib.AB"] = diagonal(phib, e2[0], e2[0])
+        piece["g2"] = with_rest(("A*B", P["A*B"]), ("phib.AB", P["phib.AB"]))
 
     pure = pure_families(psi0)
     fam = {
-        "F0": pure(ps, f_idx, [psi_dec[v] for v in f_times[1:]], name="F0"),
-        "F1": pure(ps, f_idx, [interval_dec] * 3, name="F1"),
-        "F2": pure(ps, f_idx, [psi_dec[f_times[1]], interval_dec, interval_dec], name="F2"),
-        "F2-remerge": pure(
-            ps,
-            f_idx,
-            [psi_dec[f_times[1]], interval_dec, psi_dec[f_times[3]]],
-            name="F2-remerge",
-        ),
-        "G0": pure(ps, g_idx, [psi_dec[v] for v in g_times[1:]], name="G0"),
-        "G1": pure(ps, g_idx, [g1_t1, det_dec, det_dec], name="G1"),
-        "G2": pure(ps, g_idx, [psi_dec[g_times[1]], g2_t2, det_dec], name="G2"),
+        name: pure(ps, tuple(midx[v] for v in times), [piece[p] for p in pieces], name=name)
+        for name, (times, pieces) in recipes.items()
     }
+    if families is not None:
+        return fam
 
     # -- spacetime events -------------------------------------------------------
 

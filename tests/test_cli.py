@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import conhist
-from conhist import cli, hilbert, histories
+from conhist import cli, hilbert, histories, scenarios
 from conhist.cli import main
 from conhist.famspec import parse, scenario_to_famspec
 from conhist.histories import consistency_check, probabilities
@@ -122,6 +122,14 @@ class TestCheck:
         path.write_text(MINIMAL)
         code, out, _ = run(capsys, "check", "--file", str(path), "--family", "split")
         assert code == 0
+
+    def test_famspec_file_unknown_family_lists_the_available(self, capsys, tmp_path):
+        path = tmp_path / "doc.fam"
+        path.write_text(MINIMAL)
+        for argv in (("check", "--family", "nope"), ("compat", "split", "nope")):
+            assert run(capsys, *argv, "--file", str(path)) == (
+                3, "", "error: no family named 'nope'; available: split\n"
+            )
 
     def test_exported_hardy_file_matches_the_built_in(self, capsys, tmp_path):
         scn = build_hardy()
@@ -620,9 +628,10 @@ class TestEmbed:
         ('"id": "src"', '"id": "src", "time_index": "x"'),
         ('"id": "src"', '"id": "src", "projector": 5'),
         ('"ts": [0, 0]', '"ts": [-20, 20]'),  # slope 2: not a spacelike surface
+        ('"cells": [0]', '"cells": [11]'),  # beyond the surface, where tau would clamp
     ], ids=["cell-1e400", "cell-1.5", "cell-true", "cell-string", "cell-10**400", "id-number",
             "x-true", "t-string", "x-minus-10**400", "time-index-string", "projector-number",
-            "surface-slope-2"])
+            "surface-slope-2", "cell-outside-surface"])
     def test_malformed_event_is_input_error(self, capsys, tmp_path, old, new):
         # not read as another cell or id, and no traceback
         path = tmp_path / "events.json"
@@ -655,10 +664,48 @@ class TestEmbed:
      "family has no time labeled 't9'"),
     (("probs", "--scenario", "hardy", "--family", "unitary-output", "--event", "zzz"),
      "label 'zzz' not used anywhere in the family"),
-], ids=["scenario", "time", "label"])
+    # a build of only the named families still lists every available one
+    (("check", "--scenario", "wavepacket", "--family", "F9"),
+     "no family named 'F9'; available: F0, F1, F2, F2-remerge, G0, G1, G2"),
+    (("compat", "--scenario", "wavepacket", "F1", "F9"),
+     "no family named 'F9'; available: F0, F1, F2, F2-remerge, G0, G1, G2"),
+], ids=["scenario", "time", "label", "family-check", "family-compat"])
 def test_refusal_from_a_key_error_prints_its_message(capsys, argv, message):
     # str() of a KeyError would wrap the message in quotes
     assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+FULL_BUILDS = {name: build(name) for name in scenarios.BUILDERS}
+
+
+@pytest.mark.parametrize("name, family", [
+    (name, family) for name, scn in FULL_BUILDS.items() for family in scn.families
+])
+def test_check_and_probs_report_what_the_library_says_of_the_full_build(capsys, name, family):
+    # the commands build only the named family; their results must equal the
+    # library's on that family of a full build, as the JSON report reads them
+    fam = FULL_BUILDS[name].families[family]
+    report = consistency_check(fam)
+    code, out, _ = run(capsys, "check", "--scenario", name, "--family", family, "--format", "json")
+    assert code == (0 if report.consistent else 1)
+    want = {"family": family, **report.to_dict()}
+    assert json.loads(out)["results"] == json.loads(cli._to_json(want))
+    code, out, err = run(capsys, "probs", "--scenario", name, "--family", family, "--format", "json")
+    if not report.consistent:
+        with pytest.raises(histories.InconsistentFamilyError) as refusal:
+            probabilities(fam)
+        assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
+        return
+    table = probabilities(fam)
+    want = {
+        "family": family, "normalization": table.normalization,
+        "probabilities": [
+            {"history": list(a), "probability": p}
+            for a, p in sorted(table.items(), key=lambda ap: -ap[1])
+        ],
+    }
+    assert code == 0
+    assert json.loads(out)["results"] == json.loads(cli._to_json(want))
 
 
 @pytest.mark.parametrize("argv, code", [

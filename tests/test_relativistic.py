@@ -124,6 +124,17 @@ class TestInputRules:
         with pytest.raises(ValueError, match="must be spacelike"):
             Region.at([0], Hypersurface(xs, ts))
 
+    @pytest.mark.parametrize("cells, surface", [
+        ([10], Hypersurface.line(0, 0.5, 0, 2)),  # tau(10) would clamp to tau(2) = 1.0
+        ([-6], SURFACE), ([0, 6], SURFACE),
+    ], ids=["beyond-a-line", "below", "one-of-two-above"])
+    def test_region_refuses_cells_outside_its_surface(self, cells, surface):
+        with pytest.raises(ValueError, match="must lie within its surface's span"):
+            Region.at(cells, surface)
+
+    def test_region_accepts_cells_on_its_surface_ends(self):
+        assert Region.at([-5, 5], self.SURFACE).cells == {-5, 5}
+
     def test_region_accepts_numpy_integers(self):
         assert Region.at(np.array([3, 1]), self.SURFACE).cells == {1, 3}
 

@@ -2,6 +2,7 @@ import ast
 import collections.abc
 import dataclasses
 import functools
+import hashlib
 import itertools
 import pathlib
 import sys
@@ -231,6 +232,48 @@ def test_registries_are_read_only(name, registry):
     with pytest.raises(TypeError):
         del entries[next(iter(entries), "extra")]
     assert "extra" not in entries
+
+
+def fingerprint(fam):
+    """Digests of a family's times, propagator steps, initial state and members."""
+    digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+    return (
+        fam.name, fam.time_indices, fam.propagators.grid.values,
+        [digest(step.mat) for step in fam.propagators.steps],
+        fam.initial_slot, digest(fam.initial.ket.amps),
+        [[(lab, digest(p.mat)) for lab, p in dec.members] for dec in fam.decompositions],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_named_builds_equal_the_full_build(name):
+    # a build of only the named families makes the same families as the full
+    # build, and the families of one named build share their dynamics
+    full = SCENARIOS[name].families
+    for fname, fam in full.items():
+        named = scenarios.build(name, [fname])
+        assert list(named) == [fname]
+        assert fingerprint(named[fname]) == fingerprint(fam)
+        assert consistency_check(named[fname]).to_dict() == consistency_check(fam).to_dict()
+        assert weight_table(named[fname]).entries == weight_table(fam).entries
+    pairs = [
+        (a, b) for a, b in itertools.combinations(sorted(full), 2)
+        if full[a].propagators.same_dynamics(full[b].propagators)
+    ]
+    assert pairs
+    for a, b in pairs:
+        named = scenarios.build(name, [a, b])
+        assert named[a].propagators is named[b].propagators
+        assert (common_refinement(named[a], named[b]).to_dict()
+                == common_refinement(full[a], full[b]).to_dict())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_named_build_refuses_an_unknown_family(name):
+    available = ", ".join(sorted(SCENARIOS[name].families))
+    with pytest.raises(KeyError) as info:
+        scenarios.build(name, [next(iter(SCENARIOS[name].families)), "F9"])
+    assert info.value.args == (f"no family named 'F9'; available: {available}",)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
