@@ -174,12 +174,10 @@ def validate_foliation(f: Foliation) -> FoliationReport:
             if abs(slope) >= 1.0:
                 slope_violations.append((i, j, float(slope)))
     ordering_violations = []
-    for i in range(len(f.surfaces) - 1):
-        lo, hi = f.surfaces[i], f.surfaces[i + 1]
-        for x in sorted(set(lo.xs) | set(hi.xs)):
-            a, b = lo.tau(x), hi.tau(x)
-            if a >= b:
-                ordering_violations.append((i, float(x), float(a), float(b)))
+    for i, (lo, hi) in enumerate(zip(f.surfaces, f.surfaces[1:])):
+        xs = sorted(set(lo.xs) | set(hi.xs))
+        taus = zip(xs, np.interp(xs, lo.xs, lo.ts), np.interp(xs, hi.xs, hi.ts))
+        ordering_violations += [(i, x, float(a), float(b)) for x, a, b in taus if a >= b]
     return FoliationReport(
         valid=not slope_violations and not ordering_violations,
         slope_violations=tuple(slope_violations),
@@ -301,8 +299,7 @@ class TaggedEvent:
 
 def _point_precedes(p: SpacetimePoint, q: SpacetimePoint) -> bool:
     """p causally precedes q: timelike or lightlike with p strictly earlier."""
-    kind = classify_interval(p, q)
-    return kind in (TIMELIKE, LIGHTLIKE) and p.t < q.t
+    return classify_interval(p, q) != SPACELIKE and p.t < q.t
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,14 +312,13 @@ class CausalGraph:
         return (a, b) in self.edges
 
 
-def _precedence(nodes: Sequence, points: Mapping, same) -> tuple[set, TopologicalSorter]:
+def _precedence(nodes: Sequence, points: Mapping) -> set:
     """Edges a -> b wherever some point of a causally precedes some point of
-    b, for every pair with ``not same(a, b)``, and their sorter."""
-    edges = {
+    another node b."""
+    return {
         (a, b) for a in nodes for b in nodes
-        if not same(a, b) and any(_point_precedes(p, q) for p in points[a] for q in points[b])
+        if a != b and any(_point_precedes(p, q) for p in points[a] for q in points[b])
     }
-    return edges, _sorter(nodes, edges)
 
 
 def _sorter(nodes: Sequence, edges: Iterable) -> TopologicalSorter:
@@ -355,8 +351,8 @@ def causal_precedence(events: Sequence[TaggedEvent]) -> CausalGraph:
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
         raise ValueError("event ids must be unique")
-    edges, sorter = _precedence(ids, {e.id: e.points() for e in events}, lambda a, b: a == b)
-    cycle = _cycle(sorter)
+    edges = _precedence(ids, {e.id: e.points() for e in events})
+    cycle = _cycle(_sorter(ids, edges))
     if cycle is not None:
         raise CyclicCausalityError(cycle)
     return CausalGraph(frozenset(edges))
@@ -377,25 +373,23 @@ class EmbeddingResult:
         }
 
 
-# Largest vertical margin inserted between consecutive emitted surfaces; the
-# actual margin shrinks adaptively so constrained points are never displaced.
-_EMBED_GAP = 0.25
-
-
 def embed_events(events: Sequence[TaggedEvent]) -> EmbeddingResult:
     """Embed events into nonintersecting spacelike hypersurfaces.
 
-    Precedence is computed between individual regions; each entangled event
-    then pins all of its regions to a single layer.  If that atomicity forces
-    an event both before and after another (a cycle through an entangled
-    event), embedding is impossible and the entangled event is named as the
-    witness.  A cycle among purely local regions signals malformed input
-    instead (:class:`CyclicCausalityError`).
-
-    On success a concrete piecewise-linear foliation is emitted: constrained
-    segments take the slopes their points demand (always strictly below 1
-    because same-layer points are pairwise spacelike); unconstrained parts
-    stay at gentle slopes.
+    One surface carries all regions of an event and no two surfaces meet, so
+    an entangled event's regions share a node of the region precedence, and
+    so do events that share a point.  The only refusal is a cycle through a
+    node (:class:`EmbeddingImpossibleError`, whose witness is the first
+    entangled event on it); a cycle through local events alone is malformed input
+    (:class:`CyclicCausalityError`).  Otherwise a node's layer is the longest
+    chain into it, and surface k is the upper envelope of the cones
+    ``t = t_p + delta * (k - layer(p)) - s * |x - x_p|`` over the points of
+    layers 0..k.  ``s`` is halfway to 1 from the steepest slope of a pair a
+    cone passes over (two points of a layer, or a point of a higher layer
+    earlier than one of a lower layer; such pairs are spacelike), and
+    ``delta`` is half the least ``(t_p - t_q + s * |x_p - x_q|) /
+    (layer(p) - layer(q))``.  So every surface has slopes of magnitude
+    s < 1, passes through its own points and lies delta above the one below.
     """
     ids = [e.id for e in events]
     if len(set(ids)) != len(ids):
@@ -403,82 +397,87 @@ def embed_events(events: Sequence[TaggedEvent]) -> EmbeddingResult:
     if not events:
         raise ValueError("need at least one event")
 
-    # Region-level precedence.
+    # Region-level precedence, including between one event's regions.
     rpoints = {(e.id, i): r.corner_points() for e in events for i, r in enumerate(e.regions)}
-    redges, rsorter = _precedence(list(rpoints), rpoints, lambda a, b: a[0] == b[0])
-    rcycle = _cycle(rsorter)
+    redges = _precedence(list(rpoints), rpoints)
+    rcycle = _cycle(_sorter(list(rpoints), {(a, b) for a, b in redges if a[0] != b[0]}))
     if rcycle is not None:
         raise CyclicCausalityError([f"{eid}[{i}]" for eid, i in rcycle])
 
-    # Quotient by event atomicity: all regions of an event share a node.  A
-    # local event is one region, so a quotient cycle passes an entangled one.
-    qsorter = _sorter(ids, {(ea, eb) for (ea, _), (eb, _) in redges})
-    qcycle = _cycle(qsorter)
+    # The quotient: a node is named by its first event.  A self-loop is named
+    # only when no longer cycle is found.
+    points = {e.id: set(e.points()) for e in events}
+    node: dict[str, str] = {}
+    for eid in ids:
+        touched = {node[f] for f in node if points[f] & points[eid]}
+        rep = min(touched, key=ids.index, default=eid)
+        node = {f: rep if n in touched else n for f, n in node.items()} | {eid: rep}
+    qedges = {(node[ea], node[eb]) for (ea, _), (eb, _) in redges}
+    qsorter = _sorter(list(dict.fromkeys(node.values())), {(a, b) for a, b in qedges if a != b})
+    qcycle = _cycle(qsorter) or next(([n, n] for n in ids if (n, n) in qedges), None)
     if qcycle is not None:
-        witness = next(e.id for e in events if e.is_entangled and e.id in qcycle)
-        raise EmbeddingImpossibleError(
-            witness,
-            "an entangled event's regions are forced both before and after "
-            f"another event (cycle {qcycle})",
+        witness = next((e.id for e in events if e.is_entangled and node[e.id] in qcycle), None)
+        if witness is None:  # local events that share a point, one after another
+            raise CyclicCausalityError(qcycle)
+        detail = (
+            "regions that must share one surface are causally ordered" if len(qcycle) == 2
+            else "an entangled event's regions are forced both before and after another event"
         )
+        raise EmbeddingImpossibleError(witness, f"{detail} (cycle {qcycle})")
 
-    # Layer k is the k-th round of ready events, each round done whole: the
-    # longest chain into an event of layer k has k edges.
+    # Layer k is the k-th round of ready nodes, each round done whole: the
+    # longest chain into a node of layer k has k edges.
     rounds: list[tuple[str, ...]] = []
     while qsorter.is_active():
         rounds.append(qsorter.get_ready())
         qsorter.done(*rounds[-1])
-    layer = {eid: k for k, ready in enumerate(rounds) for eid in ready}
-    grouped: list[list[str]] = [[] for _ in rounds]
-    for eid in ids:
-        grouped[layer[eid]].append(eid)
+    layer = {eid: k for eid in ids for k, ready in enumerate(rounds) if node[eid] in ready}
 
-    # A layer's constrained points are the sorted set of its events' points.
-    # No two share an x at different times: cells are integers, one event's
-    # regions have disjoint cells, and two points at one x and different times
-    # are timelike or lightlike, so a precedence edge puts them in two layers.
-    points = {e.id: e.points() for e in events}
-    layer_points = [sorted({p for eid in group for p in points[eid]}) for group in grouped]
-
-    all_x = sorted({p.x for pts in layer_points for p in pts})
-    x_lo, x_hi = all_x[0] - 1.0, all_x[-1] + 1.0
-    breakpoints = [x_lo, *all_x, x_hi]
-
-    surfaces: list[Hypersurface] = []
-    prev: np.ndarray | None = None
-    xs = np.array(breakpoints)
-    for k, pts in enumerate(layer_points):
-        px = [p.x for p in pts]
-        pt = [p.t for p in pts]
-        base = np.interp(xs, px, pt)
-        if prev is not None:
-            # For all-local inputs every event has a causal ancestor in each
-            # lower layer, and surfaces climb strictly slower than light, so
-            # each lower surface stays strictly below this layer's points;
-            # the adaptive margin then never displaces a constrained point.
-            headroom = min(
-                p.t - float(np.interp(p.x, xs, prev)) for p in pts
-            )
-            if headroom <= 0.0:
-                raise EmbeddingImpossibleError(
-                    grouped[k][0],
-                    f"layer {k} cannot pass through its events without "
-                    "crossing an earlier surface",
-                )
-            base = np.maximum(base, prev + min(_EMBED_GAP, headroom / 2.0))
-        surf = Hypersurface(tuple(float(x) for x in xs), tuple(float(t) for t in base))
-        if not surf.is_spacelike():
-            raise EmbeddingImpossibleError(
-                grouped[k][0], f"layer {k} would need a non-spacelike surface"
-            )
-        surfaces.append(surf)
-        prev = base
-
+    # s exceeds the slope of each pair a cone passes over, so each gap is
+    # positive: any other higher-layer point is later.  Halved coordinates
+    # keep differences finite, and the least halved gap is delta.
+    pts = sorted({(layer[eid], *p) for eid in ids for p in points[eid]})
+    lay, x, t = (np.array(c) for c in zip(*pts))
+    dx, dt, dl = np.abs(x[:, None] / 2 - x / 2), t[:, None] / 2 - t / 2, lay[:, None] - lay
+    under = (dx > 0) & ((dl == 0) | (dl * dt < 0))
+    s = (1.0 + float(np.max(np.abs(dt[under]) / dx[under], initial=0.0))) / 2.0
+    gaps = (dt + s * dx)[dl > 0] / dl[dl > 0]
+    delta = float(gaps.min()) if gaps.size else 0.0
+    x_lo, x_hi = float(x.min()) - 1.0, float(x.max()) + 1.0
+    foliation = Foliation(tuple(_cone_envelope(
+        sorted((px, pt + delta * (k - pl)) for pl, px, pt in pts if pl <= k), s, x_lo, x_hi
+    ) for k in range(len(rounds))))
+    # s < 1 and delta > 0: only rounding can steepen a surface or close a gap
+    if not validate_foliation(foliation).valid:
+        raise ValueError("events lie closer together or to the light cone than floating point separates")
     return EmbeddingResult(
-        foliation=Foliation(tuple(surfaces)),
-        layer_of={eid: layer[eid] for eid in ids},
-        layers=tuple(tuple(g) for g in grouped),
+        foliation=foliation,
+        layer_of=layer,
+        layers=tuple(tuple(eid for eid in ids if layer[eid] == k) for k in range(len(rounds))),
     )
+
+
+def _cone_envelope(apexes, s: float, x_lo: float, x_hi: float) -> Hypersurface:
+    """Upper envelope over [x_lo, x_hi] of the cones ``t = a - s * |x - x0|``
+    at the apexes ``(x0, a)``, sorted by x.  Its breakpoints are x_lo, each
+    visible apex, the meeting point of each two neighbouring ones, and x_hi."""
+    hull: list[tuple[float, float]] = []
+    for x0, a in apexes:
+        while hull and a - s * (x0 - hull[-1][0]) >= hull[-1][1]:  # covers the last apex
+            hull.pop()
+        if not hull or hull[-1][1] - s * (x0 - hull[-1][0]) < a:
+            hull.append((x0, a))
+    breaks = [(x_lo, hull[0][1] - s * (hull[0][0] - x_lo)), hull[0]]
+    for (xa, ta), (xb, tb) in zip(hull, hull[1:]):
+        xm = (ta - tb + s * (xa + xb)) / (2.0 * s)
+        tm = ta - s * (xm - xa)
+        # rounding can put a meeting point on, beyond or so near an apex that
+        # a piece reads lightlike; the chord, flatter than s, then serves
+        if xa < xm < xb and max(abs((tm - ta) / (xm - xa)), abs((tb - tm) / (xb - xm))) < 1:
+            breaks.append((xm, tm))
+        breaks.append((xb, tb))
+    breaks.append((x_hi, hull[-1][1] - s * (x_hi - hull[-1][0])))
+    return Hypersurface(*zip(*breaks))
 
 
 # -- spacelike commutation and covariance -------------------------------------

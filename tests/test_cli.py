@@ -14,6 +14,7 @@ from conhist import cli, hilbert, histories, scenarios
 from conhist.cli import main
 from conhist.famspec import parse, scenario_to_famspec
 from conhist.histories import consistency_check, probabilities
+from conhist.relativistic import Foliation, Hypersurface, validate_foliation
 from conhist.scenarios import build, build_hardy
 
 DATA = Path(__file__).parent / "data"
@@ -570,11 +571,30 @@ class TestEmbed:
         path.write_text(json.dumps(EVENTS_OK))
         code, out, _ = run(capsys, "embed", str(path), "--format", "csv")
         assert code == 0
+        # slope-0.5 cones: s = 0.5 with no spacelike pair, delta = 3; det's
+        # cone covers src's lifted one on surface 1
         assert out.splitlines() == [
             "surface,x,t",
-            "0,-1,0", "0,0,0", "0,2,0", "0,3,0",
-            "1,-1,5", "1,0,5", "1,2,5", "1,3,5",
+            "0,-1,-0.5", "0,0,0", "0,3,-1.5",
+            "1,-1,3.5", "1,2,5", "1,3,4.5",
         ]
+
+    def test_entangled_event_below_an_earlier_flat_extension_embeds(self, capsys):
+        # a -> b, a -> c and b -> c, no cycle; c's left arm lies below the
+        # level of b, so a surface through c must slope down from b's
+        code, out, _ = run(
+            capsys, "embed", str(DATA / "entangled_below_flat_extension.json"), "--format", "json"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["layers"] == [["a"], ["b"], ["c"]]
+        foliation = Foliation(tuple(
+            Hypersurface(tuple(s["xs"]), tuple(s["ts"])) for s in results["foliation"]["surfaces"]
+        ))
+        assert validate_foliation(foliation).valid
+        for k, points in enumerate([[(5, 2)], [(5, 8)], [(0, 4.875), (6, 10.125)]]):
+            for x, t in points:
+                assert foliation.surfaces[k].tau(x) == pytest.approx(t, abs=1e-9)
 
     def test_embedding_failure_names_witness(self, capsys, tmp_path):
         path = tmp_path / "events.json"

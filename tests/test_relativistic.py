@@ -266,19 +266,77 @@ class TestEmbedding:
 
     def test_entangled_event_straddled_by_local_event_fails(self):
         # local event timelike-after one arm region and timelike-before the
-        # other arm region of a single entangled event
-        steep = Hypersurface.line(-0.2 + 0.8 * 10, -0.8, -20, 20)
-        ent = TaggedEvent.entangled(
-            "psi", (Region.at([-10], steep), Region.at([10], steep))
-        )
-        local = TaggedEvent.local(
-            "probe", Region.at([-9], Hypersurface.flat(4.0, -20, 20))
-        )
-        # probe at (-9, 4): after psi's left region (-10, 7.8)? compute: want
-        # left region earlier, right region later
-        assert steep.tau(-10) == pytest.approx(-0.2 + 0.8 * 10 + 8)
-        with pytest.raises((EmbeddingImpossibleError, CyclicCausalityError)):
-            embed_events([ent, local])
+        # other arm region of a single entangled event; causal order is
+        # transitive, so the arms sit on two surfaces, one timelike-after the other
+        ent = TaggedEvent.entangled("psi", (
+            Region.at([-10], Hypersurface.flat(0.0, -20, 20)),
+            Region.at([10], Hypersurface.flat(30.0, -20, 20)),
+        ))
+        probe = TaggedEvent.local("probe", Region.at([0], Hypersurface.flat(15.0, -20, 20)))
+        left, right = (r.corner_points()[0] for r in ent.regions)
+        assert classify_interval(left, probe.points()[0]) == TIMELIKE
+        assert classify_interval(probe.points()[0], right) == TIMELIKE
+        with pytest.raises(EmbeddingImpossibleError) as err:
+            embed_events([ent, probe])
+        assert err.value.witness == "psi"
+        assert err.value.detail.endswith("(cycle ['psi', 'probe', 'psi'])")
+
+    def test_entangled_event_with_ordered_regions_fails(self):
+        # one arm timelike-before the other: the event is forced before itself
+        ent = TaggedEvent.entangled("psi", (
+            Region.at([0], Hypersurface.flat(0.0, -5, 5)),
+            Region.at([1], Hypersurface.flat(3.0, -5, 5)),
+        ))
+        with pytest.raises(EmbeddingImpossibleError) as err:
+            embed_events([ent, flat_event("other", 4, 0.0)])
+        assert err.value.witness == "psi"
+        assert err.value.detail.endswith("(cycle ['psi', 'psi'])")
+
+    def test_events_sharing_a_point_share_a_surface(self):
+        # a sits on b's left arm, and z precedes b's right arm only: no two
+        # surfaces meet, so a rides up to b's layer
+        flat0 = Hypersurface.flat(0.0, -20, 20)
+        b = TaggedEvent.entangled("b", (Region.at([0], flat0), Region.at([20], flat0)))
+        events = [flat_event("a", 0, 0.0), b, flat_event("z", 20, -5.0)]
+        result = embed_events(events)
+        assert result.layer_of == {"a": 1, "b": 1, "z": 0}
+        assert validate_foliation(result.foliation).valid
+
+    def test_local_events_sharing_a_point_in_causal_order_are_malformed(self):
+        # a and b share (0, 0), and a's (4, 0) precedes b's (10, 9): one
+        # surface must carry both, so the pair is a cycle of local regions
+        a = TaggedEvent.local("a", Region.at([0, 4], Hypersurface.flat(0.0, -1, 11)))
+        b = TaggedEvent.local("b", Region.at([0, 10], Hypersurface.line(0.0, 0.9, -1, 11)))
+        with pytest.raises(CyclicCausalityError) as err:
+            embed_events([a, b])
+        assert err.value.cycle == ("a", "a")
+
+    def test_meeting_point_rounded_onto_an_apex_is_dropped(self):
+        # s = 0.53 and delta = 2.95: on surface 1, r's lifted apex
+        # (5, 3.250000000000001) clears p's cone, which reads 3.25 at x = 5, by
+        # one rounding step; their meeting point rounds onto r's apex, and a
+        # repeated breakpoint would make Hypersurface refuse the surface
+        r = flat_event("r", 5, 0.3000000000000005)
+        events = [flat_event("q", 0, 0.0), flat_event("p", 0, 5.9), r]
+        result = embed_events(events)
+        assert result.layer_of == {"q": 0, "p": 1, "r": 0}
+        assert validate_foliation(result.foliation).valid
+        surfaces = result.foliation.surfaces
+        assert surfaces[1].xs == (-1.0, 0.0, 5.0, 6.0)
+        for e in events:
+            p = e.points()[0]
+            assert surfaces[result.layer_of[e.id]].tau(p.x) == pytest.approx(p.t, abs=1e-9)
+
+    def test_points_closer_than_floating_point_separates_are_refused(self):
+        # a precedes b by 1e-300 at cell 0: delta is 5e-301, which no surface
+        # near t = -0.25 can carry, so the answer is a refusal, not a foliation
+        flat0 = Hypersurface.flat(0.0, -5, 5)
+        a = TaggedEvent.entangled("a", (Region.at([0], flat0), Region.at([2], flat0)))
+        b = TaggedEvent.entangled("b", (
+            Region.at([0], Hypersurface.flat(1e-300, -5, 5)), Region.at([1], flat0),
+        ))
+        with pytest.raises(ValueError, match="closer together or to the light cone"):
+            embed_events([a, b])
 
     def test_local_events_always_embed_randomized(self):
         # spacelike events are freely orderable, so purely local inputs must
@@ -358,6 +416,46 @@ def _random_events(rng):
     return events
 
 
+def _shared_point_classes(events):
+    """Each event id's class under "shares a corner point with", closed
+    transitively: one surface must carry every event of a class."""
+    cls = {e.id: frozenset([e.id]) for e in events}
+    for a in events:
+        for b in events:
+            if set(a.points()) & set(b.points()) and cls[a.id] != cls[b.id]:
+                merged = cls[a.id] | cls[b.id]
+                cls.update(dict.fromkeys(merged, merged))
+    return cls
+
+
+def _node_regions(events):
+    """The members of a cycle node of ``embed_events``: "id[i]" is one
+    region, keyed by its event; an event id stands for every region of its
+    shared-point class, each keyed by itself."""
+    by_id, classes = {e.id: e for e in events}, _shared_point_classes(events)
+
+    def members(node):
+        m = re.fullmatch(r"(\w+)\[(\d+)\]", node)
+        if m is not None:
+            return [(m[1], by_id[m[1]].regions[int(m[2])].corner_points())]
+        return [
+            (f"{eid}[{i}]", r.corner_points())
+            for eid in sorted(classes[node]) for i, r in enumerate(by_id[eid].regions)
+        ]
+
+    return members
+
+
+def _assert_closed_walk(cycle, members):
+    """Each step of the cycle is a real precedence between two different
+    members of its nodes."""
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1], cycle
+    for a, b in zip(cycle, cycle[1:]):
+        assert any(
+            ka != kb and _precedes(pa, pb) for ka, pa in members(a) for kb, pb in members(b)
+        ), (cycle, a, b)
+
+
 class TestLayeringAndCycles:
     def test_random_event_sets(self):
         rng = np.random.default_rng(2002)
@@ -365,53 +463,128 @@ class TestLayeringAndCycles:
         for trial in range(600):
             events = _random_events(rng)
             by_id = {e.id: e for e in events}
+            classes = _shared_point_classes(events)
             edges = {
                 (a.id, b.id) for a in events for b in events
                 if a is not b and _precedes(a.points(), b.points())
             }
 
-            def points(node):  # an event id, or "id[i]" for one of its regions
-                m = re.fullmatch(r"(\w+)\[(\d+)\]", node)
-                if m is None:
-                    return node, by_id[node].points()
-                return m[1], by_id[m[1]].regions[int(m[2])].corner_points()
+            node_regions = _node_regions(events)
 
-            def assert_closed_walk(cycle):
-                assert len(cycle) >= 3 and cycle[0] == cycle[-1], (trial, cycle)
-                for a, b in zip(cycle, cycle[1:]):
-                    (ea, pa), (eb, pb) = points(a), points(b)
-                    assert ea != eb and _precedes(pa, pb), (trial, cycle, a, b)
+            def event_points(node):  # an event and its points, keyed by the event
+                return [(node, by_id[node].points())]
 
             try:
                 graph = causal_precedence(events)
                 assert graph.edges == edges, trial
             except CyclicCausalityError as exc:
-                assert_closed_walk(exc.cycle)
+                _assert_closed_walk(exc.cycle, event_points)
                 graph = None
                 seen["event cycle"] += 1
             try:
                 result = embed_events(events)
             except CyclicCausalityError as exc:
-                assert_closed_walk(exc.cycle)
+                _assert_closed_walk(exc.cycle, node_regions)
                 seen["region cycle"] += 1
             except EmbeddingImpossibleError as exc:
+                # the only refusal names a cycle through an entangled event
                 m = re.search(r"\(cycle (\[.*\])\)$", exc.detail)
-                if m is not None:
-                    cycle = ast.literal_eval(m[1])
-                    assert_closed_walk(cycle)
-                    first = next(e.id for e in events if e.is_entangled and e.id in cycle)
-                    assert exc.witness == first, (trial, cycle)
-                    seen["witness"] += 1
+                assert m is not None, (trial, exc.detail)
+                cycle = ast.literal_eval(m[1])
+                _assert_closed_walk(cycle, node_regions)
+                seen["self-loop" if len(cycle) == 2 else "witness"] += 1
+                on_cycle = set().union(*(classes[n] for n in cycle))
+                first = next(e.id for e in events if e.is_entangled and e.id in on_cycle)
+                assert exc.witness == first, (trial, cycle)
             else:
                 assert graph is not None, trial
-                assert result.layer_of == _longest_chain(by_id, edges), trial
+                assert validate_foliation(result.foliation).valid, trial
+                class_edges = {(classes[a], classes[b]) for a, b in edges}
+                depth = _longest_chain(set(classes.values()), class_edges)
+                assert result.layer_of == {eid: depth[classes[eid]] for eid in by_id}, trial
                 assert [eid for layer in result.layers for eid in layer] == sorted(
                     by_id, key=lambda eid: (result.layer_of[eid], list(by_id).index(eid))
                 )
                 seen["embedded"] += 1
         # every kind of outcome is exercised
-        kinds = ("event cycle", "region cycle", "witness", "embedded")
+        kinds = ("event cycle", "region cycle", "witness", "self-loop", "embedded")
         assert min(seen[k] for k in kinds) >= 10, seen
+
+
+@st.composite
+def _spacelike_surface(draw):
+    """A piecewise-linear surface over [-12, 12], every slope within 0.95."""
+    inner = draw(st.lists(st.integers(-11, 11), max_size=3, unique=True))
+    xs = [-12, *sorted(inner), 12]
+    ts = [draw(st.floats(-6, 6))]
+    for a, b in zip(xs, xs[1:]):
+        ts.append(ts[-1] + draw(st.floats(-0.95, 0.95)) * (b - a))
+    return Hypersurface(tuple(xs), tuple(ts))
+
+
+@st.composite
+def _event_sets(draw):
+    """One to five local events (one or two cells) and two-region entangled
+    events, each region on a random spacelike surface."""
+    events = []
+    for k in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            cells = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=2, unique=True))
+            events.append(TaggedEvent.local(f"e{k}", Region.at(cells, draw(_spacelike_surface()))))
+        else:
+            cells = draw(st.lists(st.integers(-10, 10), min_size=2, max_size=2, unique=True))
+            shared = draw(_spacelike_surface())
+            surfaces = [
+                shared if draw(st.booleans()) else draw(_spacelike_surface()) for _ in cells
+            ]
+            events.append(TaggedEvent.entangled(
+                f"e{k}", [Region.at([c], surf) for c, surf in zip(cells, surfaces)]
+            ))
+    return events
+
+
+class TestEmbeddingCertificates:
+    """Every answer of ``embed_events`` carries a certificate that is checked
+    from the events alone: a valid foliation through every point, in layers
+    that respect causal order, or a cycle of real precedences."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_event_sets())
+    def test_embedding_or_cycle_is_certified(self, events):
+        by_id, classes = {e.id: e for e in events}, _shared_point_classes(events)
+        node_regions = _node_regions(events)
+        try:
+            result = embed_events(events)
+        except CyclicCausalityError as exc:
+            _assert_closed_walk(exc.cycle, node_regions)
+            return
+        except EmbeddingImpossibleError as exc:
+            m = re.search(r"\(cycle (\[.*\])\)$", exc.detail)
+            assert m is not None, exc.detail
+            cycle = ast.literal_eval(m[1])
+            _assert_closed_walk(cycle, node_regions)
+            assert by_id[exc.witness].is_entangled
+            assert any(exc.witness in classes[n] for n in cycle)
+            return
+        except ValueError as exc:
+            # refused only when two events' points at one cell differ in time
+            # by less than floating point can lift a surface
+            assert "floating point" in str(exc)
+            points = [(p, e.id) for e in events for p in e.points()]
+            assert any(
+                a != b and p.x == q.x and 0 < abs(p.t - q.t) < 1e-12
+                for p, a in points for q, b in points
+            ), events
+            return
+        surfaces = result.foliation.surfaces
+        assert validate_foliation(result.foliation).valid
+        for e in events:
+            for p in e.points():
+                assert surfaces[result.layer_of[e.id]].tau(p.x) == pytest.approx(p.t, abs=1e-9)
+        for a in events:
+            for b in events:
+                if a is not b and _precedes(a.points(), b.points()):
+                    assert result.layer_of[a.id] < result.layer_of[b.id], (a.id, b.id)
 
 
 class TestCovarianceMap:
